@@ -62,7 +62,6 @@ from .kernels import (
     KernelId,
     KernelTerm,
     RecursionReport,
-    StructuralReport,
     build_cf_kernel,
     build_kernel,
     build_kernel_even,

@@ -11,24 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 __all__ = [
     "MAX_DIMENSION",
     "Multivector",
-    "VectorM",
     "ParaBivector",
     "GeometricInvariants",
     "geometric_product",
     "wedge",
     "invariants_of",
-    "complex_conjugate",
-    "main_anti_involution",
-    "grade_project",
     "hermitian_inner",
-    "as_vector",
 ]
 
 MAX_DIMENSION = 12
@@ -238,44 +233,12 @@ class Multivector:
         return cls(m, {tuple(t["blade"]): complex(t["re"], t.get("im", 0.0)) for t in payload["terms"]})
 
 
-class VectorM:
-    """Vector of R^m (or C^m), embedded as the 1-vector part of Cl(0,m)."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Iterable):
-        arr = np.asarray(list(components))
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("a vector needs a one-dimensional, nonempty component list")
-        if not np.iscomplexobj(arr):
-            arr = arr.astype(float)
-        self.components = arr
-
-    @property
-    def m(self) -> int:
-        return int(self.components.size)
-
-    def __len__(self) -> int:
-        return self.m
-
-    def __getitem__(self, j):
-        return self.components[j]
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
-
-    def to_multivector(self) -> Multivector:
-        return Multivector.from_vector(self.m, self.components)
-
-    def __repr__(self) -> str:
-        return f"VectorM({list(self.components)!r})"
-
-
-def as_vector(x) -> VectorM:
-    return x if isinstance(x, VectorM) else VectorM(x)
+def _vector_components(x) -> np.ndarray:
+    """Components of a vector of R^m (or C^m) as a one-dimensional array."""
+    arr = np.asarray(x)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("a vector needs a one-dimensional, nonempty component list")
+    return arr if np.iscomplexobj(arr) else arr.astype(float)
 
 
 @dataclass(frozen=True)
@@ -303,8 +266,8 @@ class ParaBivector:
     @classmethod
     def from_geometry(cls, m: int, scalar, g, x, y) -> ParaBivector:
         """Parabivector scalar + g*(x wedge y)."""
-        xv = as_vector(x).components
-        yv = as_vector(y).components
+        xv = _vector_components(x)
+        yv = _vector_components(y)
         if len(xv) != m or len(yv) != m:
             raise ValueError("vector dimension mismatch")
         biv: dict[tuple[int, int], complex] = {}
@@ -352,15 +315,15 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
 
 def wedge(x, y) -> Multivector:
     """x wedge y = sum_{j<k} e_jk (x_j y_k - x_k y_j) = (xy - yx)/2."""
-    xv = as_vector(x)
-    yv = as_vector(y)
-    if xv.m != yv.m:
-        raise ValueError(f"dimension mismatch: {xv.m} vs {yv.m}")
-    m = xv.m
+    xv = _vector_components(x)
+    yv = _vector_components(y)
+    if xv.size != yv.size:
+        raise ValueError(f"dimension mismatch: {xv.size} vs {yv.size}")
+    m = xv.size
     coeffs = {}
     for j in range(m):
         for k in range(j + 1, m):
-            c = xv.components[j] * yv.components[k] - xv.components[k] * yv.components[j]
+            c = xv[j] * yv[k] - xv[k] * yv[j]
             if c:
                 coeffs[(1 << j) | (1 << k)] = c
     return Multivector(m, coeffs)
@@ -368,8 +331,8 @@ def wedge(x, y) -> Multivector:
 
 def invariants_of(x, y) -> GeometricInvariants:
     """Geometric invariants of a vector pair; w is absent when z = 0."""
-    xv = as_vector(x).components
-    yv = as_vector(y).components
+    xv = _vector_components(x)
+    yv = _vector_components(y)
     if xv.size != yv.size:
         raise ValueError("dimension mismatch")
     s = float(np.real(np.dot(xv, yv)))
@@ -377,18 +340,6 @@ def invariants_of(x, y) -> GeometricInvariants:
     t = math.sqrt(max(z * z - s * s, 0.0))
     w = s / z if z > 0 else None
     return GeometricInvariants(s=s, t=t, z=z, w=w)
-
-
-def complex_conjugate(a: Multivector) -> Multivector:
-    return a.complex_conjugate()
-
-
-def main_anti_involution(a: Multivector) -> Multivector:
-    return a.main_anti_involution()
-
-
-def grade_project(a: Multivector, k: int) -> Multivector:
-    return a.grade_project(k)
 
 
 def hermitian_inner(a: Multivector, b: Multivector) -> complex:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,8 +41,6 @@ __all__ = [
     "monogenic_basis",
     "sphere_inner_exact",
     "psi",
-    "eval_psi",
-    "apply_dirac_minus_x",
     "creation_psi",
     "laguerre_poly_coeffs",
 ]
@@ -460,7 +458,8 @@ class BasisFunction:
         return {b: v * gauss for b, v in self.poly.evaluate_batch(pts).items()}
 
     def __call__(self, point: Sequence[float]) -> Multivector:
-        return eval_psi(self, point)
+        pt = np.asarray(point, dtype=float)
+        return self.poly.evaluate(pt) * float(np.exp(-0.5 * np.dot(pt, pt)))
 
 
 def psi(j: int, k: int, ell: int, m: int) -> BasisFunction:
@@ -484,12 +483,6 @@ def psi(j: int, k: int, ell: int, m: int) -> BasisFunction:
             r2core = _r2_times(r2core)
         acc = acc + r2core.scale(c)
     return BasisFunction(m=m, j=j, k=k, ell=ell, monogenic=mono, poly=acc)
-
-
-def eval_psi(bf: BasisFunction, point: Sequence[float]) -> Multivector:
-    pt = np.asarray(point, dtype=float)
-    gauss = float(np.exp(-0.5 * np.dot(pt, pt)))
-    return bf.poly.evaluate(pt) * gauss
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +518,6 @@ class GaussianPolynomial:
         pts = np.asarray(points, dtype=float)
         gauss = np.exp(-0.5 * np.sum(pts * pts, axis=1))
         return {b: v * gauss for b, v in self.poly.evaluate_batch(pts).items()}
-
-
-def apply_dirac_minus_x(gp: GaussianPolynomial) -> GaussianPolynomial:
-    return gp.dirac_minus_x()
 
 
 def creation_psi(j: int, k: int, ell: int, m: int) -> GaussianPolynomial:

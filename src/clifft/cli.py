@@ -4,11 +4,15 @@ Subcommands:
 
 * kernel-eval: tabulate kernel profiles on (s, t) points, optionally
   against the series representation.
-* verify: run a verification suite and emit a JSON report; the exit
-  status is 0 exactly when every check passed.
+* verify: run a verification suite and emit a JSON report.
 * eigentable: tabulate closed-form eigenvalues.
 * coeffs: tabulate series coefficient streams, optionally with the
   inverse streams and the bridged products.
+
+Exit status: 0 on success (for verify: at least one check ran and every
+check passed), 1 when a verification check failed, 2 for bad input (a
+dimension outside a suite's domain, a non-finite number, a negative
+--k-max, a series range a float cannot bound), 3 for an internal error.
 
 All numeric output uses repr-faithful 17-digit formatting so tables are
 reproducible bit for bit.
@@ -20,10 +24,11 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +43,7 @@ from .engine import (
 )
 from .kernels import (
     KernelId,
+    RecursionReport,
     build_kernel,
     pde_residual,
     verify_recursion,
@@ -52,37 +58,13 @@ from .series import (
     truncation_bound,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 FMT = "{:.17g}"
 
 
 def _fmt(x: float) -> str:
     return FMT.format(float(x))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Execution options shared by the verification suites."""
-
-    parallel: bool = False
-    threads: int = 1
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        parallel = bool(getattr(args, "parallel", False))
-        if not parallel:
-            return RunConfig(parallel=False, threads=1)
-        env = os.environ.get("CLIFFT_THREADS")
-        threads = int(env) if env else min(8, os.cpu_count() or 1)
-        return RunConfig(parallel=True, threads=max(1, threads))
-
-    def map(self, fn, items):
-        items = list(items)
-        if not self.parallel or self.threads <= 1 or len(items) <= 1:
-            return [fn(it) for it in items]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(fn, items))
 
 
 @contextlib.contextmanager
@@ -96,9 +78,12 @@ def _open_out(path: str):
 
 def _parse_floats(text: str, opt: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise SystemExit(f"error: {opt} expects comma-separated numbers: {exc}")
+    if not all(math.isfinite(v) for v in values):
+        raise SystemExit(f"error: {opt} values must be finite")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -145,30 +130,41 @@ def _cmd_kernel_eval(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # verify suites
+#
+# A suite is one row of _SUITES: its default dimensions, the units of work
+# for a list of dimensions (``list`` when the unit is the dimension itself),
+# the check of one unit, and the dimensions it accepts.  Each check returns
+# one JSON row with a "passed" flag.
 
 
-def _suite_recursion(ms: list[int], config: RunConfig) -> list[dict]:
-    units = [(m, i) for m in ms for i in range(m - 1) if m + 2 <= 12]
-
-    def run(unit):
-        m, i = unit
-        rep = verify_recursion(m, i)
-        return {"m": m, "i": i, "passed": rep.ok, "checks": rep.checks}
-
-    return config.map(run, units)
+def _kernel_units(ms: list[int]) -> list[tuple[int, int]]:
+    return [(m, i) for m in ms for i in range(m - 1)]
 
 
-def _suite_structural(ms: list[int], config: RunConfig) -> list[dict]:
-    units = [m for m in ms if m % 2 == 0 and m >= 4]
-
-    def run(m):
-        rep = verify_structural_identities(m)
-        return {"m": m, "passed": rep.ok, "checks": rep.checks}
-
-    return config.map(run, units)
+def _signed_units(ms: list[int]) -> list[tuple[int, int, str]]:
+    return [(m, i, sign) for m, i in _kernel_units(ms) for sign in ("plus", "minus")]
 
 
-def _series_unit(unit) -> dict:
+def _diff_units(ms: list[int]) -> list[tuple[int, int, int]]:
+    return [(m, i, k) for m, i in _kernel_units(ms) for k in (0, 1)]
+
+
+def _identity_row(rep: RecursionReport) -> dict:
+    row = {"m": rep.m} if rep.i is None else {"m": rep.m, "i": rep.i}
+    row["passed"] = rep.ok
+    row["checks"] = rep.checks
+    return row
+
+
+def _check_recursion(unit) -> dict:
+    return _identity_row(verify_recursion(*unit))
+
+
+def _check_structural(m: int) -> dict:
+    return _identity_row(verify_structural_identities(m))
+
+
+def _check_series(unit) -> dict:
     m, i, sign = unit
     kid = KernelId(m, i, sign)
     expr = build_kernel(kid)
@@ -184,123 +180,121 @@ def _series_unit(unit) -> dict:
     return {"m": m, "i": i, "sign": sign, "max_delta": delta, "passed": delta < 1e-8}
 
 
-def _suite_series(ms: list[int], config: RunConfig) -> list[dict]:
-    units = [(m, i, sign) for m in ms for i in range(m - 1) for sign in ("plus", "minus")]
-    return config.map(_series_unit, units)
-
-
-def _pde_unit(unit) -> dict:
-    m, i, n_points = unit
+def _check_pde(unit) -> dict:
+    m, i = unit
     kid = KernelId(m, i)
     rng = np.random.default_rng(53 + 7 * m + i)
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(50):
         x = rng.uniform(-1.6, 1.6, m)
         y = rng.uniform(-1.6, 1.6, m)
         worst = max(worst, pde_residual(kid, x, y))
     return {"m": m, "i": i, "max_residual": worst, "passed": worst < 1e-6}
 
 
-def _suite_pde(ms: list[int], config: RunConfig) -> list[dict]:
-    units = [(m, i, 50) for m in ms if m <= 6 for i in range(m - 1)]
-    return config.map(_pde_unit, units)
+def _check_eigen(m: int) -> dict:
+    records = verify_eigen(m)
+    tol = 1e-6 if m <= 4 else 1e-8
+    worst = max(r.abs_error for r in records)
+    return {"m": m, "records": len(records), "max_abs_error": worst,
+            "tolerance": tol, "passed": worst < tol}
 
 
-def _suite_eigen(ms: list[int], config: RunConfig) -> list[dict]:
-    def run(m):
-        records = verify_eigen(m)
-        tol = 1e-6 if m <= 4 else 1e-8
-        worst = max(r.abs_error for r in records)
-        return {"m": m, "records": len(records), "max_abs_error": worst,
-                "tolerance": tol, "passed": worst < tol}
-
-    return config.map(run, ms)
-
-
-def _suite_inversion(ms: list[int], config: RunConfig) -> list[dict]:
-    def run(m):
-        rep = verify_inversion(m, k_max=100)
-        out = {"m": m, "k_max": 100, "exact_products_one": rep.exact_ok,
-               "passed": rep.exact_ok}
-        if m >= 3:
-            residual = inversion_composition_residual(m, 0)
-            out["composition_residual"] = residual
-            out["passed"] = out["passed"] and residual < 1e-5
-        return out
-
-    return config.map(run, [m for m in ms if m % 2 == 0])
+def _check_inversion(m: int) -> dict:
+    rep = verify_inversion(m, k_max=100)
+    out = {"m": m, "k_max": 100, "exact_products_one": rep.exact_ok,
+           "passed": rep.exact_ok}
+    if m >= 3:
+        residual = inversion_composition_residual(m, 0)
+        out["composition_residual"] = residual
+        out["passed"] = out["passed"] and residual < 1e-5
+    return out
 
 
-def _suite_diff(ms: list[int], config: RunConfig) -> list[dict]:
-    units = [(m, i, k) for m in ms if m <= 3 for i in range(m - 1) for k in (0, 1)]
-
-    def run(unit):
-        m, i, k = unit
-        res = verify_diff_relations(KernelId(m, i), psi(0, k, 1, m))
-        return {"m": m, "i": i, "k": k, "max_residual": res, "passed": res < 1e-5}
-
-    return config.map(run, units)
+def _check_diff(unit) -> dict:
+    m, i, k = unit
+    res = verify_diff_relations(KernelId(m, i), psi(0, k, 1, m))
+    return {"m": m, "i": i, "k": k, "max_residual": res, "passed": res < 1e-5}
 
 
-def _suite_l2(ms: list[int], config: RunConfig) -> list[dict]:
-    units = [(m, i) for m in ms for i in range(m - 1)]
-
-    def run(unit):
-        m, i = unit
-        rep = l2_bound_scan(m, i, 200)
-        expect_bounded = 2 * i <= m - 2
-        ok = rep.bounded == expect_bounded
-        if m % 2 == 0 and 2 * i == m - 2:
-            ok = ok and rep.sup_magnitude == 1
-        return {"m": m, "i": i, "bounded": rep.bounded,
-                "first_exceed_k": rep.first_exceed_k,
-                "sup": float(rep.sup_magnitude), "passed": ok}
-
-    return config.map(run, units)
+def _check_l2(unit) -> dict:
+    m, i = unit
+    rep = l2_bound_scan(m, i, 200)
+    expect_bounded = 2 * i <= m - 2
+    ok = rep.bounded == expect_bounded
+    if m % 2 == 0 and 2 * i == m - 2:
+        ok = ok and rep.sup_magnitude == 1
+    return {"m": m, "i": i, "bounded": rep.bounded,
+            "first_exceed_k": rep.first_exceed_k,
+            "sup": float(rep.sup_magnitude), "passed": ok}
 
 
-def _suite_constraint(ms: list[int], config: RunConfig) -> list[dict]:
-    units = [(m, i, sign) for m in ms for i in range(m - 1) for sign in ("plus", "minus")]
+def _constraint_units(ms: list[int]) -> list[tuple[int, int | None, str]]:
+    # The classical stream of odd m >= 3 satisfies the constraint exactly
+    # when m = 1 mod 4; its rows follow the kernel rows.
+    classical = [(m, None, "classical") for m in ms if m >= 3 and m % 2]
+    return _signed_units(ms) + classical
 
-    def run(unit):
-        m, i, sign = unit
-        rep = check_cf_constraint(series_coefficients(KernelId(m, i, sign)))
-        return {"m": m, "i": i, "sign": sign, "max_residual": rep.max_residual,
-                "passed": rep.passed}
 
-    rows = config.map(run, units)
-    for m in ms:
-        if m < 3 or m % 2 == 0:
-            continue
+def _check_constraint(unit) -> dict:
+    m, i, stream = unit
+    if stream == "classical":
         rep = check_cf_constraint(classical_coefficients(m))
-        rows.append({"m": m, "stream": "classical", "satisfied": rep.passed,
-                     "passed": rep.passed == (m % 4 == 1)})
-    return rows
+        return {"m": m, "stream": "classical", "satisfied": rep.passed,
+                "passed": rep.passed == (m % 4 == 1)}
+    rep = check_cf_constraint(series_coefficients(KernelId(m, i, stream)))
+    return {"m": m, "i": i, "sign": stream, "max_residual": rep.max_residual,
+            "passed": rep.passed}
 
 
+# suite: (default dimensions, units, check, (m_min, m_max or None, even only))
 _SUITES = {
-    "recursion": (_suite_recursion, (2, 3, 4, 5, 6, 7, 8, 9)),
-    "structural": (_suite_structural, (4, 6, 8)),
-    "series": (_suite_series, (2, 3, 4, 5)),
-    "pde": (_suite_pde, (2, 3, 4, 5, 6)),
-    "eigen": (_suite_eigen, (2, 3, 5, 6, 7)),
-    "inversion": (_suite_inversion, (2, 4, 6, 8)),
-    "diff": (_suite_diff, (2, 3)),
-    "l2": (_suite_l2, (2, 3, 4, 5, 6, 7, 8, 9)),
-    "constraint": (_suite_constraint, (2, 3, 4, 5, 6, 7, 8, 9)),
+    "recursion": ((2, 3, 4, 5, 6, 7, 8, 9), _kernel_units, _check_recursion, (2, 10, False)),
+    "structural": ((4, 6, 8), list, _check_structural, (4, None, True)),
+    "series": ((2, 3, 4, 5), _signed_units, _check_series, (2, None, False)),
+    "pde": ((2, 3, 4, 5, 6), _kernel_units, _check_pde, (2, 6, False)),
+    "eigen": ((2, 3, 5, 6, 7), list, _check_eigen, (2, None, False)),
+    "inversion": ((2, 4, 6, 8), list, _check_inversion, (2, None, True)),
+    "diff": ((2, 3), _diff_units, _check_diff, (2, 3, False)),
+    "l2": ((2, 3, 4, 5, 6, 7, 8, 9), _kernel_units, _check_l2, (2, None, False)),
+    "constraint": ((2, 3, 4, 5, 6, 7, 8, 9), _constraint_units, _check_constraint, (2, None, False)),
 }
 
 
+def _threads(args: argparse.Namespace) -> int:
+    """Thread pool size: 1 without --parallel, else CLIFFT_THREADS or the
+    number of cores, at most 8."""
+    if not args.parallel:
+        return 1
+    env = os.environ.get("CLIFFT_THREADS")
+    return max(1, int(env) if env else min(8, os.cpu_count() or 1))
+
+
+def _map(fn, items: list, threads: int) -> list:
+    """[fn(item) for item in items], on a thread pool when threads > 1;
+    results keep the order of items."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    fn, default_ms = _SUITES[args.suite]
-    ms = sorted(set(args.m)) if args.m else list(default_ms)
-    config = RunConfig.from_args(args)
-    checks = fn(ms, config)
-    passed = all(c["passed"] for c in checks)
+    defaults, units, check, (m_min, m_max, even_only) = _SUITES[args.suite]
+    ms = sorted(set(args.m)) if args.m else list(defaults)
+    outside = [m for m in ms if m < m_min or (m_max is not None and m > m_max)
+               or (even_only and m % 2)]
+    if outside:
+        bounds = f"m >= {m_min}" if m_max is None else f"{m_min} <= m <= {m_max}"
+        parity = "even " if even_only else ""
+        raise ValueError(f"suite {args.suite} accepts {parity}{bounds}, got m = {outside}")
+    threads = _threads(args)
+    checks = _map(check, units(ms), threads)
+    passed = bool(checks) and all(c["passed"] for c in checks)
     report = {
         "suite": args.suite,
         "dimensions": ms,
-        "threads": config.threads,
+        "threads": threads,
         "passed": passed,
         "checks": checks,
     }
@@ -314,8 +308,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # eigentable / coeffs
 
 
+def _check_k_max(k_max: int) -> None:
+    if k_max < 0:
+        raise SystemExit(f"error: --k-max must be >= 0, got {k_max}")
+
+
 def _cmd_eigentable(args: argparse.Namespace) -> int:
     m = args.m
+    if m < 2:
+        raise SystemExit(f"error: dimension must be >= 2, got {m}")
+    _check_k_max(args.k_max)
     i_list = sorted(set(args.i)) if args.i else list(range(m - 1))
     for i in i_list:
         if not 0 <= i <= m - 2:
@@ -335,6 +337,7 @@ def _cmd_eigentable(args: argparse.Namespace) -> int:
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     kid = KernelId(args.m, args.i, args.sign)
+    _check_k_max(args.k_max)
     rows = coefficient_rows(series_coefficients(kid), args.k_max, args.inverse)
     header = ["k", "alpha_re", "alpha_im", "beta_re", "beta_im"]
     if args.inverse:
@@ -427,6 +430,10 @@ def main(argv: list[str] | None = None) -> int:
             print(exc.code, file=sys.stderr)
             return 2
         raise
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

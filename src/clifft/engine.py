@@ -27,10 +27,9 @@ import numpy as np
 from .algebra import Multivector, _blade_sign
 from .basis import BasisFunction, GaussianPolynomial, SphericalMonogenic, monogenic_basis, psi, x_times
 from .exact import Exact
-from .kernels import KernelExpr, KernelId, build_kernel, eval_terms
+from .kernels import KernelId, build_kernel, eval_terms
 from .series import (
     SeriesCoefficients,
-    bridge_prefactor,
     eigenvalues_from_coefficients,
     eval_series,
     inverse_coefficients,
@@ -173,6 +172,15 @@ def sample_points(m: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
 _PARITIES = ("2p", "2p+1")
 
 
+def _eigen_magnitude(m: int, i: int, k: int) -> Fraction:
+    """|eigenvalue| at (i, k): a double-factorial ratio, the same on both
+    branches."""
+    df = double_factorial
+    if (i + k) % 2 == 0:
+        return Fraction(df(k + i - 1), df(k + m - i - 3))
+    return Fraction(df(k + i), df(k + m - i - 2))
+
+
 def closed_form_eigenvalue_exact(
     m: int, i: int, k: int, parity: str, p: int = 0, e_i: complex = 1.0
 ) -> Exact:
@@ -188,9 +196,6 @@ def closed_form_eigenvalue_exact(
         raise ValueError(f"index i out of range 0..{m - 2}: {i}")
     if k < 0 or p < 0:
         raise ValueError("k and p must be >= 0")
-    df = double_factorial
-    r1 = Fraction(df(k + i - 1), df(k + m - i - 3))
-    r2 = Fraction(df(k + i), df(k + m - i - 2))
     odd_branch = parity == "2p+1"
 
     if m % 2 == 0:
@@ -204,17 +209,18 @@ def closed_form_eigenvalue_exact(
         unit_sgn, unit_one = j_unit, Exact._coerce(e)
 
     if i % 2 == 0 and k % 2 == 0:
-        val = unit_one * r1 if odd_branch else unit_sgn * r1
+        unit = unit_one if odd_branch else unit_sgn
         flip = 0
     elif i % 2 == 0:
-        val = unit_sgn * r2 if odd_branch else unit_one * r2
+        unit = unit_sgn if odd_branch else unit_one
         flip = 0 if odd_branch else 1
     elif k % 2 == 0:
-        val = unit_sgn * r2 if odd_branch else unit_one * r2
+        unit = unit_sgn if odd_branch else unit_one
         flip = 1
     else:
-        val = unit_one * r1 if odd_branch else unit_sgn * r1
+        unit = unit_one if odd_branch else unit_sgn
         flip = 0 if odd_branch else 1
+    val = unit * _eigen_magnitude(m, i, k)
     if (p + flip) % 2:
         val = -val
     return val
@@ -698,14 +704,10 @@ def l2_bound_scan(m: int, i: int, k_max: int) -> L2ScanReport:
     """
     if not 0 <= i <= m - 2:
         raise ValueError(f"index i out of range 0..{m - 2}: {i}")
-    df = double_factorial
     sup = Fraction(0)
     first_exceed = None
     for k in range(k_max + 1):
-        if (i + k) % 2 == 0:
-            mag = Fraction(df(k + i - 1), df(k + m - i - 3))
-        else:
-            mag = Fraction(df(k + i), df(k + m - i - 2))
+        mag = _eigen_magnitude(m, i, k)
         if mag > sup:
             sup = mag
         if mag > 1 and first_exceed is None:
@@ -735,12 +737,7 @@ def domain_membership(
     index-i transform: integral of |f(x)| (1 + |x|)^i over expanding
     shells must tail off."""
     rng = np.random.default_rng(seed)
-    if isinstance(f, (BasisFunction, GaussianPolynomial)):
-        fn = f.values
-    elif callable(f):
-        fn = f
-    else:
-        raise TypeError("f must be callable on point batches")
+    fn = _as_value_source(f)
     ball_vol = math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
     edges = [0.0, *shells]
     contributions = []

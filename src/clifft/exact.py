@@ -158,12 +158,6 @@ class Exact:
     def conjugate(self) -> Exact:
         return Exact(self.re, -self.im, self.upow)
 
-    def times_u(self, k: int = 1) -> Exact:
-        """Multiply by u**k without touching the rational part."""
-        if self.is_zero:
-            return self
-        return Exact(self.re, self.im, self.upow + k)
-
     # -- conversions -----------------------------------------------------
 
     def __complex__(self) -> complex:

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, ParaBivector, as_vector, invariants_of
+from .algebra import Multivector, ParaBivector, _vector_components, invariants_of
 from .exact import Exact, exact_from_float
 from .special import BesselOrder, bessel_jtilde
 
@@ -40,7 +40,6 @@ __all__ = [
     "KernelExpr",
     "KernelId",
     "RecursionReport",
-    "StructuralReport",
     "ftilde_terms",
     "fhat_terms",
     "g_terms",
@@ -54,8 +53,6 @@ __all__ = [
     "scale_terms",
     "shift_s",
     "terms_equal",
-    "verify_recursion_even",
-    "verify_recursion_odd",
     "verify_recursion",
     "verify_structural_identities",
     "eval_terms",
@@ -344,24 +341,21 @@ def terms_equal(
 
 @dataclass(frozen=True)
 class RecursionReport:
-    """Outcome of one recursion step from dimension m to m + 2."""
+    """Outcome of a plan of exact term identities.
+
+    For a recursion step from dimension m to m + 2, i is the index of the
+    starting kernel; for the structural identities of dimension m it is
+    None.
+    """
 
     m: int
-    i: int
+    i: int | None
     ok: bool
     checks: tuple[tuple[str, bool], ...]
     first_mismatch: tuple[str, int, int, Exact, Exact] | None = None
 
 
-@dataclass(frozen=True)
-class StructuralReport:
-    m: int
-    ok: bool
-    checks: tuple[tuple[str, bool], ...]
-    first_mismatch: tuple[str, int, int, Exact, Exact] | None = None
-
-
-def _run_checks(m: int, i: int, plan) -> RecursionReport:
+def _run_checks(m: int, i: int | None, plan) -> RecursionReport:
     checks = []
     first = None
     for name, got, want in plan:
@@ -373,9 +367,16 @@ def _run_checks(m: int, i: int, plan) -> RecursionReport:
     return RecursionReport(m=m, i=i, ok=ok, checks=tuple(checks), first_mismatch=first)
 
 
-def _verify_recursion(m: int, i: int, boundary_sign: int) -> RecursionReport:
+def verify_recursion(m: int, i: int) -> RecursionReport:
+    """Check the step from kernel (m, i) to (m+2, i+1).
+
+    i = 0 exercises the boundary rules (fhat leads, then ftilde by an
+    s-division, then g); i >= 1 exercises the z^(-1) d/dw relations for
+    all three families.
+    """
     _check_mi(m, i)
     if i == 0:
+        boundary_sign = -1 if ((m - 1) // 2) % 2 else 1
         fhat_pred = apply_zinv_dw(fhat_terms(m, 0))
         ftilde_pred = shift_s(scale_terms(fhat_pred, boundary_sign), -1)
         g_pred = scale_terms(apply_zinv_dw(ftilde_pred), -1)
@@ -398,30 +399,7 @@ def _verify_recursion(m: int, i: int, boundary_sign: int) -> RecursionReport:
     return _run_checks(m, i, plan)
 
 
-def verify_recursion_even(m: int, i: int) -> RecursionReport:
-    """Check the step from kernel (m, i) to (m+2, i+1), even dimensions.
-
-    i = 0 exercises the boundary rules (fhat leads, then ftilde by an
-    s-division, then g); i >= 1 exercises the z^(-1) d/dw relations for
-    all three families.
-    """
-    if m % 2:
-        raise ValueError(f"even dimension required, got {m}")
-    return _verify_recursion(m, i, -1 if (m // 2 - 1) % 2 else 1)
-
-
-def verify_recursion_odd(m: int, i: int) -> RecursionReport:
-    """Check the step from kernel (m, i) to (m+2, i+1), odd dimensions."""
-    if m % 2 == 0:
-        raise ValueError(f"odd dimension required, got {m}")
-    return _verify_recursion(m, i, -1 if ((m - 1) // 2) % 2 else 1)
-
-
-def verify_recursion(m: int, i: int) -> RecursionReport:
-    return verify_recursion_even(m, i) if m % 2 == 0 else verify_recursion_odd(m, i)
-
-
-def verify_structural_identities(m: int) -> StructuralReport:
+def verify_structural_identities(m: int) -> RecursionReport:
     """Five exact identities tying neighbouring kernels together (even m >= 4):
 
     1. g[m-2] = s g[m-3] + (m-3) g'[m-4]          (g' in dimension m-2)
@@ -458,16 +436,7 @@ def verify_structural_identities(m: int) -> StructuralReport:
         ("fhat0-ftilde1", fhat_terms(m, 0), scale_terms(ftilde_terms(m, 1), -sgn)),
         ("g0-g1", g_terms(m, 0), shift_s(g_terms(m, 1), -1)),
     ]
-    checks = []
-    first = None
-    for name, got, want in plan:
-        mismatch = terms_equal(got, want)
-        checks.append((name, mismatch is None))
-        if mismatch is not None and first is None:
-            first = (name,) + mismatch
-    return StructuralReport(
-        m=m, ok=all(f for _, f in checks), checks=tuple(checks), first_mismatch=first
-    )
+    return _run_checks(m, None, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +494,8 @@ def pde_residual(kernel_id: KernelId, x, y, h: float = 1e-4) -> float:
     plus = build_kernel(replace(kernel_id, sign="plus"))
     minus = build_kernel(replace(kernel_id, sign="minus"))
     m = kernel_id.m
-    xv = np.asarray(as_vector(x).components, dtype=float)
-    yv = np.asarray(as_vector(y).components, dtype=float)
+    xv = np.asarray(_vector_components(x), dtype=float)
+    yv = np.asarray(_vector_components(y), dtype=float)
     a = _system_factor(m)
 
     def K(expr: KernelExpr, xx, yy) -> Multivector:

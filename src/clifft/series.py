@@ -583,16 +583,25 @@ def truncation_bound(coeffs: SeriesCoefficients, z_max: float, eps: float) -> in
 
     Term majorants use |jtilde_(k+lam)(z)| <= (z/2)^k 2^(-lam)/Gamma(k+lam+1)
     and |C_k^lam(w)| <= C_k^lam(1); the tail past the computed range is
-    bounded by a geometric comparison once terms at least halve.
+    bounded by a geometric comparison once terms at least halve.  Raises
+    ValueError when a term majorant overflows a float.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not math.isfinite(z_max):
+        raise ValueError(f"z_max must be finite, got {z_max!r}")
     z = max(float(z_max), 1e-9)
     log_half_z = math.log(z / 2.0)
     terms: list[float] = []
     cap = 600
     for k in range(cap + 1):
-        terms.append(_term_magnitudes(coeffs, k, log_half_z))
+        try:
+            term = _term_magnitudes(coeffs, k, log_half_z)
+        except OverflowError:
+            term = math.inf
+        if not math.isfinite(term):
+            raise ValueError(f"the majorant of series term {k} overflows at z_max = {z_max:g}")
+        terms.append(term)
         if (
             k >= 2
             and terms[-1] < eps * 1e-6

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from clifft.algebra import (
     Multivector,
     ParaBivector,
-    VectorM,
-    as_vector,
     geometric_product,
     hermitian_inner,
     invariants_of,
@@ -112,8 +110,6 @@ def test_parabivector_matches_multivector_assembly():
 
 
 def test_vector_wrapper_and_coefficients():
-    v = as_vector([1.0, 2.0])
-    assert isinstance(v, VectorM)
     mv = Multivector.from_vector(2, [1.0, 2.0])
     assert mv.coefficients == {(1,): 1.0, (2,): 2.0}
 
@@ -128,3 +124,11 @@ def test_pseudoscalar_square():
     # (e_1...e_m)^2 = (-1)^(m(m+1)/2) with the negative-definite metric
     assert Multivector.pseudoscalar(3) * Multivector.pseudoscalar(3) == Multivector.scalar(3, 1.0)
     assert Multivector.pseudoscalar(2) * Multivector.pseudoscalar(2) == Multivector.scalar(2, -1.0)
+
+
+@pytest.mark.parametrize("bad", [[], [[1.0, 2.0]], 3.0])
+def test_vectors_must_be_one_dimensional_and_nonempty(bad):
+    with pytest.raises(ValueError):
+        invariants_of(bad, bad)
+    with pytest.raises(ValueError):
+        wedge(bad, bad)

@@ -126,3 +126,57 @@ def test_output_file(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("m,i,k,parity,re,im,factor")
     assert len(text.strip().splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "suite, m",
+    [
+        ("recursion", 1), ("recursion", 11),
+        ("structural", 2), ("structural", 5),
+        ("series", 1),
+        ("pde", 1), ("pde", 8),
+        ("eigen", 1),
+        ("inversion", 0), ("inversion", 3),
+        ("diff", 1), ("diff", 4),
+        ("l2", 1),
+        ("constraint", 1),
+    ],
+)
+def test_verify_rejects_out_of_domain_dimension(capsys, suite, m):
+    code = main(["verify", "--suite", suite, "--m", "4", "--m", str(m)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert '"passed": true' not in captured.out
+    assert f"suite {suite} accepts" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel-eval", "--m", "4", "--i", "1", "--s", "nan", "--t", "1"],
+        ["kernel-eval", "--m", "4", "--i", "1", "--s", "1", "--t", "0.5,inf"],
+        ["kernel-eval", "--m", "4", "--i", "1", "--s=-inf", "--t", "1"],
+        ["kernel-eval", "--m", "3", "--i", "0", "--s", "1e300", "--t", "1",
+         "--compare-series"],
+        ["kernel-eval", "--m", "4", "--i", "1", "--s", "1", "--t", "1",
+         "--eps", "nan", "--compare-series"],
+        ["eigentable", "--m", "1"],
+        ["eigentable", "--m", "4", "--k-max", "-1"],
+        ["coeffs", "--m", "4", "--i", "1", "--k-max", "-3"],
+    ],
+)
+def test_bad_input_exits_two(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(kid):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("clifft.cli.build_kernel", broken)
+    code = main(["kernel-eval", "--m", "4", "--i", "1", "--s", "1", "--t", "1"])
+    assert code == 3
+    assert "boom" in capsys.readouterr().err

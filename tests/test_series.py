@@ -193,6 +193,12 @@ def test_truncation_bound_is_honest():
     assert truncation_bound(coeffs, 9.0, 1e-9) >= n
 
 
+@pytest.mark.parametrize("z_max, eps", [(1e300, 1e-9), (math.inf, 1e-9), (math.nan, 1e-9), (6.0, math.nan)])
+def test_truncation_bound_rejects_ranges_it_cannot_bound(z_max, eps):
+    with pytest.raises(ValueError):
+        truncation_bound(series_coefficients(KernelId(3, 0)), z_max, eps)
+
+
 def test_coefficient_rows_products():
     rows = coefficient_rows(series_coefficients(KernelId(4, 0)), 6, include_inverse=True)
     assert [r["k"] for r in rows] == list(range(7))
