@@ -71,9 +71,13 @@ def _fmt(x: float) -> str:
 def _open_out(path: str):
     if path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc.strerror or exc}")
+    with fh:
+        yield fh
 
 
 def _parse_floats(text: str, opt: str) -> list[float]:

@@ -492,14 +492,11 @@ class InversionReport:
     k_checked: int
     exact_ok: bool
     first_failure: tuple[int, int, str] | None
-    numeric_residual: float | None
 
 
-def verify_inversion(
-    m: int, k_max: int = 100, numeric: bool = False, numeric_i: int = 0
-) -> InversionReport:
+def verify_inversion(m: int, k_max: int = 100) -> InversionReport:
     """Exact eigenvalue products against the inverse streams for every
-    kernel index, optionally followed by a composed-transform residual."""
+    kernel index."""
     one = Exact(1)
     first = None
     for i in range(m - 1):
@@ -516,16 +513,7 @@ def verify_inversion(
                 break
         if first:
             break
-    residual = None
-    if numeric and first is None:
-        residual = inversion_composition_residual(m, numeric_i)
-    return InversionReport(
-        m=m,
-        k_checked=k_max,
-        exact_ok=first is None,
-        first_failure=first,
-        numeric_residual=residual,
-    )
+    return InversionReport(m=m, k_checked=k_max, exact_ok=first is None, first_failure=first)
 
 
 def _composition_radial(m: int, i: int) -> float:

@@ -12,10 +12,11 @@ spherical monogenics, the coefficients of the inverse transform, and a
 consistency constraint singling out transforms with a Bochner-type radial
 reduction.
 
-Dimension two is the lambda -> 0 limit; there alpha_k diverges for k >= 1
-while lambda * alpha_k stays finite, so the stream stores those limits
-(``lambda_exact``) and evaluation uses lim lambda->0 C_k^lambda / lambda
-= (2/k) T_k together with C^1 = U (Chebyshev polynomials).
+The algorithms read gamma_k = lambda alpha_k (``lambda_exact``, k >= 1)
+together with alpha_0 and beta_k, and evaluate gamma_k against
+C_k^lambda / lambda.  Both stay finite as lambda -> 0, so dimension two is
+simply the case lambda = 0: there alpha_k (k >= 1) diverges, only gamma_k
+is stored, and C_k^lambda / lambda = (2/k) T_k.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .kernels import KernelId
 from .special import (
     BesselOrder,
     bessel_jtilde,
-    chebyshev_t_all,
-    chebyshev_u_all,
     double_factorial,
     gegenbauer_all,
     log_gamma,
@@ -89,7 +88,11 @@ def transform_normalization(m: int) -> Exact:
 
 
 class SeriesCoefficients:
-    """Exact coefficient streams of one kernel's series expansion."""
+    """Exact coefficient streams of one kernel's series expansion.
+
+    ``lambda_fn`` gives gamma_k = lam alpha_k; it is required at m = 2 and
+    defaults to lam * alpha_fn(k) above.
+    """
 
     __slots__ = ("m", "provenance", "_alpha", "_beta", "_lambda")
 
@@ -109,7 +112,13 @@ class SeriesCoefficients:
         self.provenance = provenance
         self._alpha = lru_cache(maxsize=None)(alpha_fn)
         self._beta = lru_cache(maxsize=None)(beta_fn)
-        self._lambda = lru_cache(maxsize=None)(lambda_fn) if lambda_fn else None
+        if lambda_fn is None:
+            alpha, lam = self._alpha, self.lam_fraction
+
+            def lambda_fn(k: int) -> Exact:
+                return alpha(k) * lam
+
+        self._lambda = lru_cache(maxsize=None)(lambda_fn)
 
     @property
     def limit_representation(self) -> bool:
@@ -141,8 +150,9 @@ class SeriesCoefficients:
         return self._beta(k)
 
     def lambda_exact(self, k: int) -> Exact:
-        if self.m != 2:
-            raise ValueError("lambda-scaled entries only exist in dimension 2")
+        """gamma_k = lambda alpha_k, the entry the series algorithms read
+        for k >= 1 in every dimension; finite at m = 2 (lambda = 0), where
+        alpha_k itself diverges."""
         if k < 1:
             raise ValueError("lambda_exact is defined for k >= 1")
         return self._lambda(k)
@@ -195,61 +205,54 @@ def _series_plus(kernel_id: KernelId) -> SeriesCoefficients:
     else:
         sigma = -1 if ((m + 1) // 2) % 2 else 1
     direct, twisted = _route_factors(m, kernel_id.e_i)
+    lam = Fraction(m - 2, 2)
     df = double_factorial
 
     if i % 2 == 0:
 
-        def alpha_fn(k: int) -> Exact:
+        def alpha_parts(k: int) -> tuple[Exact, Fraction, Exact]:
             if k % 2 == 0:
                 j = k // 2
-                core = (
-                    c1
-                    * Fraction(sigma * (4 * j + m - 2), 2)
-                    * Fraction(df(2 * j + i - 1), df(2 * j + m - i - 3))
+                q = Fraction(
+                    sigma * (4 * j + m - 2) * df(2 * j + i - 1), 2 * df(2 * j + m - i - 3)
                 )
-                return core * twisted
+                return c1, q, twisted
             j = (k - 1) // 2
-            core = (
-                c2
-                * (-i * (4 * j + m))
-                * Fraction(df(2 * j + i - 1), df(2 * j + m - i - 1))
-            )
-            return core * direct
+            q = Fraction(-i * (4 * j + m) * df(2 * j + i - 1), df(2 * j + m - i - 1))
+            return c2, q, direct
 
         def beta_fn(k: int) -> Exact:
             if k % 2 == 0:
                 return Exact(0)
             j = (k - 1) // 2
-            core = c3 * (4 * j + m) * Fraction(df(2 * j + i - 1), df(2 * j + m - i - 1))
-            return core * direct
+            return c3 * Fraction((4 * j + m) * df(2 * j + i - 1), df(2 * j + m - i - 1)) * direct
 
     else:
 
-        def alpha_fn(k: int) -> Exact:
+        def alpha_parts(k: int) -> tuple[Exact, Fraction, Exact]:
             if k % 2 == 0:
                 j = k // 2
-                core = (
-                    c2
-                    * (-i * (4 * j + m - 2))
-                    * Fraction(df(2 * j + i - 2), df(2 * j + m - i - 2))
-                )
-                return core * direct
+                q = Fraction(-i * (4 * j + m - 2) * df(2 * j + i - 2), df(2 * j + m - i - 2))
+                return c2, q, direct
             j = (k - 1) // 2
-            core = (
-                c1
-                * Fraction(-sigma * (4 * j + m), 2)
-                * Fraction(df(2 * j + i), df(2 * j + m - i - 2))
-            )
-            return core * twisted
+            q = Fraction(-sigma * (4 * j + m) * df(2 * j + i), 2 * df(2 * j + m - i - 2))
+            return c1, q, twisted
 
         def beta_fn(k: int) -> Exact:
             if k % 2 or k == 0:
                 return Exact(0)
             j = k // 2 - 1
-            core = c3 * (4 * j + m + 2) * Fraction(df(2 * j + i), df(2 * j + m - i))
-            return core * direct
+            return c3 * Fraction((4 * j + m + 2) * df(2 * j + i), df(2 * j + m - i)) * direct
 
-    return SeriesCoefficients(m, alpha_fn, beta_fn, provenance=kernel_id)
+    def alpha_fn(k: int) -> Exact:
+        c, q, route = alpha_parts(k)
+        return c * q * route
+
+    def lambda_fn(k: int) -> Exact:
+        c, q, route = alpha_parts(k)
+        return c * (q * lam) * route
+
+    return SeriesCoefficients(m, alpha_fn, beta_fn, lambda_fn, provenance=kernel_id)
 
 
 def _series_m2(kernel_id: KernelId) -> SeriesCoefficients:
@@ -281,9 +284,8 @@ def series_minus_counterpart(coeffs: SeriesCoefficients) -> SeriesCoefficients:
     prov = coeffs.provenance
     if prov is not None:
         prov = replace(prov, sign="minus" if prov.sign == "plus" else "plus")
-    lam_fn = flip(coeffs._lambda) if coeffs._lambda else None
     return SeriesCoefficients(
-        coeffs.m, flip(coeffs._alpha), flip(coeffs._beta), lam_fn, provenance=prov
+        coeffs.m, flip(coeffs._alpha), flip(coeffs._beta), flip(coeffs._lambda), provenance=prov
     )
 
 
@@ -310,21 +312,19 @@ class EigenvaluePair:
 
 
 def _functionals(coeffs: SeriesCoefficients, k: int) -> tuple[Exact, Exact]:
-    """Unbridged pair (D_k, E_k) built from the coefficient streams."""
-    if coeffs.m == 2:
-        if k == 0:
-            a0 = coeffs.alpha_exact(0)
-            return a0, a0
-        lam_k = coeffs.lambda_exact(k)
-        half_beta = coeffs.beta_exact(k) * Fraction(1, 2)
-        base = lam_k * Fraction(1, k)
-        return base - half_beta, base + half_beta
+    """Unbridged pair (D_k, E_k) built from the coefficient streams:
+    D_0 = E_0 = alpha_0, and for k >= 1 with gamma_k = lambda alpha_k
+
+        D_k = (2 gamma_k - k beta_k) / (m - 2 + 2k),
+        E_k = (2 gamma_k + (k + m - 2) beta_k) / (m - 2 + 2k) = D_k + beta_k.
+    """
+    if k == 0:
+        a0 = coeffs.alpha_exact(0)
+        return a0, a0
     denom = coeffs.m - 2 + 2 * k
-    alpha_k = coeffs.alpha_exact(k)
     beta_k = coeffs.beta_exact(k)
-    d = alpha_k * Fraction(coeffs.m - 2, denom) - beta_k * Fraction(k, denom)
-    e = alpha_k * Fraction(coeffs.m - 2, denom) + beta_k * Fraction(k + coeffs.m - 2, denom)
-    return d, e
+    d = coeffs.lambda_exact(k) * Fraction(2, denom) - beta_k * Fraction(k, denom)
+    return d, d + beta_k
 
 
 def eigenvalues_from_coefficients(coeffs: SeriesCoefficients, k: int) -> EigenvaluePair:
@@ -344,42 +344,33 @@ def eigenvalues_from_coefficients(coeffs: SeriesCoefficients, k: int) -> Eigenva
 def inverse_coefficients(coeffs: SeriesCoefficients) -> SeriesCoefficients:
     """Coefficient streams whose transform inverts the given one.
 
-    Entrywise: with N_k = D_k E_k, alpha~_k = (alpha_k + beta_k)/N_k and
-    beta~_k = -beta_k/N_k, rescaled so the bridged eigenvalue products
-    come out exactly 1.  Raises when some eigenvalue vanishes.
+    Entrywise: with N_k = D_k E_k and r = 1/bridge_prefactor(m)^2,
+    alpha~_k = (alpha_k + beta_k) r/N_k, gamma~_k = (gamma_k + lam beta_k) r/N_k
+    and beta~_k = -beta_k r/N_k, so the bridged eigenvalue products come
+    out exactly 1.  Raises when some eigenvalue vanishes.
     """
-    m = coeffs.m
+    lam = coeffs.lam_fraction
+    pref = bridge_prefactor(coeffs.m)
+    rescale = ONE / (pref * pref)
 
-    def n_of(k: int) -> Exact:
+    @lru_cache(maxsize=None)
+    def scale(k: int) -> Exact:
         d, e = _functionals(coeffs, k)
         n = d * e
         if n.is_zero:
             raise ValueError(f"eigenvalue vanishes at k = {k}; no inverse there")
-        return n
-
-    if m == 2:
-
-        def alpha_fn(k: int) -> Exact:
-            return ONE / coeffs.alpha_exact(0)
-
-        def lambda_fn(k: int) -> Exact:
-            return coeffs.lambda_exact(k) / n_of(k)
-
-        def beta_fn(k: int) -> Exact:
-            return -coeffs.beta_exact(k) / n_of(k)
-
-        return SeriesCoefficients(2, alpha_fn, beta_fn, lambda_fn)
-
-    pref = bridge_prefactor(m)
-    rescale = ONE / (pref * pref)
+        return rescale / n
 
     def alpha_fn(k: int) -> Exact:
-        return (coeffs.alpha_exact(k) + coeffs.beta_exact(k)) / n_of(k) * rescale
+        return (coeffs.alpha_exact(k) + coeffs.beta_exact(k)) * scale(k)
+
+    def lambda_fn(k: int) -> Exact:
+        return (coeffs.lambda_exact(k) + coeffs.beta_exact(k) * lam) * scale(k)
 
     def beta_fn(k: int) -> Exact:
-        return -coeffs.beta_exact(k) / n_of(k) * rescale
+        return -coeffs.beta_exact(k) * scale(k)
 
-    return SeriesCoefficients(m, alpha_fn, beta_fn)
+    return SeriesCoefficients(coeffs.m, alpha_fn, beta_fn, lambda_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +392,13 @@ def check_cf_constraint(
     """Check the coupling between consecutive coefficients that holds for
     every kernel of the family.
 
-    The relation is stated for the minus kernel's streams:
+    The relation is stated for the minus kernel's streams, with
+    gamma_k = lam alpha_k:
 
-        lam conj(alpha_{k+1}) + (k+1+2 lam)/2 conj(beta_{k+1})
-            = (-I)^m (-1)^(k+1) (lam+k+1)/(lam+k) (lam alpha_k - k/2 beta_k).
+        conj(gamma_{k+1}) + (k+m-1)/2 conj(beta_{k+1})
+            = (-I)^m (-1)^(k+1) (m+2k)/(m-2+2k) (gamma_k - k/2 beta_k),
 
+    whose right side at k = 0 reads -(-I)^m (m/2) alpha_0.
     Plus-kernel provenance is converted first; streams without provenance
     are taken as already being in the minus role.  Residuals are exact
     and reported relative to the larger side.
@@ -418,26 +411,16 @@ def check_cf_constraint(
     worst = 0.0
     worst_k = None
     for k in range(k_max + 1):
-        if m == 2:
-            lhs = c.lambda_exact(k + 1).conjugate() + c.beta_exact(k + 1).conjugate() * Fraction(
-                k + 1, 2
-            )
-            if k == 0:
-                rhs = c.alpha_exact(0)
-            else:
-                rhs = (
-                    (c.lambda_exact(k) - c.beta_exact(k) * Fraction(k, 2))
-                    * Fraction((-1) ** k * (k + 1), k)
-                )
+        lhs = c.lambda_exact(k + 1).conjugate() + c.beta_exact(k + 1).conjugate() * Fraction(
+            k + m - 1, 2
+        )
+        if k == 0:
+            rhs = mi_pow * Fraction(-m, 2) * c.alpha_exact(0)
         else:
-            lam = c.lam_fraction
-            lhs = c.alpha_exact(k + 1).conjugate() * lam + c.beta_exact(
-                k + 1
-            ).conjugate() * Fraction(k + 1 + m - 2, 2)
             rhs = (
                 mi_pow
                 * ((-1) ** (k + 1) * Fraction(m + 2 * k, m - 2 + 2 * k))
-                * (c.alpha_exact(k) * lam - c.beta_exact(k) * Fraction(k, 2))
+                * (c.lambda_exact(k) - c.beta_exact(k) * Fraction(k, 2))
             )
         residual = lhs - rhs
         rel = residual.magnitude() / max(1.0, lhs.magnitude(), rhs.magnitude())
@@ -469,12 +452,27 @@ def classical_coefficients(m: int) -> SeriesCoefficients:
 # evaluation and truncation control
 
 
+def _gegenbauer_over_lambda(n: int, lam: float, w) -> np.ndarray:
+    """C_k^lam(w) / lam for k = 1..n by the Gegenbauer recurrence, started
+    from 2w and 2(1 + lam)w^2 - 1 so that lam = 0 gives (2/k) T_k(w).
+    Row 0 (1/lam) is not computed and holds NaN."""
+    arr = np.asarray(w, dtype=float)
+    vals = np.full((n + 1,) + arr.shape, np.nan)
+    if n >= 1:
+        vals[1] = 2.0 * arr
+    for j in range(2, n + 1):
+        prev2 = 2.0 if j == 2 else (j + 2.0 * lam - 2.0) * vals[j - 2]
+        vals[j] = (2.0 * arr * (j + lam - 1.0) * vals[j - 1] - prev2) / j
+    return vals
+
+
 def eval_series(
     coeffs: SeriesCoefficients, z, w, n_terms: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Partial sums (A, B) of the expansion through index n_terms.
 
-    z >= 0 and w in [-1, 1] broadcast together.
+    z >= 0 and w in [-1, 1] broadcast together.  The A terms k >= 1 are
+    summed as gamma_k z^k jtilde_{k+lam}(z) C_k^lam(w)/lam.
     """
     z_arr = np.asarray(z, dtype=float)
     w_arr = np.asarray(w, dtype=float)
@@ -485,38 +483,19 @@ def eval_series(
     a_total = np.zeros(z_arr.shape, dtype=complex)
     b_total = np.zeros(z_arr.shape, dtype=complex)
     m = coeffs.m
-
-    if m == 2:
-        t_all = chebyshev_t_all(n, w_arr)
-        u_all = chebyshev_u_all(max(n - 1, 0), w_arr)
-        zpow = np.ones_like(z_arr)
-        zpow_prev = None
-        for k in range(n + 1):
-            jt = bessel_jtilde(BesselOrder(2 * k), z_arr)
-            if k == 0:
-                a_total += coeffs.alpha(0) * jt
-            else:
-                lam_k = coeffs.lambda_limit(k)
-                if lam_k:
-                    a_total += lam_k * (2.0 / k) * t_all[k] * zpow * jt
-                b_k = coeffs.beta(k)
-                if b_k:
-                    b_total += b_k * zpow_prev * jt * u_all[k - 1]
-            zpow_prev = zpow
-            zpow = zpow * z_arr
-        return a_total, b_total
-
     lam = coeffs.lam
-    geg_a = gegenbauer_all(n, lam, w_arr)
+    geg_a = _gegenbauer_over_lambda(n, lam, w_arr)
     geg_b = gegenbauer_all(max(n - 1, 0), lam + 1.0, w_arr)
     zpow = np.ones_like(z_arr)
     zpow_prev = None
     for k in range(n + 1):
         jt = bessel_jtilde(BesselOrder(2 * k + m - 2), z_arr)
-        a_k = coeffs.alpha(k)
-        if a_k:
-            a_total += a_k * zpow * jt * geg_a[k]
-        if k >= 1:
+        if k == 0:
+            a_total += coeffs.alpha(0) * jt
+        else:
+            g_k = coeffs.lambda_limit(k)
+            if g_k:
+                a_total += g_k * zpow * jt * geg_a[k]
             b_k = coeffs.beta(k)
             if b_k:
                 b_total += b_k * zpow_prev * jt * geg_b[k - 1]
@@ -536,44 +515,27 @@ def series_kernel_value(
 
 
 def _term_magnitudes(coeffs: SeriesCoefficients, k: int, log_half_z: float) -> float:
-    """Majorant of the k-th term of |A| + |B| over |w| <= 1 at fixed z."""
-    m = coeffs.m
-    if m == 2:
-        if k == 0:
-            return coeffs.alpha_exact(0).magnitude()
-        ta = coeffs.lambda_exact(k).magnitude() * (2.0 / k)
-        tb = coeffs.beta_exact(k).magnitude() * 0.5 * k
-        out = 0.0
-        if ta:
-            out += math.exp(math.log(ta) + k * log_half_z - log_gamma(k + 1.0))
-        if tb:
-            out += math.exp(math.log(tb) + (k - 1) * log_half_z - log_gamma(k + 1.0))
-        return out
+    """Majorant of the k-th term of |A| + |B| over |w| <= 1 at fixed z.
+
+    The A term for k >= 1 reads |gamma_k| with
+    C_k^lam(1)/lam = 2 Gamma(2 lam + k) / (Gamma(2 lam + 1) k!),
+    which is 2/k at lam = 0."""
     lam = coeffs.lam
-    lg = log_gamma(k + lam + 1.0)
-
-    def log_c_at_one(deg: int, par: float) -> float:
-        if deg <= 0:
-            return 0.0
-        val = log_gamma(2 * par + deg) - log_gamma(2 * par) - log_gamma(deg + 1.0)
-        return max(0.0, val)
-
+    log_two = math.log(2.0)
+    base = k * log_half_z - lam * log_two - log_gamma(k + lam + 1.0)
+    if k == 0:
+        ta = coeffs.alpha_exact(0).magnitude()
+        return math.exp(math.log(ta) + base) if ta else 0.0
     out = 0.0
-    ta = coeffs.alpha_exact(k).magnitude()
+    ta = coeffs.lambda_exact(k).magnitude()
     if ta:
-        out += math.exp(
-            math.log(ta) + k * log_half_z - lam * math.log(2.0) + log_c_at_one(k, lam) - lg
-        )
-    if k >= 1:
-        tb = coeffs.beta_exact(k).magnitude()
-        if tb:
-            out += math.exp(
-                math.log(tb)
-                + (k - 1) * log_half_z
-                - (lam + 1.0) * math.log(2.0)
-                + log_c_at_one(k - 1, lam + 1.0)
-                - lg
-            )
+        log_c = log_two + log_gamma(2 * lam + k) - log_gamma(2 * lam + 1.0) - log_gamma(k + 1.0)
+        out += math.exp(math.log(ta) + base + log_c)
+    tb = coeffs.beta_exact(k).magnitude()
+    if tb:
+        # C_{k-1}^(lam+1)(1) = Gamma(2 lam + k + 1) / (Gamma(2 lam + 2) (k-1)!)
+        log_c = log_gamma(2 * lam + k + 1.0) - log_gamma(2 * lam + 2.0) - log_gamma(float(k))
+        out += math.exp(math.log(tb) + base - log_half_z - log_two + log_c)
     return out
 
 

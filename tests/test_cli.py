@@ -163,6 +163,8 @@ def test_verify_rejects_out_of_domain_dimension(capsys, suite, m):
         ["eigentable", "--m", "1"],
         ["eigentable", "--m", "4", "--k-max", "-1"],
         ["coeffs", "--m", "4", "--i", "1", "--k-max", "-3"],
+        ["eigentable", "--m", "4", "--output", "/nonexistent/x.csv"],
+        ["verify", "--suite", "l2", "--m", "4", "--output", "/nonexistent/x.json"],
     ],
 )
 def test_bad_input_exits_two(capsys, argv):

@@ -11,6 +11,7 @@ from clifft.exact import Exact, I_UNIT, ONE, U
 from clifft.kernels import KernelId, build_kernel
 from clifft.series import (
     SeriesCoefficients,
+    _gegenbauer_over_lambda,
     bridge_prefactor,
     check_cf_constraint,
     classical_coefficients,
@@ -25,6 +26,7 @@ from clifft.series import (
     transform_normalization,
     truncation_bound,
 )
+from clifft.special import chebyshev_t_all, gegenbauer_all
 
 
 def test_gamma2pow_even_and_odd():
@@ -85,6 +87,13 @@ def test_minus_counterpart_alternating_conjugate():
             want = -want
         assert mc.alpha_exact(k) == want
     assert mc.provenance.sign == "minus"
+    # the lambda-scaled stream the algorithms read is lambda * alpha_k
+    # for both signs in every dimension where alpha_k is finite
+    for m in range(3, 9):
+        for kid in (KernelId(m, m - 2), KernelId(m, 1, "minus")):
+            s = series_coefficients(kid)
+            for k in range(1, 9):
+                assert s.lambda_exact(k) == s.alpha_exact(k) * s.lam_fraction
 
 
 def test_eigenvalue_spot_values():
@@ -149,6 +158,19 @@ def test_constraint_detects_perturbed_stream():
     assert rep.worst_k in (2, 3)
 
 
+def test_gegenbauer_over_lambda_against_references():
+    w = np.linspace(-1.0, 1.0, 41)
+    for lam in (0.5, 1.5, 3.0):
+        got = _gegenbauer_over_lambda(12, lam, w)
+        want = gegenbauer_all(12, lam, w) / lam
+        assert np.all(np.isnan(got[0]))
+        assert np.allclose(got[1:], want[1:], rtol=1e-13, atol=1e-13)
+    got = _gegenbauer_over_lambda(12, 0.0, w)
+    k = np.arange(1, 13)[:, None]
+    assert np.allclose(got[1:], (2.0 / k) * chebyshev_t_all(12, w)[1:], rtol=1e-13, atol=1e-14)
+    assert _gegenbauer_over_lambda(0, 0.0, w).shape == (1, 41)
+
+
 def test_series_matches_kernel_profiles():
     rng = np.random.default_rng(19)
     for kid in (KernelId(3, 1), KernelId(4, 2), KernelId(6, 0, "minus")):
@@ -183,8 +205,9 @@ def test_series_kernel_value_assembles_parabivector():
     assert got.isclose(want, tol=1e-9)
 
 
-def test_truncation_bound_is_honest():
-    coeffs = series_coefficients(KernelId(4, 1))
+@pytest.mark.parametrize("m", [2, 4, 5])
+def test_truncation_bound_is_honest(m):
+    coeffs = series_coefficients(KernelId(m, min(1, m - 2)))
     n = truncation_bound(coeffs, 6.0, 1e-9)
     more = eval_series(coeffs, np.array([6.0]), np.array([0.6]), n + 40)
     base = eval_series(coeffs, np.array([6.0]), np.array([0.6]), n)
