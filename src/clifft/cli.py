@@ -80,6 +80,24 @@ def _open_out(path: str):
         yield fh
 
 
+def _check_writable(path: str) -> None:
+    """Exit 2 before any work when ``path`` cannot be opened for writing.
+
+    The probe appends nothing and removes the file again if it had to
+    create it, so a run that fails later leaves no report behind.
+    """
+    if path == "-":
+        return
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc.strerror or exc}")
+    if not existed:
+        os.remove(path)
+
+
 def _parse_floats(text: str, opt: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
@@ -425,6 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_writable(args.output)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,6 +33,7 @@ from .series import (
     eigenvalues_from_coefficients,
     eval_series,
     inverse_coefficients,
+    jtilde_stack,
     series_coefficients,
     transform_normalization,
     truncation_bound,
@@ -346,9 +347,11 @@ def _radial_bessel_integral(
     rho: np.ndarray,
 ) -> np.ndarray:
     """integral over r of r^r_power f0(r) (r rho)^z_power
-    jtilde_(twice_order/2)(r rho), for each target rho."""
+    jtilde_(twice_order/2)(r rho), for each target rho.  The Bessel factor
+    is the one-row :func:`jtilde_stack`, whose fixed point blocks keep the
+    nodes x targets grid from multiplying the memory it takes."""
     z = rule.nodes[:, None] * rho[None, :]
-    vals = bessel_jtilde(BesselOrder(twice_order), z)
+    vals = jtilde_stack(twice_order, 0, z)[0]
     if z_power:
         vals = vals * z**z_power
     wf = rule.weights * rule.nodes**r_power * f0_vals

@@ -17,6 +17,15 @@ together with alpha_0 and beta_k, and evaluate gamma_k against
 C_k^lambda / lambda.  Both stay finite as lambda -> 0, so dimension two is
 simply the case lambda = 0: there alpha_k (k >= 1) diverges, only gamma_k
 is stored, and C_k^lambda / lambda = (2/k) T_k.
+
+All the orders k + lambda, k = 0..N, of one evaluation come from one
+:func:`jtilde_stack`: the power series of ``bessel_jtilde`` below t = 1,
+and above it plain J_nu started from J_0, J_1 (or the two half-integer
+trigonometric forms) and carried by the three-term recurrence, upward
+where t is at least the top order and by Miller's backward recurrence
+elsewhere.  The closed-form route (``kernels.eval_terms``) keeps its own
+per-order ``bessel_jtilde``, so the two routes share only the t < 1
+series.
 """
 
 from __future__ import annotations
@@ -29,6 +38,8 @@ from math import factorial
 from typing import Callable
 
 import numpy as np
+from scipy.special import j0 as _j0
+from scipy.special import j1 as _j1
 
 from .algebra import ParaBivector, invariants_of
 from .exact import Exact, ONE
@@ -50,6 +61,7 @@ __all__ = [
     "transform_normalization",
     "series_coefficients",
     "series_minus_counterpart",
+    "jtilde_stack",
     "eval_series",
     "series_kernel_value",
     "truncation_bound",
@@ -466,13 +478,130 @@ def _gegenbauer_over_lambda(n: int, lam: float, w) -> np.ndarray:
     return vals
 
 
+# Points per block of jtilde_stack: bounds its temporaries to a few rows
+# of this many points, whatever the size of t.
+_STACK_BLOCK = 16384
+
+
+def _bessel_upward(beta: float, i0: int, n: int, t: np.ndarray, j_lo, j_hi) -> np.ndarray:
+    """Rows J_(beta+i0+j)(t), j = 0..n, by the upward recurrence
+    J_(nu+1) = (2 nu/t) J_nu - J_(nu-1) from J_beta = j_lo and
+    J_(beta+1) = j_hi; stable where t is at least the top order."""
+    rows = np.empty((n + 1, t.size))
+    two_over_t = 2.0 / t
+    prev, cur = j_lo, j_hi
+    if i0 == 0:
+        rows[0] = prev
+    if i0 <= 1 <= i0 + n:
+        rows[1 - i0] = cur
+    for i in range(1, i0 + n):
+        nxt = two_over_t * cur
+        nxt *= beta + i
+        nxt -= prev
+        prev, cur = cur, nxt
+        if i + 1 >= i0:
+            rows[i + 1 - i0] = cur
+    return rows
+
+
+def _bessel_miller(beta: float, i0: int, n: int, t: np.ndarray, j_lo, j_hi) -> np.ndarray:
+    """The rows of :func:`_bessel_upward` by Miller's backward recurrence
+    (Abramowitz & Stegun 9.12), started sqrt(40 itop) + 12 orders above
+    the top index itop, rescaled past 1e200 and normalised per point
+    against the larger of J_beta and J_(beta+1)."""
+    itop = i0 + n
+    start = itop + int(math.sqrt(40 * itop)) + 12
+    rows = np.empty((n + 1, t.size))
+    two_over_t = 2.0 / t
+    nxt, cur = np.zeros_like(t), np.ones_like(t)  # f_(start+1), f_start
+    for i in range(start, 0, -1):
+        if i0 <= i <= itop:
+            rows[i - i0] = cur
+        prev = two_over_t * cur
+        prev *= beta + i
+        prev -= nxt
+        nxt, cur = cur, prev
+        mag = np.abs(cur)
+        if mag.max() > 1e200:
+            huge = mag > 1e200
+            cur[huge] *= 1e-200
+            nxt[huge] *= 1e-200
+            rows[max(i - i0, 0):, huge] *= 1e-200
+    if i0 == 0:
+        rows[0] = cur
+    # cur = f_0 and nxt = f_1 are proportional to J_beta and J_(beta+1)
+    rows *= np.where(np.abs(j_lo) >= np.abs(j_hi), j_lo / cur, j_hi / nxt)
+    return rows
+
+
+def _jtilde_block(twice_order_min: int, t: np.ndarray, out: np.ndarray) -> None:
+    """One block of :func:`jtilde_stack`, written into out (rows x points)."""
+    n = len(out) - 1
+    small = t < 1.0
+    if small.any():
+        ts = t[small]
+        for j in range(n + 1):
+            out[j, small] = bessel_jtilde(BesselOrder(twice_order_min + 2 * j), ts)
+    big = ~small
+    tb = t[big]
+    if not tb.size:
+        return
+    # the stack starts i0 orders above the base order beta
+    if twice_order_min % 2:
+        beta = -0.5
+        amp = np.sqrt((2.0 / math.pi) / tb)
+        j_lo, j_hi = amp * np.cos(tb), amp * np.sin(tb)
+    else:
+        beta = 0.0
+        j_lo, j_hi = _j0(tb), _j1(tb)
+    i0 = (twice_order_min + 1) // 2
+    nu_min = twice_order_min / 2.0
+    up = tb >= nu_min + n
+    rows = np.empty((n + 1, tb.size))
+    for mask, recurrence in ((up, _bessel_upward), (~up, _bessel_miller)):
+        if mask.any():
+            rows[:, mask] = recurrence(beta, i0, n, tb[mask], j_lo[mask], j_hi[mask])
+    for j in range(n + 1):
+        rows[j] *= tb ** -(nu_min + j)
+    out[:, big] = rows
+
+
+def jtilde_stack(twice_order_min: int, n: int, t) -> np.ndarray:
+    """Rows jtilde_(nu0+j)(t), j = 0..n, nu0 = twice_order_min/2 >= -1/2,
+    shape (n + 1,) + shape(t), t >= 0.
+
+    Below t = 1 each row is ``bessel_jtilde``'s power series.  Above it
+    the rows are J_nu(t) t^(-nu), with J_nu started from scipy's j0/j1
+    (integer orders) or sqrt(2/(pi t)) cos/sin t (half-integer orders)
+    and carried by the three-term recurrence: upward where t is at least
+    the top order, Miller's backward recurrence elsewhere.  Points are
+    taken in blocks of a fixed size, so the memory beyond the result
+    stays bounded.
+    """
+    twice_order_min, n = int(twice_order_min), int(n)
+    if twice_order_min < -1:
+        raise ValueError(f"unsupported order {twice_order_min}/2: need order >= -1/2")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("jtilde_stack requires t >= 0")
+    flat = arr.reshape(-1)
+    out = np.empty((n + 1, flat.size))
+    for start in range(0, flat.size, _STACK_BLOCK):
+        stop = start + _STACK_BLOCK
+        _jtilde_block(twice_order_min, flat[start:stop], out[:, start:stop])
+    return out.reshape((n + 1,) + arr.shape)
+
+
 def eval_series(
     coeffs: SeriesCoefficients, z, w, n_terms: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Partial sums (A, B) of the expansion through index n_terms.
 
     z >= 0 and w in [-1, 1] broadcast together.  The A terms k >= 1 are
-    summed as gamma_k z^k jtilde_{k+lam}(z) C_k^lam(w)/lam.
+    summed as gamma_k z^k jtilde_{k+lam}(z) C_k^lam(w)/lam.  The Bessel
+    factors of all n_terms + 1 orders come from one :func:`jtilde_stack`.
     """
     z_arr = np.asarray(z, dtype=float)
     w_arr = np.asarray(w, dtype=float)
@@ -482,14 +611,14 @@ def eval_series(
         raise ValueError("n_terms must be >= 0")
     a_total = np.zeros(z_arr.shape, dtype=complex)
     b_total = np.zeros(z_arr.shape, dtype=complex)
-    m = coeffs.m
     lam = coeffs.lam
     geg_a = _gegenbauer_over_lambda(n, lam, w_arr)
     geg_b = gegenbauer_all(max(n - 1, 0), lam + 1.0, w_arr)
+    jts = jtilde_stack(coeffs.m - 2, n, z_arr)
     zpow = np.ones_like(z_arr)
     zpow_prev = None
     for k in range(n + 1):
-        jt = bessel_jtilde(BesselOrder(2 * k + m - 2), z_arr)
+        jt = jts[k]
         if k == 0:
             a_total += coeffs.alpha(0) * jt
         else:

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from clifft import cli
 from clifft.cli import main
 from clifft.engine import closed_form_eigenvalue
 from clifft.kernels import KernelId, build_kernel
@@ -182,3 +183,36 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     code = main(["kernel-eval", "--m", "4", "--i", "1", "--s", "1", "--t", "1"])
     assert code == 3
     assert "boom" in capsys.readouterr().err
+
+
+def _raising_suite(monkeypatch, suite: str) -> list:
+    """Replace the suite's per-unit check with one that records its calls
+    and raises."""
+    calls = []
+
+    def broken(unit):
+        calls.append(unit)
+        raise RuntimeError("unit ran")
+
+    defaults, units, _, domain = cli._SUITES[suite]
+    monkeypatch.setitem(cli._SUITES, suite, (defaults, units, broken, domain))
+    return calls
+
+
+def test_verify_checks_output_path_before_any_unit(capsys, monkeypatch, tmp_path):
+    calls = _raising_suite(monkeypatch, "eigen")
+    target = tmp_path / "missing" / "x.json"
+    code = main(["verify", "--suite", "eigen", "--output", str(target)])
+    assert code == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert not target.parent.exists()
+
+
+def test_failed_verify_leaves_no_report_file(capsys, monkeypatch, tmp_path):
+    calls = _raising_suite(monkeypatch, "eigen")
+    target = tmp_path / "x.json"
+    code = main(["verify", "--suite", "eigen", "--output", str(target)])
+    assert code == 3
+    assert len(calls) == 1
+    assert not target.exists()
