@@ -20,6 +20,7 @@ __all__ = [
     "Multivector",
     "ParaBivector",
     "GeometricInvariants",
+    "blade_product",
     "geometric_product",
     "wedge",
     "invariants_of",
@@ -298,19 +299,31 @@ class ParaBivector:
         )
 
 
+def blade_product(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
+    """Geometric product of two maps from blade mask to coefficient; the
+    coefficients may be numbers, Fractions, or arrays that broadcast
+    together (an array-valued multivector over a batch of points)."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mask, term = ma ^ mb, _blade_sign(ma, mb) * ca * cb
+            out[mask] = out[mask] + term if mask in out else term
+    return out
+
+
+def _nonzero(x: Multivector) -> dict[int, complex]:
+    return {mask: c for mask, c in enumerate(x._data.tolist()) if c}
+
+
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Bilinear associative product with e_i e_j + e_j e_i = -2 delta_ij."""
+    """Bilinear associative product with e_i e_j + e_j e_i = -2 delta_ij (blade_product)."""
     if not isinstance(a, Multivector) or not isinstance(b, Multivector):
         raise TypeError("geometric_product expects two multivectors")
     a._check_same(b)
-    out = np.zeros_like(a._data)
-    nz_b = [(int(mb), b._data[mb]) for mb in np.flatnonzero(b._data)]
-    for ma in np.flatnonzero(a._data):
-        ma = int(ma)
-        ca = a._data[ma]
-        for mb, cb in nz_b:
-            out[ma ^ mb] += _blade_sign(ma, mb) * ca * cb
-    return Multivector._from_data(a.m, out)
+    out = [0j] * len(a._data)
+    for mask, c in blade_product(_nonzero(a), _nonzero(b)).items():
+        out[mask] = 0j + c  # a dense sum from zero: no negative zeros
+    return Multivector._from_data(a.m, np.array(out))
 
 
 def wedge(x, y) -> Multivector:

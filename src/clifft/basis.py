@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, _blade_sign
+from .algebra import Multivector, blade_product
 from .special import double_factorial
 
 __all__ = [
@@ -150,34 +150,28 @@ class CliffordPolynomial:
         return f"CliffordPolynomial(m={self.m}, terms={len(self.terms)})"
 
 
-def dirac(p: CliffordPolynomial) -> CliffordPolynomial:
-    """Left Dirac operator sum_j e_j d/dx_j."""
+def _vector_times(p: CliffordPolynomial, step: int) -> CliffordPolynomial:
+    """sum_j e_j D_j p: D_j multiplies by x_j (step 1) or is d/dx_j (step -1)."""
     out: dict[Expo, BladeMap] = {}
     for expo, blades in p.terms.items():
         for j in range(p.m):
-            if expo[j] == 0:
+            factor = 1 if step > 0 else expo[j]
+            if not factor:
                 continue
-            new_expo = expo[:j] + (expo[j] - 1,) + expo[j + 1 :]
-            row = out.setdefault(new_expo, {})
-            for blade, c in blades.items():
-                sign = _blade_sign(1 << j, blade)
-                nb = (1 << j) ^ blade
-                row[nb] = row.get(nb, Fraction(0)) + c * expo[j] * sign
+            row = out.setdefault(expo[:j] + (expo[j] + step,) + expo[j + 1 :], {})
+            for blade, c in blade_product({1 << j: factor}, blades).items():
+                row[blade] = row.get(blade, Fraction(0)) + c
     return CliffordPolynomial(p.m, out)
+
+
+def dirac(p: CliffordPolynomial) -> CliffordPolynomial:
+    """Left Dirac operator sum_j e_j d/dx_j."""
+    return _vector_times(p, -1)
 
 
 def x_times(p: CliffordPolynomial) -> CliffordPolynomial:
     """Left multiplication by the vector variable x = sum_j x_j e_j."""
-    out: dict[Expo, BladeMap] = {}
-    for expo, blades in p.terms.items():
-        for j in range(p.m):
-            new_expo = expo[:j] + (expo[j] + 1,) + expo[j + 1 :]
-            row = out.setdefault(new_expo, {})
-            for blade, c in blades.items():
-                sign = _blade_sign(1 << j, blade)
-                nb = (1 << j) ^ blade
-                row[nb] = row.get(nb, Fraction(0)) + c * sign
-    return CliffordPolynomial(p.m, out)
+    return _vector_times(p, 1)
 
 
 def laplace(p: CliffordPolynomial) -> CliffordPolynomial:

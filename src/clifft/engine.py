@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, _blade_sign
+from .algebra import blade_product
 from .basis import BasisFunction, GaussianPolynomial, SphericalMonogenic, monogenic_basis, psi, x_times
 from .exact import Exact
 from .kernels import KernelId, build_kernel, eval_terms
@@ -237,7 +237,7 @@ def closed_form_eigenvalue(
 # full-grid transform
 
 
-BladeValues = dict[int, np.ndarray]
+BladeValues = dict[int, np.ndarray]  # array-valued multivector: blade mask -> values at points
 
 
 def _as_value_source(f) -> Callable[[np.ndarray], BladeValues]:
@@ -258,8 +258,8 @@ def apply_transform_batch(
     """Transforms of several functions under one kernel, at points ys.
 
     F[f](y) = (2 pi)^(-m/2) integral of K(x, y) f(x); the kernel profile
-    evaluations are shared across all fs.  Each result maps a blade mask
-    to the (len(ys),) array of its coefficients.
+    evaluations are shared across all fs.  Each result is BladeValues over
+    ys; the bivector step multiplies f's blades by blade_product.
     """
     expr = build_kernel(kernel) if isinstance(kernel, KernelId) else kernel
     m = expr.m
@@ -291,10 +291,12 @@ def apply_transform_batch(
                 if not has_biv:
                     continue
                 moms = (wf[:, None] * b_mat).T @ pts
-                for j, k in pairs:
-                    delta = ys[:, k] * moms[:, j] - ys[:, j] * moms[:, k]
-                    mask = (1 << j) | (1 << k)
-                    acc(fi, mask ^ blade, _blade_sign(mask, blade) * delta)
+                biv = {
+                    (1 << j) | (1 << k): ys[:, k] * moms[:, j] - ys[:, j] * moms[:, k]
+                    for j, k in pairs
+                }
+                for mask, delta in blade_product(biv, {blade: 1}).items():
+                    acc(fi, mask, delta)
     norm = complex(transform_normalization(m))
     for res in out:
         for blade in res:
@@ -309,8 +311,13 @@ def apply_transform(
     return apply_transform_batch(kernel, [f], ys, scheme)[0]
 
 
-def _values_to_multivector(m: int, values: BladeValues, idx: int) -> Multivector:
-    return Multivector(m, {blade: arr[idx] for blade, arr in values.items()})
+def _norms(values: BladeValues) -> np.ndarray:
+    """Per-point norms sqrt(sum_A |v_A|^2) of an array-valued multivector."""
+    return np.sqrt(sum(v.real**2 + v.imag**2 for v in values.values()))
+
+
+def _minus(a: BladeValues, b: BladeValues) -> BladeValues:
+    return {blade: a.get(blade, 0) - b.get(blade, 0) for blade in a.keys() | b.keys()}
 
 
 def _rayleigh(m: int, f_vals: BladeValues, g_vals: BladeValues) -> complex:
@@ -560,7 +567,7 @@ def _composition_radial(m: int, i: int) -> float:
 def _composition_grid_m2(i: int) -> float:
     """Residual of inverse(forward(psi)) - psi in dimension 2, with the
     middle integral on a Gauss-Legendre grid and the inverse applied
-    through its series kernel."""
+    through its series kernel, {0: A, e12: B (x wedge y)} by blade_product."""
     m = 2
     kid = KernelId(m, i)
     scheme = default_scheme(m)
@@ -581,27 +588,15 @@ def _composition_grid_m2(i: int) -> float:
     for j in (0, 1):
         bf = psi(j, 0, 1, m)
         g_vals = apply_transform(kid, bf, mid, scheme)
-        g_s = g_vals.get(0, np.zeros(len(mid), dtype=complex))
-        g_b = g_vals.get(0b11, np.zeros(len(mid), dtype=complex))
-        g1 = g_vals.get(0b01, np.zeros(len(mid), dtype=complex))
-        g2 = g_vals.get(0b10, np.zeros(len(mid), dtype=complex))
-
         for xp in xs:
             zz = np.linalg.norm(mid, axis=1) * np.linalg.norm(xp)
             with np.errstate(invalid="ignore", divide="ignore"):
                 ww = np.where(zz > 0, (mid @ xp) / np.maximum(zz, 1e-300), 0.0)
             a_prof, b_prof = eval_series(inv, zz, ww, n_terms)
             wedge12 = mid[:, 0] * xp[1] - mid[:, 1] * xp[0]
-            kb = b_prof * wedge12
-            # (K_s + K_b e12)(G_0 + G_1 e1 + G_2 e2 + G_b e12),
-            # using e12 e1 = e2 and e12 e2 = -e1
-            h0 = np.sum(mid_w * (a_prof * g_s - kb * g_b)) * norm
-            hb = np.sum(mid_w * (a_prof * g_b + kb * g_s)) * norm
-            h1 = np.sum(mid_w * (a_prof * g1 - kb * g2)) * norm
-            h2 = np.sum(mid_w * (a_prof * g2 + kb * g1)) * norm
-            want = _values_to_multivector(m, bf.values(xp[None, :]), 0)
-            got = Multivector(m, {0: h0, 0b01: h1, 0b10: h2, 0b11: hb})
-            worst = max(worst, (got - want).norm())
+            h_vals = blade_product({0: a_prof, 0b11: b_prof * wedge12}, g_vals)
+            got = {blade: np.sum(mid_w * v) * norm for blade, v in h_vals.items()}
+            worst = max(worst, float(_norms(_minus(got, bf.values(xp[None, :])))[0]))
     return worst
 
 
@@ -629,7 +624,8 @@ def verify_diff_relations(
         F_+[x f] = -(-I)^m d_y[F_-[f]],
         F_+[d f] = -(-I)^m y F_-[f].
 
-    d_x on the Gaussian class is exact; d_y uses central differences.
+    d_x on the Gaussian class is exact; d_y uses central differences.  Both
+    sides are BladeValues over all samples, multiplied by blade_product.
     """
     m = kernel_id.m
     scheme = scheme or default_scheme(m)
@@ -637,38 +633,28 @@ def verify_diff_relations(
     minus = replace(kernel_id, sign="minus")
     gp = GaussianPolynomial(bf.poly)
     ys = sample_points(m, n_samples, 1.8, seed=31 + m)
-    r = ys.shape[0]
-
-    shifted = [ys]
-    for j in range(m):
-        step = np.zeros(m)
-        step[j] = h
-        shifted.extend([ys + step, ys - step])
-    ys_ext = np.concatenate(shifted, axis=0)
+    # rows of shifts: 0, +h e_1, -h e_1, +h e_2, ...
+    shifts = np.concatenate([np.zeros((1, m)), np.kron(h * np.eye(m), [[1.0], [-1.0]])])
+    ys_ext = (shifts[:, None, :] + ys).reshape(-1, m)
 
     plus_vals = apply_transform_batch(plus, [gp.times_x(), gp.dirac()], ys, scheme)
     minus_vals = apply_transform(minus, gp, ys_ext, scheme)
 
+    # F_-[f] as (2m + 1, r) arrays, one row per shift
+    rows = {blade: v.reshape(len(shifts), -1) for blade, v in minus_vals.items()}
+    rhs1: BladeValues = {}
+    for j in range(m):
+        d_j = {blade: (v[1 + 2 * j] - v[2 + 2 * j]) * (0.5 / h) for blade, v in rows.items()}
+        for blade, v in blade_product({1 << j: 1}, d_j).items():
+            rhs1[blade] = rhs1.get(blade, 0) + v
+    rhs2 = blade_product({1 << j: ys[:, j] for j in range(m)}, {b: v[0] for b, v in rows.items()})
+
     factor = -((-1j) ** m)
     worst = 0.0
-    for idx in range(r):
-        dy = Multivector(m)
-        for j in range(m):
-            e_j = Multivector.basis_blade(m, j + 1)
-            up = _values_to_multivector(m, minus_vals, (1 + 2 * j) * r + idx)
-            dn = _values_to_multivector(m, minus_vals, (2 + 2 * j) * r + idx)
-            dy = dy + e_j * ((up - dn) * (0.5 / h))
-        f_minus = _values_to_multivector(m, minus_vals, idx)
-        y_mv = Multivector.from_vector(m, ys[idx])
-
-        lhs1 = _values_to_multivector(m, plus_vals[0], idx)
-        rhs1 = dy * factor
-        r1 = (lhs1 - rhs1).norm() / max(1.0, lhs1.norm(), rhs1.norm())
-
-        lhs2 = _values_to_multivector(m, plus_vals[1], idx)
-        rhs2 = (y_mv * f_minus) * factor
-        r2 = (lhs2 - rhs2).norm() / max(1.0, lhs2.norm(), rhs2.norm())
-        worst = max(worst, r1, r2)
+    for lhs, rhs in zip(plus_vals, (rhs1, rhs2)):
+        rhs = {blade: v * factor for blade, v in rhs.items()}
+        scale = np.maximum(1.0, np.maximum(_norms(lhs), _norms(rhs)))
+        worst = max(worst, float(np.max(_norms(_minus(lhs, rhs)) / scale)))
     return worst
 
 

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, ParaBivector, _vector_components, invariants_of
+from .algebra import Multivector, ParaBivector, invariants_of
 from .exact import Exact, exact_from_float
 from .special import BesselOrder, bessel_jtilde
 
@@ -494,16 +494,16 @@ def pde_residual(kernel_id: KernelId, x, y, h: float = 1e-4) -> float:
     plus = build_kernel(replace(kernel_id, sign="plus"))
     minus = build_kernel(replace(kernel_id, sign="minus"))
     m = kernel_id.m
-    xv = np.asarray(_vector_components(x), dtype=float)
-    yv = np.asarray(_vector_components(y), dtype=float)
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
     a = _system_factor(m)
 
     def K(expr: KernelExpr, xx, yy) -> Multivector:
         return eval_kernel(expr, xx, yy).to_multivector()
 
+    kminus = K(minus, xv, yv)
     x_mv = Multivector.from_vector(m, xv)
     y_mv = Multivector.from_vector(m, yv)
-    kminus = K(minus, xv, yv)
 
     dy = Multivector(m)
     dx = Multivector(m)

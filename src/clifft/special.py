@@ -89,19 +89,23 @@ def bessel_j(order, x):
 
 @lru_cache(maxsize=None)
 def _jtilde_series_coeffs(twice_order: int, nterms: int = 14) -> np.ndarray:
-    """Coefficients c_k of jtilde(t) = sum_k c_k t^(2k)."""
-    alpha = twice_order / 2.0
+    """Coefficients c_k of jtilde(t) = sum_k c_k t^(2k), c_k = (-1)^k c_0 /
+    prod_{j<=k} 4j(alpha+j), with c_0 = 1/(2^alpha alpha!), or sqrt(2/pi)/(2 alpha)!!
+    for half-integer alpha; the rational part of each is one correctly rounded quotient."""
+    if twice_order % 2:
+        scale, den = _SQRT_2_OVER_PI, math.prod(range(twice_order, 0, -2))
+    else:
+        scale, den = 1.0, 2 ** (twice_order // 2) * math.factorial(twice_order // 2)
     coeffs = np.empty(nterms)
     for k in range(nterms):
-        lg = _gammaln(k + 1) + _gammaln(alpha + k + 1)
-        coeffs[k] = (-1.0) ** k * math.exp(-lg - (2 * k + alpha) * math.log(2.0))
+        coeffs[k] = scale * ((-1) ** k / den)
+        den *= 2 * (k + 1) * (twice_order + 2 * k + 2)  # 4j(alpha + j), j = k + 1
     return coeffs
 
 
 def jtilde_at_zero(order) -> float:
     """jtilde_alpha(0) = 2^(-alpha)/Gamma(alpha+1)."""
-    alpha = _twice(order) / 2.0
-    return math.exp(-alpha * math.log(2.0) - _gammaln(alpha + 1.0))
+    return float(_jtilde_series_coeffs(_twice(order))[0])
 
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -109,6 +113,8 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 def _jtilde_trig(twice_order: int, t: np.ndarray) -> np.ndarray | None:
     """Closed forms for half-integer orders -1/2 .. 9/2, valid for t >= 1."""
+    if twice_order not in (-1, 1, 3, 5, 7, 9):
+        return None
     st, ct = np.sin(t), np.cos(t)
     if twice_order == -1:
         val = ct
@@ -120,11 +126,9 @@ def _jtilde_trig(twice_order: int, t: np.ndarray) -> np.ndarray | None:
         val = ((3.0 - t * t) * st - 3.0 * t * ct) / t**5
     elif twice_order == 7:
         val = ((15.0 - 6.0 * t * t) * st - (15.0 * t - t**3) * ct) / t**7
-    elif twice_order == 9:
+    else:
         t2 = t * t
         val = ((105.0 - 45.0 * t2 + t2 * t2) * st - (105.0 * t - 10.0 * t**3) * ct) / t**9
-    else:
-        return None
     return _SQRT_2_OVER_PI * val
 
 

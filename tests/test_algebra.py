@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from clifft.algebra import (
     Multivector,
     ParaBivector,
+    blade_product,
     geometric_product,
     hermitian_inner,
     invariants_of,
     wedge,
 )
+from clifft.kernels import KernelId, pde_residual
 
 coeff = st.integers(min_value=-4, max_value=4)
 
@@ -132,3 +136,34 @@ def test_vectors_must_be_one_dimensional_and_nonempty(bad):
         invariants_of(bad, bad)
     with pytest.raises(ValueError):
         wedge(bad, bad)
+    with pytest.raises(ValueError):
+        pde_residual(KernelId(2, 0), bad, bad)
+
+
+def test_blade_product_bivector_rules():
+    assert blade_product({0b11: 1}, {0b01: 1}) == {0b10: 1}  # e12 e1 = e2
+    assert blade_product({0b11: 1}, {0b10: 1}) == {0b01: -1}  # e12 e2 = -e1
+    assert blade_product({0b11: 1}, {0b11: 1}) == {0: -1}
+
+
+def test_blade_product_over_point_arrays_matches_multivector_product():
+    m, n = 3, 7
+    rng = np.random.default_rng(5)
+
+    def arrays():
+        return {b: rng.normal(size=n) + 1j * rng.normal(size=n) for b in range(1 << m)}
+
+    a, b = arrays(), arrays()
+    prod = blade_product(a, b)
+    for idx in range(n):
+        want = Multivector(m, {k: v[idx] for k, v in a.items()}) * Multivector(
+            m, {k: v[idx] for k, v in b.items()}
+        )
+        got = Multivector(m, {k: v[idx] for k, v in prod.items()})
+        assert got.isclose(want, 1e-12)
+
+
+def test_blade_product_keeps_fractions_exact():
+    prod = blade_product({0b001: Fraction(1, 3), 0b110: Fraction(-2, 7)}, {0b011: Fraction(5, 2)})
+    assert prod == {0b010: Fraction(-5, 6), 0b101: Fraction(-5, 7)}  # e1 e12 = -e2
+    assert all(type(c) is Fraction for c in prod.values())

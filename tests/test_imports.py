@@ -31,3 +31,17 @@ def test_module_uses_every_name_it_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_imports_no_private_name_of_another_clifft_module(path):
+    tree = ast.parse(path.read_text())
+    private = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "clifft")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert not private, f"{path.name} imports private clifft names: {private}"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -55,6 +56,23 @@ def test_jtilde_small_argument_is_stable():
     assert val[0] == pytest.approx(limit, rel=1e-14)
     assert val[1] == pytest.approx(limit, rel=1e-10)
     assert limit == pytest.approx(1.0 / (2**2.5 * math.gamma(3.5)))
+
+
+def test_jtilde_power_series_against_mpmath_below_one():
+    # every coefficient is rounded once from an exact rational, so the
+    # t < 1 branch stays within a few ulps at every order
+    ts = np.linspace(0.0, 1.0, 41, endpoint=False)
+    worst = 0.0
+    with mpmath.workdps(60):
+        for two in range(-1, 201):
+            nu = mpmath.mpf(two) / 2
+            got = bessel_jtilde(BesselOrder(two), ts)
+            for t, value in zip(ts, got):
+                tm = mpmath.mpf(t)
+                ref = mpmath.besselj(nu, tm) * tm ** (-nu) if t else 1 / (2**nu * mpmath.gamma(nu + 1))
+                worst = max(worst, float(abs(value - ref) / abs(ref)))
+            assert jtilde_at_zero(BesselOrder(two)) == got[0]
+    assert worst < 2e-15
 
 
 def test_half_integer_closed_forms():
