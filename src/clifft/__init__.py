@@ -34,6 +34,7 @@ from .basis import (
     sphere_inner_exact,
     x_times,
 )
+from .checks import Check, worst
 from .engine import (
     DomainReport,
     EigenvalueRecord,
@@ -61,7 +62,6 @@ from .kernels import (
     KernelExpr,
     KernelId,
     KernelTerm,
-    RecursionReport,
     build_cf_kernel,
     build_kernel,
     build_kernel_even,
@@ -76,7 +76,6 @@ from .kernels import (
     verify_structural_identities,
 )
 from .series import (
-    CFConstraintReport,
     EigenvaluePair,
     SeriesCoefficients,
     bridge_prefactor,

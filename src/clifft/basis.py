@@ -72,12 +72,6 @@ class CliffordPolynomial:
     def constant(cls, m: int, value) -> CliffordPolynomial:
         return cls(m, {(0,) * m: {0: Fraction(value)}})
 
-    @classmethod
-    def coordinate(cls, m: int, j: int) -> CliffordPolynomial:
-        """The scalar polynomial x_j (1-based j)."""
-        expo = tuple(1 if i == j - 1 else 0 for i in range(m))
-        return cls(m, {expo: {0: Fraction(1)}})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .basis import psi
+from .checks import Check, worst
 from .engine import (
     inversion_composition_residual,
     l2_bound_scan,
@@ -43,7 +44,6 @@ from .engine import (
 )
 from .kernels import (
     KernelId,
-    RecursionReport,
     build_kernel,
     pde_residual,
     verify_recursion,
@@ -156,7 +156,7 @@ def _cmd_kernel_eval(args: argparse.Namespace) -> int:
 # A suite is one row of _SUITES: its default dimensions, the units of work
 # for a list of dimensions (``list`` when the unit is the dimension itself),
 # the check of one unit, and the dimensions it accepts.  Each check returns
-# one JSON row with a "passed" flag.
+# a list of Check records; each becomes one JSON row (see _row).
 
 
 def _kernel_units(ms: list[int]) -> list[tuple[int, int]]:
@@ -171,22 +171,15 @@ def _diff_units(ms: list[int]) -> list[tuple[int, int, int]]:
     return [(m, i, k) for m, i in _kernel_units(ms) for k in (0, 1)]
 
 
-def _identity_row(rep: RecursionReport) -> dict:
-    row = {"m": rep.m} if rep.i is None else {"m": rep.m, "i": rep.i}
-    row["passed"] = rep.ok
-    row["checks"] = rep.checks
-    return row
+def _check_recursion(unit) -> list[Check]:
+    return verify_recursion(*unit)
 
 
-def _check_recursion(unit) -> dict:
-    return _identity_row(verify_recursion(*unit))
+def _check_structural(m: int) -> list[Check]:
+    return verify_structural_identities(m)
 
 
-def _check_structural(m: int) -> dict:
-    return _identity_row(verify_structural_identities(m))
-
-
-def _check_series(unit) -> dict:
+def _check_series(unit) -> list[Check]:
     m, i, sign = unit
     kid = KernelId(m, i, sign)
     expr = build_kernel(kid)
@@ -198,57 +191,53 @@ def _check_series(unit) -> dict:
     t = z * np.sqrt(1.0 - w * w)
     scalar, biv = expr.profiles(s, t)
     a_ser, b_ser = eval_series(coeffs, z, w, truncation_bound(coeffs, 9.0, 1e-9))
-    delta = max(float(np.max(np.abs(scalar - a_ser))), float(np.max(np.abs(biv - b_ser))))
-    return {"m": m, "i": i, "sign": sign, "max_delta": delta, "passed": delta < 1e-8}
+    delta = worst(np.abs(scalar - a_ser), np.abs(biv - b_ser))
+    return [Check.within("series vs closed form", {"m": m, "i": i, "sign": sign}, delta, 1e-8)]
 
 
-def _check_pde(unit) -> dict:
+def _check_pde(unit) -> list[Check]:
     m, i = unit
     kid = KernelId(m, i)
     rng = np.random.default_rng(53 + 7 * m + i)
-    worst = 0.0
+    residuals = []
     for _ in range(50):
         x = rng.uniform(-1.6, 1.6, m)
         y = rng.uniform(-1.6, 1.6, m)
-        worst = max(worst, pde_residual(kid, x, y))
-    return {"m": m, "i": i, "max_residual": worst, "passed": worst < 1e-6}
+        residuals.append(pde_residual(kid, x, y))
+    return [Check.within("pde residual", {"m": m, "i": i}, worst(*residuals), 1e-6)]
 
 
-def _check_eigen(m: int) -> dict:
-    records = verify_eigen(m)
-    tol = 1e-6 if m <= 4 else 1e-8
-    worst = max(r.abs_error for r in records)
-    return {"m": m, "records": len(records), "max_abs_error": worst,
-            "tolerance": tol, "passed": worst < tol}
+def _check_eigen(m: int) -> list[Check]:
+    errors = [r.abs_error for r in verify_eigen(m)]
+    return [Check.within("eigenvalue error", {"m": m}, worst(*errors), 1e-6 if m <= 4 else 1e-8)]
 
 
-def _check_inversion(m: int) -> dict:
+def _check_inversion(m: int) -> list[Check]:
     rep = verify_inversion(m, k_max=100)
-    out = {"m": m, "k_max": 100, "exact_products_one": rep.exact_ok,
-           "passed": rep.exact_ok}
+    failure = None if rep.first_failure is None else "i={} k={} {}".format(*rep.first_failure)
+    checks = [Check("eigenvalue products are 1", {"m": m, "k_max": 100}, failure, None, rep.exact_ok)]
     if m >= 3:
         residual = inversion_composition_residual(m, 0)
-        out["composition_residual"] = residual
-        out["passed"] = out["passed"] and residual < 1e-5
-    return out
+        checks.append(Check.within("composition residual", {"m": m}, residual, 1e-5))
+    return checks
 
 
-def _check_diff(unit) -> dict:
+def _check_diff(unit) -> list[Check]:
     m, i, k = unit
     res = verify_diff_relations(KernelId(m, i), psi(0, k, 1, m))
-    return {"m": m, "i": i, "k": k, "max_residual": res, "passed": res < 1e-5}
+    return [Check.within("diff relations", {"m": m, "i": i, "k": k}, res, 1e-5)]
 
 
-def _check_l2(unit) -> dict:
+def _check_l2(unit) -> list[Check]:
     m, i = unit
     rep = l2_bound_scan(m, i, 200)
-    expect_bounded = 2 * i <= m - 2
-    ok = rep.bounded == expect_bounded
+    params = {"m": m, "i": i}
+    checks = [Check("bounded iff 2i <= m-2", params, rep.first_exceed_k, None,
+                    rep.bounded == (2 * i <= m - 2))]
     if m % 2 == 0 and 2 * i == m - 2:
-        ok = ok and rep.sup_magnitude == 1
-    return {"m": m, "i": i, "bounded": rep.bounded,
-            "first_exceed_k": rep.first_exceed_k,
-            "sup": float(rep.sup_magnitude), "passed": ok}
+        sup = rep.sup_magnitude
+        checks.append(Check("unimodular at 2i = m-2", params, float(sup), None, sup == 1))
+    return checks
 
 
 def _constraint_units(ms: list[int]) -> list[tuple[int, int | None, str]]:
@@ -258,15 +247,20 @@ def _constraint_units(ms: list[int]) -> list[tuple[int, int | None, str]]:
     return _signed_units(ms) + classical
 
 
-def _check_constraint(unit) -> dict:
+def _check_constraint(unit) -> list[Check]:
     m, i, stream = unit
     if stream == "classical":
-        rep = check_cf_constraint(classical_coefficients(m))
-        return {"m": m, "stream": "classical", "satisfied": rep.passed,
-                "passed": rep.passed == (m % 4 == 1)}
-    rep = check_cf_constraint(series_coefficients(KernelId(m, i, stream)))
-    return {"m": m, "i": i, "sign": stream, "max_residual": rep.max_residual,
-            "passed": rep.passed}
+        check = check_cf_constraint(classical_coefficients(m))
+        return [Check("classical stream satisfies iff m = 1 mod 4",
+                      {"m": m, "stream": "classical"}, check.value, None,
+                      check.passed == (m % 4 == 1))]
+    return [check_cf_constraint(series_coefficients(KernelId(m, i, stream)))]
+
+
+def _row(check: Check) -> dict:
+    return {"check": check.name, "params": check.params, "value": check.value,
+            "tolerance": check.tolerance, "margin_digits": check.margin_digits,
+            "passed": check.passed}
 
 
 # suite: (default dimensions, units, check, (m_min, m_max or None, even only))
@@ -311,17 +305,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         parity = "even " if even_only else ""
         raise ValueError(f"suite {args.suite} accepts {parity}{bounds}, got m = {outside}")
     threads = _threads(args)
-    checks = _map(check, units(ms), threads)
-    passed = bool(checks) and all(c["passed"] for c in checks)
+    checks = [c for unit_checks in _map(check, units(ms), threads) for c in unit_checks]
+    passed = bool(checks) and all(c.passed for c in checks)
     report = {
         "suite": args.suite,
         "dimensions": ms,
         "threads": threads,
         "passed": passed,
-        "checks": checks,
+        "checks": [_row(c) for c in checks],
     }
     with _open_out(args.output) as fh:
-        json.dump(report, fh, indent=2, default=str)
+        json.dump(report, fh, indent=2)
         fh.write("\n")
     return 0 if passed else 1
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .algebra import blade_product
 from .basis import BasisFunction, GaussianPolynomial, SphericalMonogenic, monogenic_basis, psi, x_times
+from .checks import worst
 from .exact import Exact
 from .kernels import KernelId, build_kernel, eval_terms
 from .series import (
@@ -102,17 +103,17 @@ class QuadratureScheme:
 
     def self_test(self, tol: float = 1e-10) -> float:
         """Relative error integrating centered and shifted unit Gaussians
-        against the exact value (2 pi)^(m/2).  Raises if above tol."""
+        against the exact value (2 pi)^(m/2).  Raises unless below tol."""
         exact = (2.0 * math.pi) ** (self.m / 2.0)
-        shift = 0.35 * np.arange(1, self.m + 1)
-        worst = 0.0
-        for offset in (np.zeros(self.m), shift):
+
+        def rel_error(offset):
             vals = np.exp(-0.5 * np.sum((self.points - offset) ** 2, axis=1))
-            err = abs(self.integrate(vals).real - exact) / exact
-            worst = max(worst, err)
-        if worst > tol:
-            raise RuntimeError(f"quadrature self-test failed: rel error {worst:.3e}")
-        return worst
+            return abs(self.integrate(vals).real - exact) / exact
+
+        err = worst(rel_error(np.zeros(self.m)), rel_error(0.35 * np.arange(1, self.m + 1)))
+        if not err < tol:
+            raise RuntimeError(f"quadrature self-test failed: rel error {err:.3e}")
+        return err
 
     def chunks(self, size: int = 150_000):
         for start in range(0, len(self), size):
@@ -536,7 +537,6 @@ def _composition_radial(m: int, i: int) -> float:
     xs = np.linspace(0.35, 2.4, 9)
     gaussian = np.exp(-0.5 * rule.nodes**2)
     z = rule.nodes[:, None] * xs[None, :]
-    worst = 0.0
 
     # even chain: psi_{0,0,1} -> G(y) = g(|y|) -> H(x), compare with psi
     ev = eigenvalues_from_coefficients(coeffs, 0)
@@ -547,8 +547,7 @@ def _composition_radial(m: int, i: int) -> float:
     h_vals = evi.even_branch * (
         (rule.weights * rule.nodes ** (m - 1) * g_nodes) @ bessel_jtilde(BesselOrder(lam2), z)
     )
-    want = np.exp(-0.5 * xs * xs)
-    worst = max(worst, float(np.max(np.abs(h_vals - want))))
+    even_err = np.abs(h_vals - np.exp(-0.5 * xs * xs))
 
     # odd chain: psi_{1,0,1} = x exp(-r^2/2) -> G(y) = y q(|y|), with
     # q(rho) = E_1 Int(rho)/rho finite at the origin; compare radial
@@ -559,9 +558,7 @@ def _composition_radial(m: int, i: int) -> float:
         (rule.weights * rule.nodes**m * q_nodes)
         @ (z * bessel_jtilde(BesselOrder(lam2 + 2), z))
     )
-    want = xs * np.exp(-0.5 * xs * xs)
-    worst = max(worst, float(np.max(np.abs(h_vals - want))))
-    return worst
+    return worst(even_err, np.abs(h_vals - xs * np.exp(-0.5 * xs * xs)))
 
 
 def _composition_grid_m2(i: int) -> float:
@@ -579,12 +576,12 @@ def _composition_grid_m2(i: int) -> float:
     mid = np.stack([gy1.reshape(-1), gy2.reshape(-1)], axis=1)
     mid_w = np.multiply.outer(aw, aw).reshape(-1)
 
-    worst = 0.0
     inv = inverse_coefficients(series_coefficients(kid))
     n_terms = truncation_bound(inv, float(np.max(np.linalg.norm(mid, axis=1))) * 2.6, 1e-11)
     xs = sample_points(m, 12, 2.3, seed=7)
     norm = complex(transform_normalization(m))
 
+    errors = []
     for j in (0, 1):
         bf = psi(j, 0, 1, m)
         g_vals = apply_transform(kid, bf, mid, scheme)
@@ -596,8 +593,8 @@ def _composition_grid_m2(i: int) -> float:
             wedge12 = mid[:, 0] * xp[1] - mid[:, 1] * xp[0]
             h_vals = blade_product({0: a_prof, 0b11: b_prof * wedge12}, g_vals)
             got = {blade: np.sum(mid_w * v) * norm for blade, v in h_vals.items()}
-            worst = max(worst, float(_norms(_minus(got, bf.values(xp[None, :])))[0]))
-    return worst
+            errors.append(_norms(_minus(got, bf.values(xp[None, :])))[0])
+    return worst(*errors)
 
 
 def inversion_composition_residual(m: int, i: int = 0) -> float:
@@ -650,12 +647,12 @@ def verify_diff_relations(
     rhs2 = blade_product({1 << j: ys[:, j] for j in range(m)}, {b: v[0] for b, v in rows.items()})
 
     factor = -((-1j) ** m)
-    worst = 0.0
+    residuals = []
     for lhs, rhs in zip(plus_vals, (rhs1, rhs2)):
         rhs = {blade: v * factor for blade, v in rhs.items()}
         scale = np.maximum(1.0, np.maximum(_norms(lhs), _norms(rhs)))
-        worst = max(worst, float(np.max(_norms(_minus(lhs, rhs)) / scale)))
-    return worst
+        residuals.append(_norms(_minus(lhs, rhs)) / scale)
+    return worst(*residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,6 @@ class Exact:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    @property
-    def is_rational(self) -> bool:
-        return self.upow == 0 and not self.im
-
     # -- coercion --------------------------------------------------------
 
     @staticmethod

@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import Multivector, ParaBivector, invariants_of
+from .checks import Check, worst
 from .exact import Exact, exact_from_float
 from .special import BesselOrder, bessel_jtilde
 
@@ -39,7 +40,6 @@ __all__ = [
     "KernelTerm",
     "KernelExpr",
     "KernelId",
-    "RecursionReport",
     "ftilde_terms",
     "fhat_terms",
     "g_terms",
@@ -339,36 +339,20 @@ def terms_equal(
 # recursion and structural checks
 
 
-@dataclass(frozen=True)
-class RecursionReport:
-    """Outcome of a plan of exact term identities.
-
-    For a recursion step from dimension m to m + 2, i is the index of the
-    starting kernel; for the structural identities of dimension m it is
-    None.
-    """
-
-    m: int
-    i: int | None
-    ok: bool
-    checks: tuple[tuple[str, bool], ...]
-    first_mismatch: tuple[str, int, int, Exact, Exact] | None = None
-
-
-def _run_checks(m: int, i: int | None, plan) -> RecursionReport:
+def _identity_checks(params: dict, plan) -> list[Check]:
+    """One exact Check per (name, got, want) of the plan; the value of a
+    failing one names its first mismatching term."""
     checks = []
-    first = None
     for name, got, want in plan:
         mismatch = terms_equal(got, want)
-        checks.append((name, mismatch is None))
-        if mismatch is not None and first is None:
-            first = (name,) + mismatch
-    ok = all(flag for _, flag in checks)
-    return RecursionReport(m=m, i=i, ok=ok, checks=tuple(checks), first_mismatch=first)
+        value = None if mismatch is None else "s^{} J~[{}/2]: {!r} != {!r}".format(*mismatch)
+        checks.append(Check(name, params, value, None, mismatch is None))
+    return checks
 
 
-def verify_recursion(m: int, i: int) -> RecursionReport:
-    """Check the step from kernel (m, i) to (m+2, i+1).
+def verify_recursion(m: int, i: int) -> list[Check]:
+    """Check the step from kernel (m, i) to (m+2, i+1), one Check per
+    kernel family.
 
     i = 0 exercises the boundary rules (fhat leads, then ftilde by an
     s-division, then g); i >= 1 exercises the z^(-1) d/dw relations for
@@ -396,11 +380,12 @@ def verify_recursion(m: int, i: int) -> RecursionReport:
             (f"fhat[{i + 1}]", fhat_pred, fhat_terms(m + 2, i + 1)),
             (f"g[{i + 1}]", g_pred, g_terms(m + 2, i + 1)),
         ]
-    return _run_checks(m, i, plan)
+    return _identity_checks({"m": m, "i": i}, plan)
 
 
-def verify_structural_identities(m: int) -> RecursionReport:
-    """Five exact identities tying neighbouring kernels together (even m >= 4):
+def verify_structural_identities(m: int) -> list[Check]:
+    """Five exact identities tying neighbouring kernels together (even m >= 4),
+    one Check each:
 
     1. g[m-2] = s g[m-3] + (m-3) g'[m-4]          (g' in dimension m-2)
     2. fhat[m-2] = -s fhat[m-3] - (m-3) fhat'[m-4]
@@ -436,7 +421,7 @@ def verify_structural_identities(m: int) -> RecursionReport:
         ("fhat0-ftilde1", fhat_terms(m, 0), scale_terms(ftilde_terms(m, 1), -sgn)),
         ("g0-g1", g_terms(m, 0), shift_s(g_terms(m, 1), -1)),
     ]
-    return _run_checks(m, None, plan)
+    return _identity_checks({"m": m}, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +503,7 @@ def pde_residual(kernel_id: KernelId, x, y, h: float = 1e-4) -> float:
     rhs2 = (y_mv * kminus) * a
     r1 = (dy - rhs1).norm() / max(1.0, dy.norm(), rhs1.norm())
     r2 = (dx - rhs2).norm() / max(1.0, dx.norm(), rhs2.norm())
-    return max(r1, r2)
+    return worst(r1, r2)
 
 
 def fg_system_residual(kernel_id: KernelId, s: float, t: float, h: float = 1e-4) -> float:
@@ -560,7 +545,7 @@ def fg_system_residual(kernel_id: KernelId, s: float, t: float, h: float = 1e-4)
     lhs2 = dsG - dtF / t
     r1 = abs(lhs1 - rhsF) / max(1.0, abs(lhs1), abs(rhsF))
     r2 = abs(lhs2 - rhsG) / max(1.0, abs(lhs2), abs(rhsG))
-    return max(r1, r2)
+    return worst(r1, r2)
 
 
 # ---------------------------------------------------------------------------

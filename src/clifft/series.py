@@ -42,6 +42,7 @@ from scipy.special import j0 as _j0
 from scipy.special import j1 as _j1
 
 from .algebra import ParaBivector, invariants_of
+from .checks import Check, worst
 from .exact import Exact, ONE
 from .kernels import KernelId
 from .special import (
@@ -55,7 +56,6 @@ from .special import (
 __all__ = [
     "SeriesCoefficients",
     "EigenvaluePair",
-    "CFConstraintReport",
     "gamma2pow",
     "bridge_prefactor",
     "transform_normalization",
@@ -389,18 +389,9 @@ def inverse_coefficients(coeffs: SeriesCoefficients) -> SeriesCoefficients:
 # consistency constraint
 
 
-@dataclass(frozen=True)
-class CFConstraintReport:
-    m: int
-    k_checked: int
-    max_residual: float
-    passed: bool
-    worst_k: int | None
-
-
 def check_cf_constraint(
     coeffs: SeriesCoefficients, k_max: int = 50, tol: float = 1e-10
-) -> CFConstraintReport:
+) -> Check:
     """Check the coupling between consecutive coefficients that holds for
     every kernel of the family.
 
@@ -413,15 +404,16 @@ def check_cf_constraint(
     whose right side at k = 0 reads -(-I)^m (m/2) alpha_0.
     Plus-kernel provenance is converted first; streams without provenance
     are taken as already being in the minus role.  Residuals are exact
-    and reported relative to the larger side.
+    and reported relative to the larger side; the Check's value is the
+    largest over k <= k_max, and params record the kernel (when the
+    streams have provenance) and the first k attaining it as worst_k
+    (None when every residual is zero).
     """
-    c = coeffs
-    if c.provenance is not None and c.provenance.sign == "plus":
-        c = series_minus_counterpart(c)
+    prov = coeffs.provenance
+    c = series_minus_counterpart(coeffs) if prov is not None and prov.sign == "plus" else coeffs
     m = c.m
     mi_pow = Exact(0, -1) ** (m % 4)
-    worst = 0.0
-    worst_k = None
+    residuals = []
     for k in range(k_max + 1):
         lhs = c.lambda_exact(k + 1).conjugate() + c.beta_exact(k + 1).conjugate() * Fraction(
             k + m - 1, 2
@@ -435,13 +427,11 @@ def check_cf_constraint(
                 * (c.lambda_exact(k) - c.beta_exact(k) * Fraction(k, 2))
             )
         residual = lhs - rhs
-        rel = residual.magnitude() / max(1.0, lhs.magnitude(), rhs.magnitude())
-        if rel > worst:
-            worst = rel
-            worst_k = k
-    return CFConstraintReport(
-        m=m, k_checked=k_max, max_residual=worst, passed=worst <= tol, worst_k=worst_k
-    )
+        residuals.append(residual.magnitude() / max(1.0, lhs.magnitude(), rhs.magnitude()))
+    value = worst(residuals)
+    worst_k = int(np.argmax(residuals)) if value != 0 else None
+    params = {"m": m} if prov is None else {"m": m, "i": prov.i, "sign": prov.sign}
+    return Check.within("cf constraint", {**params, "k_max": k_max, "worst_k": worst_k}, value, tol)
 
 
 def classical_coefficients(m: int) -> SeriesCoefficients:

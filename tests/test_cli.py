@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from clifft import cli
+from clifft import cli, engine
 from clifft.cli import main
 from clifft.engine import closed_form_eigenvalue
 from clifft.kernels import KernelId, build_kernel
@@ -97,8 +99,9 @@ def test_verify_constraint_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "constraint", "--m", "5")
     assert code == 0
     report = json.loads(out)
-    classical = [c for c in report["checks"] if c.get("stream") == "classical"]
-    assert classical and classical[0]["satisfied"] is True
+    classical = [c for c in report["checks"] if c["params"].get("stream") == "classical"]
+    assert classical and classical[0]["passed"] is True
+    assert classical[0]["value"] == 0.0 and "satisfied" not in classical[0]
 
 
 def test_usage_error_exits_two(capsys):
@@ -216,3 +219,95 @@ def test_failed_verify_leaves_no_report_file(capsys, monkeypatch, tmp_path):
     assert code == 3
     assert len(calls) == 1
     assert not target.exists()
+
+
+# Each stub makes one sample after the first NaN in the quantity a suite
+# measures; the fold over samples must not drop it.
+
+
+def _nan_bivector_series(monkeypatch):
+    real = cli.eval_series
+
+    def eval_series(*args):
+        a, b = real(*args)
+        b = b.copy()
+        b[1] = np.nan
+        return a, b
+
+    monkeypatch.setattr(cli, "eval_series", eval_series)
+
+
+def _nan_pde_sample(monkeypatch):
+    residuals = itertools.chain([1e-9, np.nan], itertools.repeat(1e-9))
+    monkeypatch.setattr(cli, "pde_residual", lambda kid, x, y: next(residuals))
+
+
+def _nan_eigen_record(monkeypatch):
+    records = [SimpleNamespace(abs_error=e) for e in (1e-9, np.nan, 1e-9)]
+    monkeypatch.setattr(cli, "verify_eigen", lambda m: records)
+
+
+def _nan_odd_composition_chain(monkeypatch):
+    monkeypatch.setattr(cli, "verify_inversion", lambda m, k_max: SimpleNamespace(
+        exact_ok=True, first_failure=None))
+    real = engine.bessel_jtilde
+
+    def bessel_jtilde(order, z):
+        out = real(order, z)
+        if order.twice_order == 4:  # the odd chain at m = 4, after the even one
+            out = out.copy()
+            out.flat[1] = np.nan
+        return out
+
+    monkeypatch.setattr(engine, "bessel_jtilde", bessel_jtilde)
+
+
+def _nan_second_diff_relation(monkeypatch):
+    def batch(kid, fs, ys, scheme):
+        out = [{0: np.zeros(len(ys))} for _ in fs]
+        out[1][0][1] = np.nan
+        return out
+
+    monkeypatch.setattr(engine, "apply_transform_batch", batch)
+    monkeypatch.setattr(engine, "apply_transform", lambda kid, f, ys, scheme: {0: np.zeros(len(ys))})
+
+
+@pytest.mark.parametrize(
+    "suite, m, inject",
+    [
+        ("series", 2, _nan_bivector_series),
+        ("pde", 2, _nan_pde_sample),
+        ("eigen", 2, _nan_eigen_record),
+        ("inversion", 4, _nan_odd_composition_chain),
+        ("diff", 2, _nan_second_diff_relation),
+    ],
+)
+def test_verify_fails_on_a_nan_sample(capsys, monkeypatch, suite, m, inject):
+    inject(monkeypatch)
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--m", str(m))
+    report = json.loads(out)
+    assert code == 1
+    assert report["passed"] is False
+
+
+# Dimensions that give every kind of row of each suite.
+_ROW_DIMENSIONS = {
+    "recursion": 2, "structural": 4, "series": 2, "pde": 2, "eigen": 2,
+    "inversion": 4, "diff": 2, "l2": 4, "constraint": 5,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_every_suite_emits_one_row_schema(capsys, monkeypatch, suite):
+    monkeypatch.setattr(cli, "verify_eigen", lambda m: [SimpleNamespace(abs_error=1e-12)])
+    monkeypatch.setattr(cli, "verify_diff_relations", lambda kid, bf: 1e-9)
+    assert set(_ROW_DIMENSIONS) == set(cli._SUITES)
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--m", str(_ROW_DIMENSIONS[suite]))
+    assert code == 0
+    rows = json.loads(out)["checks"]
+    assert rows
+    for row in rows:
+        assert set(row) == {"check", "params", "value", "tolerance", "margin_digits", "passed"}
+        assert isinstance(row["value"], (type(None), bool, int, float, str))
+        assert set(row["params"]) >= {"m"}
+        assert (row["tolerance"] is None) == (row["margin_digits"] is None)

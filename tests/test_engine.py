@@ -37,6 +37,14 @@ def test_scheme_self_test_and_sizes():
         QuadratureScheme(7)  # no default grid that large
 
 
+def test_scheme_self_test_fails_on_a_nan_weight():
+    scheme = QuadratureScheme(2, 16)
+    assert scheme.self_test() < 1e-10
+    scheme.weights[5] = np.nan
+    with pytest.raises(RuntimeError, match="self-test failed"):
+        scheme.self_test()
+
+
 def test_scheme_integrates_polynomial_gaussian():
     s = default_scheme(2)
     vals = (s.points[:, 0] ** 2) * np.exp(-0.5 * np.sum(s.points**2, axis=1))

@@ -133,15 +133,15 @@ def test_terms_equal_reports_first_mismatch():
 def test_recursion_steps_exact():
     for m in (2, 3, 4, 5):
         for i in range(m - 1):
-            report = verify_recursion(m, i)
-            assert report.ok, (m, i, report.first_mismatch)
-            assert len(report.checks) >= 2
+            checks = verify_recursion(m, i)
+            assert all(c.passed for c in checks), (m, i, [c.value for c in checks])
+            assert len(checks) >= 2
 
 
 def test_structural_identities_dim4():
-    report = verify_structural_identities(4)
-    assert report.ok
-    names = [name for name, ok in report.checks]
+    checks = verify_structural_identities(4)
+    assert all(c.passed for c in checks)
+    names = [c.name for c in checks]
     assert names == [
         "g-lowering", "fhat-lowering", "ftilde-lowering", "fhat0-ftilde1", "g0-g1",
     ]

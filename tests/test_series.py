@@ -130,8 +130,8 @@ def test_constraint_exact_zero_for_built_kernels():
         KernelId(4, 1), KernelId(4, 1, "minus"),
         KernelId(5, 2), KernelId(7, 3),
     ):
-        rep = check_cf_constraint(series_coefficients(kid), k_max=30)
-        assert rep.passed and rep.max_residual == 0.0
+        check = check_cf_constraint(series_coefficients(kid), k_max=30)
+        assert check.passed and check.value == 0.0
 
 
 def test_constraint_classical_streams():
@@ -153,9 +153,9 @@ def test_constraint_detects_perturbed_stream():
         return val
 
     tweaked = SeriesCoefficients(4, base.alpha_exact, beta_fn, provenance=base.provenance)
-    rep = check_cf_constraint(tweaked, k_max=10)
-    assert not rep.passed
-    assert rep.worst_k in (2, 3)
+    check = check_cf_constraint(tweaked, k_max=10)
+    assert not check.passed
+    assert check.params["worst_k"] in (2, 3)
 
 
 def test_gegenbauer_over_lambda_against_references():
