@@ -42,7 +42,6 @@ from .engine import (
     L2ScanReport,
     QuadratureScheme,
     RadialRule,
-    apply_transform,
     apply_transform_batch,
     bochner_reduce,
     closed_form_eigenvalue,

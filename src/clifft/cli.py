@@ -257,9 +257,15 @@ def _check_constraint(unit) -> list[Check]:
     return [check_cf_constraint(series_coefficients(KernelId(m, i, stream)))]
 
 
+def _strict(x):
+    """x, with a non-finite float spelled as the string "NaN", "Infinity"
+    or "-Infinity": strict JSON (RFC 8259) has no bare NaN or Infinity."""
+    return json.dumps(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _row(check: Check) -> dict:
-    return {"check": check.name, "params": check.params, "value": check.value,
-            "tolerance": check.tolerance, "margin_digits": check.margin_digits,
+    return {"check": check.name, "params": check.params, "value": _strict(check.value),
+            "tolerance": check.tolerance, "margin_digits": _strict(check.margin_digits),
             "passed": check.passed}
 
 
@@ -315,7 +321,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "checks": [_row(c) for c in checks],
     }
     with _open_out(args.output) as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return 0 if passed else 1
 

@@ -54,7 +54,6 @@ __all__ = [
     "sample_points",
     "closed_form_eigenvalue_exact",
     "closed_form_eigenvalue",
-    "apply_transform",
     "apply_transform_batch",
     "bochner_reduce",
     "verify_eigen",
@@ -67,6 +66,9 @@ __all__ = [
 ]
 
 GRID_NODES = {2: 64, 3: 48, 4: 36}
+
+_CHUNK_ROWS = 150_000  # quadrature points per chunk: bounds the per-point function values
+_CHUNK_PAIRS = 5_000_000  # (point, target) pairs per chunk: bounds the s/z/t and profile matrices
 
 
 class QuadratureScheme:
@@ -115,7 +117,7 @@ class QuadratureScheme:
             raise RuntimeError(f"quadrature self-test failed: rel error {err:.3e}")
         return err
 
-    def chunks(self, size: int = 150_000):
+    def chunks(self, size: int = _CHUNK_ROWS):
         for start in range(0, len(self), size):
             sl = slice(start, start + size)
             yield self.points[sl], self.weights[sl]
@@ -254,13 +256,13 @@ def apply_transform_batch(
     fs: Sequence,
     ys: np.ndarray,
     scheme: QuadratureScheme | None = None,
-    chunk: int = 150_000,
 ) -> list[BladeValues]:
     """Transforms of several functions under one kernel, at points ys.
 
     F[f](y) = (2 pi)^(-m/2) integral of K(x, y) f(x); the kernel profile
     evaluations are shared across all fs.  Each result is BladeValues over
-    ys; the bivector step multiplies f's blades by blade_product.
+    ys; the bivector step multiplies f's blades by blade_product.  A chunk
+    holds at most _CHUNK_ROWS quadrature points and _CHUNK_PAIRS point pairs.
     """
     expr = build_kernel(kernel) if isinstance(kernel, KernelId) else kernel
     m = expr.m
@@ -279,7 +281,7 @@ def apply_transform_batch(
         tgt += delta
 
     has_biv = bool(expr.bivector_terms)
-    for pts, wts in scheme.chunks(chunk):
+    for pts, wts in scheme.chunks(min(_CHUNK_ROWS, max(1, _CHUNK_PAIRS // r))):
         s_mat = pts @ ys.T
         z_mat = np.linalg.norm(pts, axis=1)[:, None] * ys_norm[None, :]
         t_mat = np.sqrt(np.maximum(z_mat * z_mat - s_mat * s_mat, 0.0))
@@ -303,13 +305,6 @@ def apply_transform_batch(
         for blade in res:
             res[blade] = res[blade] * norm
     return out
-
-
-def apply_transform(
-    kernel, f, ys: np.ndarray, scheme: QuadratureScheme | None = None
-) -> BladeValues:
-    """Transform of a single function; see :func:`apply_transform_batch`."""
-    return apply_transform_batch(kernel, [f], ys, scheme)[0]
 
 
 def _norms(values: BladeValues) -> np.ndarray:
@@ -581,19 +576,21 @@ def _composition_grid_m2(i: int) -> float:
     xs = sample_points(m, 12, 2.3, seed=7)
     norm = complex(transform_normalization(m))
 
+    fs = [psi(j, 0, 1, m) for j in (0, 1)]
+    g_batch = apply_transform_batch(kid, fs, mid, scheme)
+    # inverse kernel at every (sample, mid-grid point) pair, samples as rows
+    zz = np.linalg.norm(xs, axis=1)[:, None] * np.linalg.norm(mid, axis=1)[None, :]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ww = np.where(zz > 0, (xs @ mid.T) / np.maximum(zz, 1e-300), 0.0)
+    a_prof, b_prof = eval_series(inv, zz, ww, n_terms)
+    wedge12 = xs[:, 1:] * mid[:, 0] - xs[:, :1] * mid[:, 1]
+    inv_kernel = {0: a_prof, 0b11: b_prof * wedge12}
+
     errors = []
-    for j in (0, 1):
-        bf = psi(j, 0, 1, m)
-        g_vals = apply_transform(kid, bf, mid, scheme)
-        for xp in xs:
-            zz = np.linalg.norm(mid, axis=1) * np.linalg.norm(xp)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ww = np.where(zz > 0, (mid @ xp) / np.maximum(zz, 1e-300), 0.0)
-            a_prof, b_prof = eval_series(inv, zz, ww, n_terms)
-            wedge12 = mid[:, 0] * xp[1] - mid[:, 1] * xp[0]
-            h_vals = blade_product({0: a_prof, 0b11: b_prof * wedge12}, g_vals)
-            got = {blade: np.sum(mid_w * v) * norm for blade, v in h_vals.items()}
-            errors.append(_norms(_minus(got, bf.values(xp[None, :])))[0])
+    for bf, g_vals in zip(fs, g_batch):
+        h_vals = blade_product(inv_kernel, g_vals)
+        got = {blade: (v @ mid_w) * norm for blade, v in h_vals.items()}
+        errors.append(_norms(_minus(got, bf.values(xs))))
     return worst(*errors)
 
 
@@ -635,7 +632,7 @@ def verify_diff_relations(
     ys_ext = (shifts[:, None, :] + ys).reshape(-1, m)
 
     plus_vals = apply_transform_batch(plus, [gp.times_x(), gp.dirac()], ys, scheme)
-    minus_vals = apply_transform(minus, gp, ys_ext, scheme)
+    minus_vals = apply_transform_batch(minus, [gp], ys_ext, scheme)[0]
 
     # F_-[f] as (2m + 1, r) arrays, one row per shift
     rows = {blade: v.reshape(len(shifts), -1) for blade, v in minus_vals.items()}
@@ -720,11 +717,7 @@ def domain_membership(
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         radii = (a**m + rng.uniform(size=samples) * (b**m - a**m)) ** (1.0 / m)
         pts = dirs * radii[:, None]
-        vals = fn(pts)
-        mag = np.zeros(samples)
-        for arr in vals.values():
-            mag += np.abs(arr) ** 2
-        mag = np.sqrt(mag) * (1.0 + np.linalg.norm(pts, axis=1)) ** i
+        mag = _norms(fn(pts)) * (1.0 + np.linalg.norm(pts, axis=1)) ** i
         vol = ball_vol * (b**m - a**m)
         contributions.append(float(np.mean(mag) * vol))
     total = sum(contributions)

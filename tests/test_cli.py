@@ -265,11 +265,15 @@ def _nan_odd_composition_chain(monkeypatch):
 def _nan_second_diff_relation(monkeypatch):
     def batch(kid, fs, ys, scheme):
         out = [{0: np.zeros(len(ys))} for _ in fs]
-        out[1][0][1] = np.nan
+        if len(fs) == 2:  # the plus side, F_+[x f] and F_+[d f]; not F_-[f]
+            out[1][0][1] = np.nan
         return out
 
     monkeypatch.setattr(engine, "apply_transform_batch", batch)
-    monkeypatch.setattr(engine, "apply_transform", lambda kid, f, ys, scheme: {0: np.zeros(len(ys))})
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not strict JSON")
 
 
 @pytest.mark.parametrize(
@@ -285,7 +289,7 @@ def _nan_second_diff_relation(monkeypatch):
 def test_verify_fails_on_a_nan_sample(capsys, monkeypatch, suite, m, inject):
     inject(monkeypatch)
     code, out = run_cli(capsys, "verify", "--suite", suite, "--m", str(m))
-    report = json.loads(out)
+    report = json.loads(out, parse_constant=_reject_constant)
     assert code == 1
     assert report["passed"] is False
 

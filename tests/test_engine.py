@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from clifft import engine
 from clifft.basis import monogenic_basis, psi
 from clifft.engine import (
     QuadratureScheme,
     closed_form_eigenvalue,
     closed_form_eigenvalue_exact,
-    apply_transform,
     apply_transform_batch,
     bochner_reduce,
     default_scheme,
@@ -91,7 +91,7 @@ def test_closed_form_odd_dimension_phase():
 def test_transform_reproduces_plane_eigenfunction():
     ys = sample_points(2, 10, 2.0, seed=4)
     bf = psi(0, 0, 1, 2)
-    got = apply_transform(KernelId(2, 0), bf, ys)
+    got = apply_transform_batch(KernelId(2, 0), [bf], ys)[0]
     want = -bf.values(ys)[0]  # eigenvalue -1
     assert np.max(np.abs(got[0] - want)) < 1e-12
 
@@ -99,12 +99,32 @@ def test_transform_reproduces_plane_eigenfunction():
 def test_transform_batch_shares_kernel_evaluations():
     ys = sample_points(2, 6, 1.5, seed=9)
     fs = [psi(0, 0, 1, 2), psi(1, 0, 1, 2)]
-    separate = [apply_transform(KernelId(2, 0), f, ys) for f in fs]
+    separate = [apply_transform_batch(KernelId(2, 0), [f], ys)[0] for f in fs]
     together = apply_transform_batch(KernelId(2, 0), fs, ys)
     for one, two in zip(separate, together):
         assert set(one) == set(two)
         for blade in one:
             assert np.allclose(one[blade], two[blade], atol=1e-14)
+
+
+def test_transform_chunks_bound_point_pairs(monkeypatch):
+    # 4096 grid points against 2,000 targets: a single chunk would hold
+    # 8.2e6 (point, target) pairs
+    scheme = QuadratureScheme(2, 64)
+    rows = []
+    chunks = scheme.chunks
+
+    def recording_chunks(size):
+        for pts, wts in chunks(size):
+            rows.append(len(pts))
+            yield pts, wts
+
+    monkeypatch.setattr(scheme, "chunks", recording_chunks)
+    monkeypatch.setattr(engine, "eval_terms", lambda terms, s, t: np.zeros(s.shape))
+    ys = sample_points(2, 2000, 2.0, seed=3)
+    apply_transform_batch(KernelId(2, 0), [psi(0, 0, 1, 2)], ys, scheme)
+    assert len(rows) > 1 and sum(rows) == len(scheme)
+    assert all(n * len(ys) <= 5_000_000 for n in rows), rows
 
 
 def test_bochner_agrees_with_full_grid():
@@ -115,7 +135,7 @@ def test_bochner_agrees_with_full_grid():
     mono = monogenic_basis(m, k)[0]
     bf = psi(0, k, 1, m)
     ys = sample_points(m, 8, 1.9, seed=12)
-    grid_vals = apply_transform(kid, bf, ys)
+    grid_vals = apply_transform_batch(kid, [bf], ys)[0]
 
     def f0(rr: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * rr * rr)
