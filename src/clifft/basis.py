@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
 from typing import Mapping, Sequence
 
@@ -126,17 +126,31 @@ class CliffordPolynomial:
 
     def evaluate_batch(self, points: np.ndarray) -> dict[int, np.ndarray]:
         """Blade coefficient arrays over a (n, m) array of points."""
+        return self._evaluate_columns(self._columns(points))
+
+    def _columns(self, points: np.ndarray) -> np.ndarray:
+        """The coordinates of a (n, m) array of points as m contiguous rows."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.m:
             raise ValueError(f"expected points of shape (n, {self.m})")
+        return np.ascontiguousarray(pts.T)
+
+    def _evaluate_columns(self, cols: np.ndarray) -> dict[int, np.ndarray]:
+        # powers[j][e - 1] = x_j^e, by repeated multiplication up to the
+        # largest exponent of x_j
+        powers = []
+        for j, col in enumerate(cols):
+            row = [col]
+            for _ in range(1, max((expo[j] for expo in self.terms), default=0)):
+                row.append(row[-1] * col)
+            powers.append(row)
+        n = cols.shape[1]
         out: dict[int, np.ndarray] = {}
         for expo, blades in self.terms.items():
-            mono = np.ones(pts.shape[0])
-            for j, e in enumerate(expo):
-                if e:
-                    mono = mono * pts[:, j] ** e
+            factors = [powers[j][e - 1] for j, e in enumerate(expo) if e]
+            mono = reduce(np.multiply, factors) if factors else np.ones(n)
             for blade, c in blades.items():
-                acc = out.setdefault(blade, np.zeros(pts.shape[0]))
+                acc = out.setdefault(blade, np.zeros(n))
                 acc += float(c) * mono
         return out
 
@@ -424,6 +438,19 @@ def laguerre_poly_coeffs(j: int, alpha: Fraction) -> list[Fraction]:
     return out
 
 
+def _gaussian_values(poly: CliffordPolynomial, points: np.ndarray) -> dict[int, np.ndarray]:
+    """Blade coefficient arrays of P(x) exp(-|x|^2/2) at (n, m) points."""
+    cols = poly._columns(points)
+    r2 = cols[0] * cols[0]
+    for col in cols[1:]:
+        r2 += col * col
+    gauss = np.exp(-0.5 * r2)
+    values = poly._evaluate_columns(cols)
+    for v in values.values():
+        v *= gauss
+    return values
+
+
 @dataclass(frozen=True)
 class BasisFunction:
     """psi_{j,k,l}: polynomial part exact; a Gaussian factor is implied."""
@@ -441,9 +468,7 @@ class BasisFunction:
 
     def values(self, points: np.ndarray) -> dict[int, np.ndarray]:
         """Blade coefficient arrays at (n, m) points, Gaussian included."""
-        pts = np.asarray(points, dtype=float)
-        gauss = np.exp(-0.5 * np.sum(pts * pts, axis=1))
-        return {b: v * gauss for b, v in self.poly.evaluate_batch(pts).items()}
+        return _gaussian_values(self.poly, points)
 
     def __call__(self, point: Sequence[float]) -> Multivector:
         pt = np.asarray(point, dtype=float)
@@ -503,9 +528,7 @@ class GaussianPolynomial:
         return self.poly.evaluate(pt) * float(np.exp(-0.5 * np.dot(pt, pt)))
 
     def values(self, points: np.ndarray) -> dict[int, np.ndarray]:
-        pts = np.asarray(points, dtype=float)
-        gauss = np.exp(-0.5 * np.sum(pts * pts, axis=1))
-        return {b: v * gauss for b, v in self.poly.evaluate_batch(pts).items()}
+        return _gaussian_values(self.poly, points)
 
 
 def creation_psi(j: int, k: int, ell: int, m: int) -> GaussianPolynomial:

@@ -67,8 +67,14 @@ __all__ = [
 
 GRID_NODES = {2: 64, 3: 48, 4: 36}
 
-_CHUNK_ROWS = 150_000  # quadrature points per chunk: bounds the per-point function values
-_CHUNK_PAIRS = 5_000_000  # (point, target) pairs per chunk: bounds the s/z/t and profile matrices
+# Quadrature points per chunk: keeps a chunk's function values and its
+# weighted matrix W (one row per function and blade) near cache size.
+_CHUNK_ROWS = 16_384
+# Entries rows x targets x (1 + m) of a chunk's profile matrix: bounds it,
+# and the s, t and profile arrays it is built from, when targets are many
+# (40 MB of real entries; the m = 2 composition's 6,400 targets give
+# chunks of 260 points).
+_CHUNK_ENTRIES = 5_000_000
 
 
 class QuadratureScheme:
@@ -260,9 +266,22 @@ def apply_transform_batch(
     """Transforms of several functions under one kernel, at points ys.
 
     F[f](y) = (2 pi)^(-m/2) integral of K(x, y) f(x); the kernel profile
-    evaluations are shared across all fs.  Each result is BladeValues over
-    ys; the bivector step multiplies f's blades by blade_product.  A chunk
-    holds at most _CHUNK_ROWS quadrature points and _CHUNK_PAIRS point pairs.
+    evaluations are shared across all fs.  Per chunk of quadrature points
+    the work is one real matrix product W @ P:
+
+    * W has one row per (function, blade) pair, its weighted values; a
+      complex value gives a real row and an imaginary row;
+    * P has the scalar profile A and the bivector moments B x_j side by
+      side as real columns, one per target each; a complex profile (odd m)
+      gives a block of real-part columns and a block of imaginary-part
+      columns, a real one (even m) only the first.
+
+    The rows of W @ P are summed over chunks and split into scalar and
+    bivector parts once, after the last chunk; the bivector step multiplies
+    f's blades by blade_product.  A chunk holds at most _CHUNK_ROWS
+    quadrature points, and at most _CHUNK_ENTRIES entries rows x targets x
+    (1 + m) of P (twice that many when the profile is complex), so memory
+    stays bounded however many targets there are.
     """
     expr = build_kernel(kernel) if isinstance(kernel, KernelId) else kernel
     m = expr.m
@@ -273,37 +292,67 @@ def apply_transform_batch(
     sources = [_as_value_source(f) for f in fs]
     r = ys.shape[0]
     ys_norm = np.linalg.norm(ys, axis=1)
+    has_biv = bool(expr.bivector_terms)
+    n_blocks = 1 + m if has_biv else 1
+    # (function, blade, 1 or 1j) -> sum over chunks of its row of W @ P
+    sums: dict[tuple[int, int, complex], np.ndarray] = {}
+
+    for pts, wts in scheme.chunks(min(_CHUNK_ROWS, max(1, _CHUNK_ENTRIES // (r * n_blocks)))):
+        # targets x points layout, so every array below is contiguous along
+        # the points that the product sums over
+        cols = np.ascontiguousarray(pts.T)
+        s_mat = ys @ cols
+        t_mat = ys_norm[:, None] * np.sqrt(reduce(np.add, [x * x for x in cols]))
+        t_mat = np.sqrt(np.maximum(t_mat * t_mat - s_mat * s_mat, 0.0), out=t_mat)
+        a_mat = eval_terms(expr.scalar_terms, s_mat, t_mat)
+        b_mat = eval_terms(expr.bivector_terms, s_mat, t_mat) if has_biv else a_mat
+        del s_mat, t_mat
+        parts = (np.real, np.imag) if np.iscomplexobj(a_mat) or np.iscomplexobj(b_mat) else (np.real,)
+        # profile[part, 0] = A, profile[part, 1 + j] = B x_j, each targets x points
+        profile = np.empty((len(parts), n_blocks, r, len(pts)))
+        for p, part in enumerate(parts):
+            profile[p, 0] = part(a_mat)
+            for j in range(1, n_blocks):
+                np.multiply(part(b_mat), cols[j - 1], out=profile[p, j])
+        del a_mat, b_mat
+
+        values = [source(pts) for source in sources]
+        keys = [
+            (fi, blade, unit)
+            for fi, vals in enumerate(values)
+            for blade, v in vals.items()
+            for unit in ((1, 1j) if np.iscomplexobj(v) else (1,))
+        ]
+        w_mat = np.empty((len(keys), len(pts)))
+        for row, (fi, blade, unit) in zip(w_mat, keys):
+            v = values[fi][blade]
+            np.multiply(wts, np.real(v) if unit == 1 else np.imag(v), out=row)
+        for key, row in zip(keys, w_mat @ profile.reshape(-1, len(pts)).T):
+            if key in sums:
+                sums[key] += row
+            else:
+                sums[key] = row
+
+    norm = complex(transform_normalization(m))
     pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
-    out: list[dict[int, np.ndarray]] = [dict() for _ in fs]
+    out: list[BladeValues] = [dict() for _ in fs]
 
     def acc(fi: int, blade: int, delta: np.ndarray) -> None:
         tgt = out[fi].setdefault(blade, np.zeros(r, dtype=complex))
         tgt += delta
 
-    has_biv = bool(expr.bivector_terms)
-    for pts, wts in scheme.chunks(min(_CHUNK_ROWS, max(1, _CHUNK_PAIRS // r))):
-        s_mat = pts @ ys.T
-        z_mat = np.linalg.norm(pts, axis=1)[:, None] * ys_norm[None, :]
-        t_mat = np.sqrt(np.maximum(z_mat * z_mat - s_mat * s_mat, 0.0))
-        a_mat = eval_terms(expr.scalar_terms, s_mat, t_mat)
-        b_mat = eval_terms(expr.bivector_terms, s_mat, t_mat) if has_biv else None
-        for fi, source in enumerate(sources):
-            for blade, vals in source(pts).items():
-                wf = wts * vals
-                acc(fi, blade, wf @ a_mat)
-                if not has_biv:
-                    continue
-                moms = (wf[:, None] * b_mat).T @ pts
-                biv = {
-                    (1 << j) | (1 << k): ys[:, k] * moms[:, j] - ys[:, j] * moms[:, k]
-                    for j, k in pairs
-                }
-                for mask, delta in blade_product(biv, {blade: 1}).items():
-                    acc(fi, mask, delta)
-    norm = complex(transform_normalization(m))
-    for res in out:
-        for blade in res:
-            res[blade] = res[blade] * norm
+    for (fi, blade, unit), row in sums.items():
+        parts = row.reshape(-1, n_blocks, r)
+        blocks = (unit * norm) * (parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0])
+        acc(fi, blade, blocks[0])
+        if not has_biv:
+            continue
+        biv = {
+            (1 << j) | (1 << k): ys[:, k] * blocks[1 + j] - ys[:, j] * blocks[1 + k]
+            for j, k in pairs
+        }
+        for mask, delta in blade_product(biv, {blade: 1}).items():
+            acc(fi, mask, delta)
     return out
 
 

@@ -429,19 +429,21 @@ def verify_structural_identities(m: int) -> list[Check]:
 
 
 def eval_terms(terms: Sequence[KernelTerm], s, t) -> np.ndarray:
-    """Evaluate sum of terms at arrays s, t (broadcast together)."""
+    """Evaluate sum of terms at arrays s, t (broadcast together).
+
+    The result is real when every coefficient is real (every even m) and
+    complex otherwise."""
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     s_arr, t_arr = np.broadcast_arrays(s_arr, t_arr)
-    total = np.zeros(s_arr.shape, dtype=complex)
-    by_order: dict[int, list[KernelTerm]] = {}
-    for term in terms:
-        by_order.setdefault(term.order.twice_order, []).append(term)
+    coeffs = [complex(term.coeff) for term in terms]
+    real = not any(c.imag for c in coeffs)
+    total = np.zeros(s_arr.shape, dtype=float if real else complex)
+    by_order: dict[int, list[tuple[float | complex, int]]] = {}
+    for term, c in zip(terms, coeffs):
+        by_order.setdefault(term.order.twice_order, []).append((c.real if real else c, term.s_power))
     for two, group in by_order.items():
-        poly = np.zeros(s_arr.shape, dtype=complex)
-        for term in group:
-            c = complex(term.coeff)
-            poly += c * s_arr**term.s_power if term.s_power else np.full(s_arr.shape, c)
+        poly = sum(c * s_arr**s_power if s_power else c for c, s_power in group)
         total += poly * bessel_jtilde(BesselOrder(two), t_arr)
     return total
 

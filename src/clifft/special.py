@@ -8,7 +8,10 @@ floating point.  The normalized function
 
 is the workhorse: it is entire in t^2, equals 2^(-alpha)/Gamma(alpha+1) at
 t = 0, and for half-integer alpha reduces to polynomials in 1/t times
-sines and cosines.
+sines and cosines.  :func:`bessel_jtilde` evaluates it by its power series
+at small t, by those closed forms for half-integer orders up to 9/2, by
+scipy's j0 and j1 for the integer orders 0 and 1, and by the generic jv
+for every other order.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln as _gammaln
+from scipy.special import j0 as _j0
+from scipy.special import j1 as _j1
 from scipy.special import jv as _jv
 
 __all__ = [
@@ -132,11 +137,21 @@ def _jtilde_trig(twice_order: int, t: np.ndarray) -> np.ndarray | None:
     return _SQRT_2_OVER_PI * val
 
 
+# Half-integer orders (as twice the order) whose closed forms cancel near
+# t = 1, by up to 4.8e-12 relative at order 9/2.  They keep the power
+# series, with 24 terms, up to t = 4; it stays within 6.5e-16 relative of
+# a 40-digit mpmath reference on [1, 4).
+_SERIES_UP_TO = {5: 4.0, 7: 4.0, 9: 4.0}
+_LONG_SERIES_TERMS = 24
+
+
 def bessel_jtilde(order, t):
     """jtilde_alpha(t) = t^(-alpha) J_alpha(t), alpha >= -1/2, t >= 0.
 
-    Power series below t = 1 (no cancellation), closed trigonometric
-    forms for half-integer orders above, generic Bessel otherwise.
+    Power series below t = 1 (no cancellation), and up to t = 4 for the
+    orders 5/2, 7/2 and 9/2; closed trigonometric forms for half-integer
+    orders above that; J_0(t) and J_1(t)/t by scipy's j0 and j1 for the
+    orders 0 and 1; the generic Bessel function jv for every other order.
     """
     two = _twice(order)
     if two < -1:
@@ -148,23 +163,34 @@ def bessel_jtilde(order, t):
         raise ValueError("bessel_jtilde requires t >= 0")
     out = np.empty_like(arr)
 
-    small = arr < 1.0
+    small = arr < _SERIES_UP_TO.get(two, 1.0)
     if np.any(small):
-        coeffs = _jtilde_series_coeffs(two)
-        ts = arr[small]
-        t2 = ts * ts
-        acc = np.full_like(ts, coeffs[-1])
-        for c in coeffs[-2::-1]:
+        if two in _SERIES_UP_TO:
+            coeffs = _jtilde_series_coeffs(two, _LONG_SERIES_TERMS)
+        else:
+            coeffs = _jtilde_series_coeffs(two)
+        t2 = arr[small] ** 2
+        if t2.size == 1:
+            # one point: the same IEEE operations in Python floats, without
+            # numpy's per-call cost on each of up to 24 Horner steps
+            t2 = float(t2[0])
+        acc, *rest = coeffs[::-1].tolist()
+        for c in rest:
             acc = acc * t2 + c
         out[small] = acc
     big = ~small
     if np.any(big):
         tb = arr[big]
-        trig = _jtilde_trig(two, tb)
-        if trig is None:
-            alpha = two / 2.0
-            trig = _jv(alpha, tb) * tb ** (-alpha)
-        out[big] = trig
+        if two == 0:
+            out[big] = _j0(tb)
+        elif two == 2:
+            out[big] = _j1(tb) / tb
+        else:
+            trig = _jtilde_trig(two, tb)
+            if trig is None:
+                alpha = two / 2.0
+                trig = _jv(alpha, tb) * tb ** (-alpha)
+            out[big] = trig
     return float(out[0]) if scalar_in else out
 
 

@@ -147,3 +147,34 @@ def test_basis_function_call_matches_values():
     vals = bf.values(pt[None, :])
     for blade, arr in vals.items():
         assert mv._data[blade] == pytest.approx(arr[0])
+
+
+def _majorant(p: CliffordPolynomial, pts: np.ndarray) -> dict[int, np.ndarray]:
+    """Per blade, the sum of |coefficient x monomial| over the terms."""
+    absolute = CliffordPolynomial(
+        p.m, {e: {b: abs(c) for b, c in blades.items()} for e, blades in p.terms.items()}
+    )
+    return absolute.evaluate_batch(np.abs(pts))
+
+
+def test_evaluate_batch_matches_pointwise_evaluate():
+    # the batch builds each monomial from a table of powers by repeated
+    # multiplication; the pointwise route raises each coordinate with **
+    rng = np.random.default_rng(17)
+    for m in (2, 3, 4):
+        pts = rng.uniform(-3.0, 3.0, size=(25, m))
+        polys = [psi(j, k, 1, m).poly for j in range(3) for k in range(4)]
+        polys += [CliffordPolynomial.constant(m, Fraction(-7, 3)), CliffordPolynomial(m)]
+        for p in polys:
+            batch = p.evaluate_batch(pts)
+            scale = _majorant(p, pts)
+            assert set(batch) == set(scale)
+            for n, pt in enumerate(pts):
+                single = p.evaluate(pt)
+                assert set(np.flatnonzero(single._data)) <= set(batch)
+                for blade, vals in batch.items():
+                    err = abs(vals[n] - single._data[blade])
+                    assert err <= 1e-15 * max(1.0, scale[blade][n]), (m, p, blade, err)
+    assert CliffordPolynomial(3).evaluate_batch(pts[:, :3]) == {}
+    with pytest.raises(ValueError):
+        CliffordPolynomial(3).evaluate_batch(np.zeros((4, 2)))

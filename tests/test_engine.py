@@ -25,7 +25,7 @@ from clifft.engine import (
     verify_eigen,
     verify_inversion,
 )
-from clifft.kernels import KernelId
+from clifft.kernels import KernelId, build_kernel, eval_terms
 from clifft.series import eigenvalues_from_coefficients, series_coefficients
 
 
@@ -105,6 +105,58 @@ def test_transform_batch_shares_kernel_evaluations():
         assert set(one) == set(two)
         for blade in one:
             assert np.allclose(one[blade], two[blade], atol=1e-14)
+
+
+def test_transform_of_a_complex_source_is_linear():
+    # at m = 3 the profiles are complex; a complex source value gives a
+    # real and an imaginary row of the weighted matrix
+    m = 3
+    kid = KernelId(m, 1)
+    assert np.iscomplexobj(eval_terms(build_kernel(kid).scalar_terms, 0.3, 0.8))
+    g, h = psi(0, 1, 1, m), psi(1, 0, 1, m)
+
+    def g_plus_ih(pts: np.ndarray):
+        gv, hv = g.values(pts), h.values(pts)
+        return {b: gv.get(b, 0.0) + 1j * hv.get(b, 0.0) for b in gv.keys() | hv.keys()}
+
+    ys = sample_points(m, 5, 2.0, seed=21)
+    t_g, t_h, t_gh = apply_transform_batch(kid, [g, h, g_plus_ih], ys)
+    for bf, got in ((g, t_g), (h, t_h)):
+        lam = closed_form_eigenvalue(m, 1, bf.k, "2p+1" if bf.j % 2 else "2p")
+        want = bf.values(ys)
+        for blade in set(got) | set(want):
+            assert np.max(np.abs(got.get(blade, 0.0) - lam * want.get(blade, 0.0))) < 1e-10, blade
+    assert set(t_gh) == set(t_g) | set(t_h)
+    for blade in t_gh:
+        lin = t_g.get(blade, 0.0) + 1j * t_h.get(blade, 0.0)
+        assert np.max(np.abs(t_gh[blade] - lin)) < 1e-14, blade
+
+
+def test_transform_keeps_even_m_profiles_real(monkeypatch):
+    # at m = 4 the kernel's coefficients are real, so the profile columns
+    # are too; a complex copy of the same profiles gives the same transform
+    m = 4
+    kid = KernelId(m, 1)
+    expr = build_kernel(kid)
+    assert not np.iscomplexobj(eval_terms(expr.scalar_terms, 0.3, 0.8))
+    assert not np.iscomplexobj(eval_terms(expr.bivector_terms, 0.3, 0.8))
+    fs = [psi(0, 1, 1, m), psi(1, 1, 1, m)]
+    ys = sample_points(m, 3, 2.0, seed=22)
+    real = apply_transform_batch(kid, fs, ys)
+    for bf, got in zip(fs, real):
+        lam = closed_form_eigenvalue(m, 1, bf.k, "2p+1" if bf.j % 2 else "2p")
+        want = bf.values(ys)
+        for blade in set(got) | set(want):
+            assert np.max(np.abs(got.get(blade, 0.0) - lam * want.get(blade, 0.0))) < 1e-10, blade
+
+    def complex_terms(terms, s, t):
+        return eval_terms(terms, s, t).astype(complex)
+
+    monkeypatch.setattr(engine, "eval_terms", complex_terms)
+    for one, two in zip(real, apply_transform_batch(kid, fs, ys)):
+        assert set(one) == set(two)
+        for blade in one:
+            assert np.max(np.abs(one[blade] - two[blade])) < 1e-14, blade
 
 
 def test_transform_chunks_bound_point_pairs(monkeypatch):

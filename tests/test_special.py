@@ -75,6 +75,23 @@ def test_jtilde_power_series_against_mpmath_below_one():
     assert worst < 2e-15
 
 
+def test_jtilde_integer_orders_zero_and_one_against_mpmath():
+    # orders 0 and 1 above t = 1 are J_0(t) and J_1(t)/t by scipy's j0 and
+    # j1; hold them to a 60-digit reference on [1, 60]
+    ts = np.concatenate([np.linspace(1.0, 60.0, 400), [1.0 + 1e-12, 2.404825557695773, 3.8317059702075125]])
+    worst = {}
+    with mpmath.workdps(60):
+        for two in (0, 2):
+            got = bessel_jtilde(BesselOrder(two), ts)
+            err = 0.0
+            for t, value in zip(ts, got):
+                tm = mpmath.mpf(t)
+                ref = mpmath.besselj(two // 2, tm) / tm ** (two // 2)
+                err = max(err, float(abs(value - ref) / max(1, abs(ref))))
+            worst[two // 2] = err
+    assert max(worst.values()) <= 1e-15, worst
+
+
 def test_half_integer_closed_forms():
     t = 1.7
     root = math.sqrt(2.0 / math.pi)
