@@ -28,7 +28,6 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -283,24 +282,6 @@ _SUITES = {
 }
 
 
-def _threads(args: argparse.Namespace) -> int:
-    """Thread pool size: 1 without --parallel, else CLIFFT_THREADS or the
-    number of cores, at most 8."""
-    if not args.parallel:
-        return 1
-    env = os.environ.get("CLIFFT_THREADS")
-    return max(1, int(env) if env else min(8, os.cpu_count() or 1))
-
-
-def _map(fn, items: list, threads: int) -> list:
-    """[fn(item) for item in items], on a thread pool when threads > 1;
-    results keep the order of items."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     defaults, units, check, (m_min, m_max, even_only) = _SUITES[args.suite]
     ms = sorted(set(args.m)) if args.m else list(defaults)
@@ -310,13 +291,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         bounds = f"m >= {m_min}" if m_max is None else f"{m_min} <= m <= {m_max}"
         parity = "even " if even_only else ""
         raise ValueError(f"suite {args.suite} accepts {parity}{bounds}, got m = {outside}")
-    threads = _threads(args)
-    checks = [c for unit_checks in _map(check, units(ms), threads) for c in unit_checks]
+    checks = [c for unit in units(ms) for c in check(unit)]
     passed = bool(checks) and all(c.passed for c in checks)
     report = {
         "suite": args.suite,
         "dimensions": ms,
-        "threads": threads,
         "passed": passed,
         "checks": [_row(c) for c in checks],
     }
@@ -413,9 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=sorted(_SUITES))
     p.add_argument("--m", type=int, action="append",
                    help="restrict to this dimension (repeatable)")
-    p.add_argument("--parallel", action="store_true",
-                   help="run independent checks on a thread pool "
-                        "(size from CLIFFT_THREADS)")
     p.add_argument("--output", default="-", help="output file, - for stdout")
     p.set_defaults(func=_cmd_verify)
 

@@ -218,18 +218,8 @@ def closed_form_eigenvalue_exact(
             j_unit = -j_unit
         unit_sgn, unit_one = j_unit, Exact._coerce(e)
 
-    if i % 2 == 0 and k % 2 == 0:
-        unit = unit_one if odd_branch else unit_sgn
-        flip = 0
-    elif i % 2 == 0:
-        unit = unit_sgn if odd_branch else unit_one
-        flip = 0 if odd_branch else 1
-    elif k % 2 == 0:
-        unit = unit_sgn if odd_branch else unit_one
-        flip = 1
-    else:
-        unit = unit_one if odd_branch else unit_sgn
-        flip = 0 if odd_branch else 1
+    unit = unit_sgn if odd_branch == bool((i + k) % 2) else unit_one
+    flip = (not odd_branch) if k % 2 else i % 2
     val = unit * _eigen_magnitude(m, i, k)
     if (p + flip) % 2:
         val = -val

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -77,6 +77,11 @@ class KernelTerm:
             raise ValueError(f"negative power of s in a kernel term: {self.s_power}")
         if self.order.twice_order < -1:
             raise ValueError(f"unsupported Bessel order {self.order}")
+
+    @cached_property
+    def coeff_complex(self) -> complex:
+        """complex(coeff), converted on first use and kept."""
+        return complex(self.coeff)
 
 
 def _canonical(terms: Iterable[KernelTerm]) -> tuple[KernelTerm, ...]:
@@ -436,7 +441,7 @@ def eval_terms(terms: Sequence[KernelTerm], s, t) -> np.ndarray:
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     s_arr, t_arr = np.broadcast_arrays(s_arr, t_arr)
-    coeffs = [complex(term.coeff) for term in terms]
+    coeffs = [term.coeff_complex for term in terms]
     real = not any(c.imag for c in coeffs)
     total = np.zeros(s_arr.shape, dtype=float if real else complex)
     by_order: dict[int, list[tuple[float | complex, int]]] = {}

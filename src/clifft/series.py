@@ -12,11 +12,11 @@ spherical monogenics, the coefficients of the inverse transform, and a
 consistency constraint singling out transforms with a Bochner-type radial
 reduction.
 
-The algorithms read gamma_k = lambda alpha_k (``lambda_exact``, k >= 1)
-together with alpha_0 and beta_k, and evaluate gamma_k against
+Each kernel stores two streams: beta_k, and a_k with a_0 = alpha_0 and
+a_k = lambda alpha_k for k >= 1 (``lambda_exact``), evaluated against
 C_k^lambda / lambda.  Both stay finite as lambda -> 0, so dimension two is
-simply the case lambda = 0: there alpha_k (k >= 1) diverges, only gamma_k
-is stored, and C_k^lambda / lambda = (2/k) T_k.
+simply the case lambda = 0 of one builder: there alpha_k (k >= 1)
+diverges and C_k^lambda / lambda = (2/k) T_k.
 
 All the orders k + lambda, k = 0..N, of one evaluation come from one
 :func:`jtilde_stack`: the power series of ``bessel_jtilde`` below t = 1,
@@ -102,39 +102,27 @@ def transform_normalization(m: int) -> Exact:
 class SeriesCoefficients:
     """Exact coefficient streams of one kernel's series expansion.
 
-    ``lambda_fn`` gives gamma_k = lam alpha_k; it is required at m = 2 and
-    defaults to lam * alpha_fn(k) above.
+    ``a_fn`` gives the A-stream: a_0 = alpha_0 and a_k = lam alpha_k for
+    k >= 1, the coefficient that :func:`eval_series` multiplies by
+    z^k jtilde_{k+lam}(z) C_k^lam(w)/lam.  ``beta_fn`` gives beta_k.  Both
+    are finite in every dimension m >= 2.
     """
 
-    __slots__ = ("m", "provenance", "_alpha", "_beta", "_lambda")
+    __slots__ = ("m", "provenance", "_a", "_beta")
 
     def __init__(
         self,
         m: int,
-        alpha_fn: Callable[[int], Exact],
+        a_fn: Callable[[int], Exact],
         beta_fn: Callable[[int], Exact],
-        lambda_fn: Callable[[int], Exact] | None = None,
         provenance: KernelId | None = None,
     ):
         if m < 2:
             raise ValueError(f"dimension must be >= 2, got {m}")
-        if m == 2 and lambda_fn is None:
-            raise ValueError("dimension 2 requires the limit stream lambda_fn")
         self.m = m
         self.provenance = provenance
-        self._alpha = lru_cache(maxsize=None)(alpha_fn)
+        self._a = lru_cache(maxsize=None)(a_fn)
         self._beta = lru_cache(maxsize=None)(beta_fn)
-        if lambda_fn is None:
-            alpha, lam = self._alpha, self.lam_fraction
-
-            def lambda_fn(k: int) -> Exact:
-                return alpha(k) * lam
-
-        self._lambda = lru_cache(maxsize=None)(lambda_fn)
-
-    @property
-    def limit_representation(self) -> bool:
-        return self.m == 2
 
     @property
     def lam(self) -> float:
@@ -145,14 +133,17 @@ class SeriesCoefficients:
         return Fraction(self.m - 2, 2)
 
     def alpha_exact(self, k: int) -> Exact:
+        """alpha_k: a_0, and a_k / lam for k >= 1, which diverges at m = 2."""
         if k < 0:
             raise ValueError("index must be >= 0")
-        if self.m == 2 and k >= 1:
+        if k == 0:
+            return self._a(0)
+        if self.m == 2:
             raise ValueError(
-                "alpha_k diverges in the dimension-2 limit representation; "
+                "alpha_k diverges at m = 2 (lambda = 0); "
                 "use lambda_exact for the finite limits lambda*alpha_k"
             )
-        return self._alpha(k)
+        return self._a(k) / self.lam_fraction
 
     def beta_exact(self, k: int) -> Exact:
         if k < 0:
@@ -162,21 +153,11 @@ class SeriesCoefficients:
         return self._beta(k)
 
     def lambda_exact(self, k: int) -> Exact:
-        """gamma_k = lambda alpha_k, the entry the series algorithms read
-        for k >= 1 in every dimension; finite at m = 2 (lambda = 0), where
-        alpha_k itself diverges."""
+        """a_k = lambda alpha_k, the entry the series algorithms read for
+        k >= 1 in every dimension."""
         if k < 1:
             raise ValueError("lambda_exact is defined for k >= 1")
-        return self._lambda(k)
-
-    def alpha(self, k: int) -> complex:
-        return complex(self.alpha_exact(k))
-
-    def beta(self, k: int) -> complex:
-        return complex(self.beta_exact(k))
-
-    def lambda_limit(self, k: int) -> complex:
-        return complex(self.lambda_exact(k))
+        return self._a(k)
 
     def __repr__(self) -> str:
         tag = f", provenance={self.provenance}" if self.provenance else ""
@@ -199,8 +180,6 @@ def _route_factors(m: int, e_i: complex) -> tuple[Exact, Exact]:
 
 def series_coefficients(kernel_id: KernelId) -> SeriesCoefficients:
     """Exact expansion coefficients of a built kernel."""
-    if kernel_id.m == 2:
-        return _series_m2(kernel_id)
     coeffs = _series_plus(replace(kernel_id, sign="plus"))
     if kernel_id.sign == "minus":
         coeffs = series_minus_counterpart(coeffs)
@@ -208,78 +187,44 @@ def series_coefficients(kernel_id: KernelId) -> SeriesCoefficients:
 
 
 def _series_plus(kernel_id: KernelId) -> SeriesCoefficients:
+    """Streams of the plus kernel, for every m >= 2.
+
+    With c = 2^(m/2-1) Gamma(m/2), w_0 = 1 and w_k = k + lam (k >= 1),
+    entries of the parity of i are fhat-sourced and the others direct:
+
+        a_k = c sigma (-1)^i w_k (k+i-1)!!/(k+m-i-3)!! * twisted,  k = i mod 2,
+        a_k = -c i w_k (k+i-2)!!/(k+m-i-2)!! * direct,             otherwise,
+        beta_k = 2 c w_k (k+i-2)!!/(k+m-i-2)!! * direct,           k != i mod 2,
+
+    and beta_k = 0 at the parity of i.  The paper's alpha_k (k >= 1) carry
+    the constants 2^(m/2-1) Gamma(m/2-1) = c/lam (fhat-sourced) and
+    2^(m/2-2) Gamma(m/2-1) = c/(2 lam) (direct), which diverge at m = 2;
+    a_k = lam alpha_k folds lam into them.
+    """
     m, i = kernel_id.m, kernel_id.i
-    c1 = gamma2pow(m, 1, 1)
-    c2 = gamma2pow(m, 2, 1)
-    c3 = gamma2pow(m, 1, 0)
+    c = gamma2pow(m, 1, 0)
     if m % 2 == 0:
         sigma = -1 if (m // 2) % 2 else 1
     else:
         sigma = -1 if ((m + 1) // 2) % 2 else 1
+    sigma_i = -sigma if i % 2 else sigma
     direct, twisted = _route_factors(m, kernel_id.e_i)
+    c_direct, c_twisted = c * direct, c * twisted
     lam = Fraction(m - 2, 2)
     df = double_factorial
 
-    if i % 2 == 0:
-
-        def alpha_parts(k: int) -> tuple[Exact, Fraction, Exact]:
-            if k % 2 == 0:
-                j = k // 2
-                q = Fraction(
-                    sigma * (4 * j + m - 2) * df(2 * j + i - 1), 2 * df(2 * j + m - i - 3)
-                )
-                return c1, q, twisted
-            j = (k - 1) // 2
-            q = Fraction(-i * (4 * j + m) * df(2 * j + i - 1), df(2 * j + m - i - 1))
-            return c2, q, direct
-
-        def beta_fn(k: int) -> Exact:
-            if k % 2 == 0:
-                return Exact(0)
-            j = (k - 1) // 2
-            return c3 * Fraction((4 * j + m) * df(2 * j + i - 1), df(2 * j + m - i - 1)) * direct
-
-    else:
-
-        def alpha_parts(k: int) -> tuple[Exact, Fraction, Exact]:
-            if k % 2 == 0:
-                j = k // 2
-                q = Fraction(-i * (4 * j + m - 2) * df(2 * j + i - 2), df(2 * j + m - i - 2))
-                return c2, q, direct
-            j = (k - 1) // 2
-            q = Fraction(-sigma * (4 * j + m) * df(2 * j + i), 2 * df(2 * j + m - i - 2))
-            return c1, q, twisted
-
-        def beta_fn(k: int) -> Exact:
-            if k % 2 or k == 0:
-                return Exact(0)
-            j = k // 2 - 1
-            return c3 * Fraction((4 * j + m + 2) * df(2 * j + i), df(2 * j + m - i)) * direct
-
-    def alpha_fn(k: int) -> Exact:
-        c, q, route = alpha_parts(k)
-        return c * q * route
-
-    def lambda_fn(k: int) -> Exact:
-        c, q, route = alpha_parts(k)
-        return c * (q * lam) * route
-
-    return SeriesCoefficients(m, alpha_fn, beta_fn, lambda_fn, provenance=kernel_id)
-
-
-def _series_m2(kernel_id: KernelId) -> SeriesCoefficients:
-    sign = 1 if kernel_id.sign == "plus" else -1
-
-    def alpha_fn(k: int) -> Exact:
-        return Exact(-1)
-
-    def lambda_fn(k: int) -> Exact:
-        return Exact(-k) if k % 2 == 0 else Exact(0)
+    def a_fn(k: int) -> Exact:
+        w = k + lam if k else 1
+        if (k - i) % 2 == 0:
+            return c_twisted * (w * Fraction(sigma_i * df(k + i - 1), df(k + m - i - 3)))
+        return c_direct * (w * Fraction(-i * df(k + i - 2), df(k + m - i - 2)))
 
     def beta_fn(k: int) -> Exact:
-        return Exact(2 * sign) if k % 2 else Exact(0)
+        if (k - i) % 2 == 0:
+            return Exact(0)
+        return c_direct * ((k + lam) * Fraction(2 * df(k + i - 2), df(k + m - i - 2)))
 
-    return SeriesCoefficients(2, alpha_fn, beta_fn, lambda_fn, provenance=kernel_id)
+    return SeriesCoefficients(m, a_fn, beta_fn, provenance=kernel_id)
 
 
 def series_minus_counterpart(coeffs: SeriesCoefficients) -> SeriesCoefficients:
@@ -296,9 +241,7 @@ def series_minus_counterpart(coeffs: SeriesCoefficients) -> SeriesCoefficients:
     prov = coeffs.provenance
     if prov is not None:
         prov = replace(prov, sign="minus" if prov.sign == "plus" else "plus")
-    return SeriesCoefficients(
-        coeffs.m, flip(coeffs._alpha), flip(coeffs._beta), flip(coeffs._lambda), provenance=prov
-    )
+    return SeriesCoefficients(coeffs.m, flip(coeffs._a), flip(coeffs._beta), provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +268,10 @@ class EigenvaluePair:
 
 def _functionals(coeffs: SeriesCoefficients, k: int) -> tuple[Exact, Exact]:
     """Unbridged pair (D_k, E_k) built from the coefficient streams:
-    D_0 = E_0 = alpha_0, and for k >= 1 with gamma_k = lambda alpha_k
+    D_0 = E_0 = alpha_0, and for k >= 1 with a_k = lambda alpha_k
 
-        D_k = (2 gamma_k - k beta_k) / (m - 2 + 2k),
-        E_k = (2 gamma_k + (k + m - 2) beta_k) / (m - 2 + 2k) = D_k + beta_k.
+        D_k = (2 a_k - k beta_k) / (m - 2 + 2k),
+        E_k = (2 a_k + (k + m - 2) beta_k) / (m - 2 + 2k) = D_k + beta_k.
     """
     if k == 0:
         a0 = coeffs.alpha_exact(0)
@@ -357,9 +300,9 @@ def inverse_coefficients(coeffs: SeriesCoefficients) -> SeriesCoefficients:
     """Coefficient streams whose transform inverts the given one.
 
     Entrywise: with N_k = D_k E_k and r = 1/bridge_prefactor(m)^2,
-    alpha~_k = (alpha_k + beta_k) r/N_k, gamma~_k = (gamma_k + lam beta_k) r/N_k
-    and beta~_k = -beta_k r/N_k, so the bridged eigenvalue products come
-    out exactly 1.  Raises when some eigenvalue vanishes.
+    a~_k = (a_k + lam beta_k) r/N_k (beta_0 = 0, so a~_0 = a_0 r/N_0) and
+    beta~_k = -beta_k r/N_k, so the bridged eigenvalue products come out
+    exactly 1.  Raises when some eigenvalue vanishes.
     """
     lam = coeffs.lam_fraction
     pref = bridge_prefactor(coeffs.m)
@@ -373,16 +316,13 @@ def inverse_coefficients(coeffs: SeriesCoefficients) -> SeriesCoefficients:
             raise ValueError(f"eigenvalue vanishes at k = {k}; no inverse there")
         return rescale / n
 
-    def alpha_fn(k: int) -> Exact:
-        return (coeffs.alpha_exact(k) + coeffs.beta_exact(k)) * scale(k)
-
-    def lambda_fn(k: int) -> Exact:
-        return (coeffs.lambda_exact(k) + coeffs.beta_exact(k) * lam) * scale(k)
+    def a_fn(k: int) -> Exact:
+        return (coeffs._a(k) + coeffs.beta_exact(k) * lam) * scale(k)
 
     def beta_fn(k: int) -> Exact:
         return -coeffs.beta_exact(k) * scale(k)
 
-    return SeriesCoefficients(coeffs.m, alpha_fn, beta_fn, lambda_fn)
+    return SeriesCoefficients(coeffs.m, a_fn, beta_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +336,10 @@ def check_cf_constraint(
     every kernel of the family.
 
     The relation is stated for the minus kernel's streams, with
-    gamma_k = lam alpha_k:
+    a_k = lam alpha_k:
 
-        conj(gamma_{k+1}) + (k+m-1)/2 conj(beta_{k+1})
-            = (-I)^m (-1)^(k+1) (m+2k)/(m-2+2k) (gamma_k - k/2 beta_k),
+        conj(a_{k+1}) + (k+m-1)/2 conj(beta_{k+1})
+            = (-I)^m (-1)^(k+1) (m+2k)/(m-2+2k) (a_k - k/2 beta_k),
 
     whose right side at k = 0 reads -(-I)^m (m/2) alpha_0.
     Plus-kernel provenance is converted first; streams without provenance
@@ -436,18 +376,20 @@ def check_cf_constraint(
 
 def classical_coefficients(m: int) -> SeriesCoefficients:
     """Streams of the classical scalar kernel exp(-I <x, y>), scale-free:
-    alpha_k = (lam + k)(-I)^k and beta = 0.  Useful as a comparison point
-    for the consistency constraint."""
+    alpha_k = (lam + k)(-I)^k, so a_0 = lam and a_k = lam (lam + k)(-I)^k,
+    and beta = 0.  Useful as a comparison point for the consistency
+    constraint."""
     if m < 3:
         raise ValueError("the classical streams need m >= 3")
+    lam = Fraction(m - 2, 2)
 
-    def alpha_fn(k: int) -> Exact:
-        return Exact(0, -1) ** (k % 4) * Fraction(m - 2 + 2 * k, 2)
+    def a_fn(k: int) -> Exact:
+        return Exact(0, -1) ** (k % 4) * ((lam + k) * (lam if k else 1))
 
     def beta_fn(k: int) -> Exact:
         return Exact(0)
 
-    return SeriesCoefficients(m, alpha_fn, beta_fn)
+    return SeriesCoefficients(m, a_fn, beta_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +532,7 @@ def eval_series(
     """Partial sums (A, B) of the expansion through index n_terms.
 
     z >= 0 and w in [-1, 1] broadcast together.  The A terms k >= 1 are
-    summed as gamma_k z^k jtilde_{k+lam}(z) C_k^lam(w)/lam.  The Bessel
+    summed as a_k z^k jtilde_{k+lam}(z) C_k^lam(w)/lam.  The Bessel
     factors of all n_terms + 1 orders come from one :func:`jtilde_stack`.
     """
     z_arr = np.asarray(z, dtype=float)
@@ -610,12 +552,12 @@ def eval_series(
     for k in range(n + 1):
         jt = jts[k]
         if k == 0:
-            a_total += coeffs.alpha(0) * jt
+            a_total += complex(coeffs.alpha_exact(0)) * jt
         else:
-            g_k = coeffs.lambda_limit(k)
-            if g_k:
-                a_total += g_k * zpow * jt * geg_a[k]
-            b_k = coeffs.beta(k)
+            a_k = complex(coeffs.lambda_exact(k))
+            if a_k:
+                a_total += a_k * zpow * jt * geg_a[k]
+            b_k = complex(coeffs.beta_exact(k))
             if b_k:
                 b_total += b_k * zpow_prev * jt * geg_b[k - 1]
         zpow_prev = zpow
@@ -636,7 +578,7 @@ def series_kernel_value(
 def _term_magnitudes(coeffs: SeriesCoefficients, k: int, log_half_z: float) -> float:
     """Majorant of the k-th term of |A| + |B| over |w| <= 1 at fixed z.
 
-    The A term for k >= 1 reads |gamma_k| with
+    The A term for k >= 1 reads |a_k| with
     C_k^lam(1)/lam = 2 Gamma(2 lam + k) / (Gamma(2 lam + 1) k!),
     which is 2/k at lam = 0."""
     lam = coeffs.lam
@@ -709,22 +651,20 @@ def coefficient_rows(
     """Rows for tabulation: per k the streams, and optionally the inverse
     streams with the bridged eigenvalue products (exactly 1).
 
-    In dimension 2 the alpha columns hold the limit entries lambda*alpha_k
-    for k >= 1.
+    In dimension 2, where alpha_k diverges, the alpha columns hold
+    a_k = lambda*alpha_k for k >= 1.
     """
     inv = inverse_coefficients(coeffs) if include_inverse else None
 
     def entry(c: SeriesCoefficients, k: int) -> complex:
-        if c.m == 2 and k >= 1:
-            return complex(c.lambda_exact(k))
-        return c.alpha(k)
+        return complex(c.lambda_exact(k) if c.m == 2 and k else c.alpha_exact(k))
 
     rows = []
     for k in range(k_max + 1):
-        row: dict = {"k": k, "alpha": entry(coeffs, k), "beta": coeffs.beta(k)}
+        row: dict = {"k": k, "alpha": entry(coeffs, k), "beta": complex(coeffs.beta_exact(k))}
         if inv is not None:
             row["inv_alpha"] = entry(inv, k)
-            row["inv_beta"] = inv.beta(k)
+            row["inv_beta"] = complex(inv.beta_exact(k))
             ev = eigenvalues_from_coefficients(coeffs, k)
             ev_inv = eigenvalues_from_coefficients(inv, k)
             row["prod_even"] = complex(ev.even_exact * ev_inv.even_exact)

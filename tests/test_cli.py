@@ -79,20 +79,8 @@ def test_verify_suite_json_and_exit_code(capsys):
     assert report["suite"] == "l2"
     assert report["passed"] is True
     assert report["dimensions"] == [4, 6]
+    assert set(report) == {"suite", "dimensions", "passed", "checks"}
     assert all("passed" in c for c in report["checks"])
-
-
-def test_verify_structural_deterministic_under_parallel(capsys, monkeypatch):
-    code, serial = run_cli(capsys, "verify", "--suite", "structural", "--m", "4")
-    assert code == 0
-    monkeypatch.setenv("CLIFFT_THREADS", "3")
-    code, parallel = run_cli(
-        capsys, "verify", "--suite", "structural", "--m", "4", "--parallel",
-    )
-    assert code == 0
-    a, b = json.loads(serial), json.loads(parallel)
-    assert a["checks"] == b["checks"]
-    assert b["threads"] == 3
 
 
 def test_verify_constraint_suite(capsys):

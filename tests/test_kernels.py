@@ -18,6 +18,7 @@ from clifft.kernels import (
     build_kernel_even,
     build_kernel_odd,
     eval_kernel,
+    eval_terms,
     fg_system_residual,
     fhat_terms,
     ftilde_terms,
@@ -198,3 +199,23 @@ def test_kernel_expr_canonicalizes():
     assert e.scalar_terms == (term(Exact(3), 0, 1),)
     e = KernelExpr(4, (term(Exact(1), 0, 1), term(Exact(-1), 0, 1)), ())
     assert e.scalar_terms == ()
+
+
+def test_eval_terms_converts_each_coefficient_once(monkeypatch):
+    expr = build_kernel(KernelId(5, 2))
+    # fresh terms: the cached kernel's terms may have been evaluated already
+    terms = [replace(term) for term in expr.scalar_terms + expr.bivector_terms]
+    converted = []
+    to_complex = Exact.__complex__
+
+    def counting(self):
+        converted.append(self)
+        return to_complex(self)
+
+    monkeypatch.setattr(Exact, "__complex__", counting)
+    s_pts, t_pts = np.array([0.3, -1.2]), np.array([0.5, 2.0])
+    first = eval_terms(terms, s_pts, t_pts)
+    second = eval_terms(terms, s_pts, t_pts)
+    assert np.array_equal(first, second)
+    assert len(converted) == len(terms)
+    assert sorted(map(id, converted)) == sorted(id(term.coeff) for term in terms)

@@ -66,16 +66,17 @@ def test_coefficient_spot_values_dim4_index1():
 
 
 def test_plane_limit_streams():
-    c = series_coefficients(KernelId(2, 0))
-    assert c.limit_representation
-    assert c.alpha_exact(0) == Exact(-1)
-    with pytest.raises(ValueError):
-        c.alpha_exact(1)  # only the limit stream survives at k >= 1
-    assert c.lambda_exact(2) == Exact(-2)
-    assert c.lambda_exact(3).is_zero
-    assert c.beta_exact(1) == Exact(2)
-    minus = series_coefficients(KernelId(2, 0, "minus"))
-    assert minus.beta_exact(1) == Exact(-2)
+    # the m = 2 streams in closed form: alpha_0 = -1, a_k = lambda*alpha_k
+    # = -k at even k and 0 at odd k, beta_k = +-2 at odd k and 0 at even k
+    for sign, b in (("plus", 2), ("minus", -2)):
+        c = series_coefficients(KernelId(2, 0, sign))
+        assert c.alpha_exact(0) == Exact(-1)
+        with pytest.raises(ValueError):
+            c.alpha_exact(1)  # alpha_k diverges at lambda = 0
+        for k in range(1, 61):
+            assert c.lambda_exact(k) == (Exact(-k) if k % 2 == 0 else Exact(0))
+        for k in range(61):
+            assert c.beta_exact(k) == (Exact(b) if k % 2 else Exact(0))
 
 
 def test_minus_counterpart_alternating_conjugate():
@@ -152,7 +153,10 @@ def test_constraint_detects_perturbed_stream():
             return val + Exact(Fraction(1, 10**6))
         return val
 
-    tweaked = SeriesCoefficients(4, base.alpha_exact, beta_fn, provenance=base.provenance)
+    def a_fn(k: int) -> Exact:
+        return base.lambda_exact(k) if k else base.alpha_exact(0)
+
+    tweaked = SeriesCoefficients(4, a_fn, beta_fn, provenance=base.provenance)
     check = check_cf_constraint(tweaked, k_max=10)
     assert not check.passed
     assert check.params["worst_k"] in (2, 3)
