@@ -3,9 +3,10 @@
 Polynomials with Clifford coefficients are kept exact: a term is an
 exponent tuple (one entry per variable) mapped to blade coefficients in
 Fraction arithmetic.  Harmonics are computed as the exact nullspace of
-the Laplacian, orthogonalized over the sphere with rational moments, and
-mapped to monogenics by the Fischer-type projection
-M = (1 + x d/(m + 2k - 2)) H.  Basis functions come in two parities,
+the Laplacian, orthogonalized over the sphere by fraction-free
+Gram-Schmidt on integer moment numerators, and mapped to monogenics by
+the Fischer-type projection M = (1 + x d/(m + 2k - 2)) H.  Basis
+functions come in two parities,
 
     psi_{2a, k, l}   = L_a^(m/2 + k - 1)(|x|^2)   M_k^(l)(x) exp(-|x|^2/2),
     psi_{2a+1, k, l} = L_a^(m/2 + k)(|x|^2)  x  M_k^(l)(x) exp(-|x|^2/2),
@@ -246,29 +247,25 @@ def _expo_add(a: Expo, b: Expo) -> Expo:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _vec_inner(m: int, u: dict[Expo, Fraction], v: dict[Expo, Fraction]) -> Fraction:
-    total = Fraction(0)
-    for ea, ca in u.items():
-        for eb, cb in v.items():
-            w = _moment(m, _expo_add(ea, eb))
-            if w:
-                total += ca * cb * w
-    return total
+def _class_moments(sub: Sequence[Expo]) -> list[list[int]]:
+    """Integer moment matrix of one parity class of degree-k monomials.
+
+    Two exponents of one class sum to an all-even exponent of degree 2k,
+    whose sphere moment is prod_j (e_j - 1)!! over the denominator
+    prod_{d <= k} (m + 2d - 2) that every entry shares; the matrix holds
+    the numerators.  Dropping a positive common factor leaves every
+    Gram-Schmidt projection ratio unchanged.
+    """
+    odd_df = [double_factorial(n - 1) for n in range(2 * sum(sub[0]) + 1)]
+    return [
+        [math.prod(odd_df[x + y] for x, y in zip(ea, eb)) for eb in sub]
+        for ea in sub
+    ]
 
 
-def _primitive(v: dict[Expo, Fraction], order: Sequence[Expo]) -> dict[Expo, Fraction]:
-    """Clear denominators, divide by the content, fix the leading sign."""
-    denom_lcm = 1
-    for c in v.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = {e: int(c * denom_lcm) for e, c in v.items()}
-    g = 0
-    for c in ints.values():
-        g = math.gcd(g, abs(c))
-    lead = next(e for e in order if ints.get(e))
-    if ints[lead] < 0:
-        g = -g
-    return {e: Fraction(c, g) for e, c in ints.items() if c}
+def _content_divided(v: list[int]) -> list[int]:
+    g = math.gcd(*v)
+    return [c // g for c in v]
 
 
 def _nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -308,8 +305,10 @@ def harmonic_basis(m: int, k: int) -> tuple[CliffordPolynomial, ...]:
 
     The Laplacian preserves the componentwise parity of exponents, and
     sphere moments vanish across parity classes, so the nullspace and the
-    Gram-Schmidt run class by class; results are rescaled to primitive
-    integer coefficients.
+    Gram-Schmidt run class by class.  Gram-Schmidt runs in integers on
+    the class's moment numerators; each element has coprime integer
+    coefficients, a positive first coefficient in monomial order, and its
+    terms in that order.
     """
     if m < 2:
         raise ValueError("harmonics need m >= 2")
@@ -334,25 +333,23 @@ def harmonic_basis(m: int, k: int) -> tuple[CliffordPolynomial, ...]:
                 rows[row_of[tgt]][col_of[e]] = rows[row_of[tgt]].get(
                     col_of[e], Fraction(0)
                 ) + e[j] * (e[j] - 1)
-        null = _nullspace(rows, len(sub))
-        ortho: list[dict[Expo, Fraction]] = []
-        norms: list[Fraction] = []
-        for vec in null:
-            v = {sub[idx]: c for idx, c in enumerate(vec) if c}
-            for u, nu in zip(ortho, norms):
-                proj = _vec_inner(m, v, u)
+        gram = _class_moments(sub)
+        # fraction-free Gram-Schmidt: v <- nu v - <v, u> u with
+        # nu = <u, u> > 0 is a positive multiple of the rational update,
+        # and so is every division by the content
+        done: list[tuple[list[int], list[int], int]] = []  # (u, G u, <u, u>)
+        for vec in _nullspace(rows, len(sub)):
+            lcm = math.lcm(*(c.denominator for c in vec))
+            v = _content_divided([int(c * lcm) for c in vec])
+            for u, gu, nu in done:
+                proj = sum(a * b for a, b in zip(v, gu))
                 if proj:
-                    v = {
-                        e: v.get(e, Fraction(0)) - (proj / nu) * u.get(e, Fraction(0))
-                        for e in set(v) | set(u)
-                    }
-                    v = {e: c for e, c in v.items() if c}
-            v = _primitive(v, sub)
-            ortho.append(v)
-            norms.append(_vec_inner(m, v, v))
-        out.extend(
-            CliffordPolynomial(m, {e: {0: c} for e, c in v.items()}) for v in ortho
-        )
+                    v = _content_divided([nu * a - proj * b for a, b in zip(v, u)])
+            if next(c for c in v if c) < 0:
+                v = [-c for c in v]
+            gv = [sum(a * b for a, b in zip(row, v)) for row in gram]
+            done.append((v, gv, sum(a * b for a, b in zip(v, gv))))
+            out.append(CliffordPolynomial(m, {e: {0: c} for e, c in zip(sub, v) if c}))
     if len(out) != harmonic_dimension(m, k):
         raise RuntimeError(
             f"harmonic space dimension mismatch: built {len(out)}, "

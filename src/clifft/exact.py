@@ -21,6 +21,7 @@ from fractions import Fraction
 __all__ = ["Exact", "U_FLOAT", "ZERO", "ONE", "I_UNIT", "U", "exact_from_float"]
 
 U_FLOAT = math.sqrt(math.pi / 2.0)
+_FRACTION_ZERO = Fraction(0)
 
 
 def _as_fraction(v) -> Fraction:
@@ -107,10 +108,18 @@ class Exact:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        upow = self.upow + o.upow
+        # a real operand needs two products, two real operands one
+        if not o.im:
+            if not self.im:
+                return Exact(self.re * o.re, _FRACTION_ZERO, upow)
+            return Exact(self.re * o.re, self.im * o.re, upow)
+        if not self.im:
+            return Exact(self.re * o.re, self.re * o.im, upow)
         return Exact(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
-            self.upow + o.upow,
+            upow,
         )
 
     __rmul__ = __mul__

@@ -271,9 +271,7 @@ def double_factorial(n: int) -> int:
     """n!! for n >= -1, with (-1)!! = 0!! = 1."""
     if n < -1:
         raise ValueError(f"double factorial undefined for {n}")
-    if n <= 0:
-        return 1
-    return n * double_factorial(n - 2)
+    return math.prod(range(n, 0, -2))
 
 
 def log_gamma(x: float) -> float:

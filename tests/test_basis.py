@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from clifft import basis as basis_module
 from clifft.algebra import Multivector
 from clifft.basis import (
     BasisFunction,
@@ -35,14 +36,85 @@ def test_harmonic_dimension_spots():
 
 
 def test_harmonic_basis_is_harmonic_and_orthogonal():
-    for m, k in ((2, 3), (3, 2), (4, 3)):
+    for m, k in ((2, 3), (3, 2), (4, 3), (5, 4), (6, 3)):
         basis = harmonic_basis(m, k)
         assert len(basis) == harmonic_dimension(m, k)
         for p in basis:
             assert laplace(p).is_zero()
         for a in range(len(basis)):
+            assert sphere_inner_exact(basis[a], basis[a]) > 0
             for b in range(a):
                 assert sphere_inner_exact(basis[a], basis[b]) == 0
+
+
+def _fraction_inner(m, u, v):
+    total = Fraction(0)
+    for ea, ca in u.items():
+        for eb, cb in v.items():
+            w = basis_module._moment(m, tuple(x + y for x, y in zip(ea, eb)))
+            if w:
+                total += ca * cb * w
+    return total
+
+
+def _fraction_primitive(v, order):
+    denom_lcm = math.lcm(*(c.denominator for c in v.values()))
+    ints = {e: int(c * denom_lcm) for e, c in v.items()}
+    g = math.gcd(*ints.values())
+    if ints[next(e for e in order if ints.get(e))] < 0:
+        g = -g
+    return {e: Fraction(c, g) for e, c in ints.items() if c}
+
+
+def _fraction_harmonic_basis(m, k):
+    """Class-by-class Laplacian nullspace, then Gram-Schmidt in Fractions
+    on rational sphere moments: the reference for the integer route."""
+    classes = {}
+    for e in basis_module._monomials(m, k):
+        classes.setdefault(tuple(x % 2 for x in e), []).append(e)
+    row_monos = basis_module._monomials(m, k - 2) if k >= 2 else []
+    out = []
+    for par, sub in classes.items():
+        rows_of = {e: {} for e in row_monos if tuple(x % 2 for x in e) == par}
+        for col, e in enumerate(sub):
+            for j in range(m):
+                if e[j] >= 2:
+                    row = rows_of[e[:j] + (e[j] - 2,) + e[j + 1 :]]
+                    row[col] = row.get(col, Fraction(0)) + e[j] * (e[j] - 1)
+        ortho, norms = [], []
+        for vec in basis_module._nullspace(list(rows_of.values()), len(sub)):
+            v = {sub[idx]: c for idx, c in enumerate(vec) if c}
+            for u, nu in zip(ortho, norms):
+                proj = _fraction_inner(m, v, u)
+                if proj:
+                    v = {
+                        e: v.get(e, Fraction(0)) - (proj / nu) * u.get(e, Fraction(0))
+                        for e in set(v) | set(u)
+                    }
+                    v = {e: c for e, c in v.items() if c}
+            v = _fraction_primitive(v, sub)
+            ortho.append(v)
+            norms.append(_fraction_inner(m, v, v))
+        out.extend(CliffordPolynomial(m, {e: {0: c} for e, c in v.items()}) for v in ortho)
+    return out
+
+
+HARMONIC_ORACLE_CASES = [(m, k) for m in range(2, 7) for k in range(5)] + [(8, 4)]
+
+
+@pytest.mark.parametrize("m, k", HARMONIC_ORACLE_CASES)
+def test_harmonic_basis_matches_fraction_gram_schmidt(m, k):
+    built = harmonic_basis(m, k)
+    assert list(built) == _fraction_harmonic_basis(m, k)
+    position = {e: n for n, e in enumerate(basis_module._monomials(m, k))}
+    for p in built:
+        coeffs = [blades[0] for blades in p.terms.values()]
+        assert set(b for blades in p.terms.values() for b in blades) == {0}
+        assert all(c.denominator == 1 for c in coeffs)
+        assert math.gcd(*(c.numerator for c in coeffs)) == 1
+        assert coeffs[0] > 0
+        order = [position[e] for e in p.terms]
+        assert order == sorted(order)
 
 
 def test_monogenic_dirac_annihilation_exact():

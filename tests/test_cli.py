@@ -72,6 +72,14 @@ def test_coeffs_inverse_products(capsys):
         assert float(row["prod_odd_re"]) == 1.0
 
 
+def test_coeffs_at_a_dimension_beyond_the_recursion_limit(capsys):
+    # gamma2pow(2203, 1, 0) needs 2201!!, about 1,100 factors
+    code, out = run_cli(capsys, "coeffs", "--m", "2203", "--i", "0", "--k-max", "2")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["k"]) for r in rows] == [0, 1, 2]
+
+
 def test_verify_suite_json_and_exit_code(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "l2", "--m", "4", "--m", "6")
     assert code == 0

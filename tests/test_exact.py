@@ -88,3 +88,31 @@ def test_exact_from_float_round_trip():
 def test_float_of_imaginary_raises():
     with pytest.raises(ValueError):
         float(I_UNIT)
+
+
+often_zero = st.one_of(st.just(Fraction(0)), fractions)
+sparse_exacts = st.builds(Exact, often_zero, often_zero, upows)
+plain_operands = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    often_zero,
+    st.builds(
+        complex,
+        st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+        st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+    ),
+)
+
+
+def _four_products(a: Exact, b: Exact) -> tuple[Fraction, Fraction, int]:
+    re = a.re * b.re - a.im * b.im
+    im = a.re * b.im + a.im * b.re
+    return re, im, (a.upow + b.upow) if (re or im) else 0
+
+
+@given(sparse_exacts, st.one_of(sparse_exacts, plain_operands))
+def test_mul_real_operand_paths_match_four_products(a, b):
+    want = _four_products(a, Exact._coerce(b))
+    for prod in (a * b, b * a):
+        assert isinstance(prod, Exact)
+        assert isinstance(prod.re, Fraction) and isinstance(prod.im, Fraction)
+        assert (prod.re, prod.im, prod.upow) == want

@@ -152,3 +152,8 @@ def test_double_factorial_values():
     ]
     with pytest.raises(ValueError):
         double_factorial(-2)
+
+
+def test_double_factorial_cold_call_beyond_recursion_limit():
+    double_factorial.cache_clear()
+    assert double_factorial(4001) == math.prod(range(4001, 0, -2))
