@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, blade_product
+from .algebra import Multivector
 from .special import double_factorial
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
 
 Expo = tuple[int, ...]
 BladeMap = dict[int, Fraction]
+_ZERO = Fraction(0)
 
 
 class CliffordPolynomial:
@@ -68,6 +69,16 @@ class CliffordPolynomial:
             if row:
                 clean[expo] = row
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, m: int, rows: dict[Expo, BladeMap]) -> CliffordPolynomial:
+        """No validation: rows of the library's own Fraction arithmetic,
+        with exponent tuples of length m; zero coefficients and the rows
+        they empty are dropped, order kept."""
+        self = object.__new__(cls)
+        self.m = m
+        self.terms = {e: r for e, row in rows.items() if (r := {b: c for b, c in row.items() if c})}
+        return self
 
     @classmethod
     def constant(cls, m: int, value) -> CliffordPolynomial:
@@ -93,15 +104,15 @@ class CliffordPolynomial:
         for expo, blades in other.terms.items():
             row = out.setdefault(expo, {})
             for blade, c in blades.items():
-                row[blade] = row.get(blade, Fraction(0)) + c
-        return CliffordPolynomial(self.m, out)
+                row[blade] = row.get(blade, _ZERO) + c
+        return CliffordPolynomial._trusted(self.m, out)
 
     def __sub__(self, other: CliffordPolynomial) -> CliffordPolynomial:
         return self + other.scale(-1)
 
     def scale(self, factor) -> CliffordPolynomial:
         f = Fraction(factor)
-        return CliffordPolynomial(
+        return CliffordPolynomial._trusted(
             self.m,
             {e: {b: c * f for b, c in blades.items()} for e, blades in self.terms.items()},
         )
@@ -160,17 +171,27 @@ class CliffordPolynomial:
 
 
 def _vector_times(p: CliffordPolynomial, step: int) -> CliffordPolynomial:
-    """sum_j e_j D_j p: D_j multiplies by x_j (step 1) or is d/dx_j (step -1)."""
-    out: dict[Expo, BladeMap] = {}
+    """sum_j e_j D_j p: D_j multiplies by x_j (step 1) or is d/dx_j (step -1).
+
+    Runs on integer numerators over the lcm of p's denominators, with
+    e_j e_B = (-1)^s e_(B xor j), s the number of generators of B up to
+    and including e_j."""
+    den = math.lcm(*(c.denominator for blades in p.terms.values() for c in blades.values()))
+    out: dict[Expo, dict[int, int]] = {}
     for expo, blades in p.terms.items():
+        nums = [(b, c.numerator * (den // c.denominator)) for b, c in blades.items()]
         for j in range(p.m):
             factor = 1 if step > 0 else expo[j]
             if not factor:
                 continue
+            bit, low = 1 << j, (2 << j) - 1
             row = out.setdefault(expo[:j] + (expo[j] + step,) + expo[j + 1 :], {})
-            for blade, c in blade_product({1 << j: factor}, blades).items():
-                row[blade] = row.get(blade, Fraction(0)) + c
-    return CliffordPolynomial(p.m, out)
+            for b, n in nums:
+                term = -factor * n if (b & low).bit_count() & 1 else factor * n
+                row[b ^ bit] = row.get(b ^ bit, 0) + term
+    return CliffordPolynomial._trusted(
+        p.m, {e: {b: Fraction(n, den) for b, n in row.items() if n} for e, row in out.items()}
+    )
 
 
 def dirac(p: CliffordPolynomial) -> CliffordPolynomial:
@@ -193,8 +214,8 @@ def laplace(p: CliffordPolynomial) -> CliffordPolynomial:
             factor = expo[j] * (expo[j] - 1)
             row = out.setdefault(new_expo, {})
             for blade, c in blades.items():
-                row[blade] = row.get(blade, Fraction(0)) + c * factor
-    return CliffordPolynomial(p.m, out)
+                row[blade] = row.get(blade, _ZERO) + c * factor
+    return CliffordPolynomial._trusted(p.m, out)
 
 
 def _r2_times(p: CliffordPolynomial) -> CliffordPolynomial:
@@ -204,8 +225,8 @@ def _r2_times(p: CliffordPolynomial) -> CliffordPolynomial:
             new_expo = expo[:j] + (expo[j] + 2,) + expo[j + 1 :]
             row = out.setdefault(new_expo, {})
             for blade, c in blades.items():
-                row[blade] = row.get(blade, Fraction(0)) + c
-    return CliffordPolynomial(p.m, out)
+                row[blade] = row.get(blade, _ZERO) + c
+    return CliffordPolynomial._trusted(p.m, out)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,15 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"cannot interpret {type(v).__name__} as an exact rational")
 
 
+def _exact_complex(re: Fraction, im: Fraction) -> complex | None:
+    """complex(re, im) when both parts are exactly binary floats."""
+    try:
+        z = complex(float(re), float(im))
+    except OverflowError:
+        return None
+    return z if Fraction(z.real) == re and Fraction(z.imag) == im else None
+
+
 class Exact:
     """A complex rational multiple of u**upow, u = sqrt(pi/2)."""
 
@@ -50,6 +59,13 @@ class Exact:
         self.im = im
         self.upow = int(upow)
 
+    @classmethod
+    def _trusted(cls, re: Fraction, im: Fraction, upow: int) -> Exact:
+        """No conversion: re and im are already Fractions."""
+        self = object.__new__(cls)
+        self.re, self.im, self.upow = re, im, upow if re or im else 0
+        return self
+
     # -- predicates ------------------------------------------------------
 
     @property
@@ -62,8 +78,10 @@ class Exact:
     def _coerce(other):
         if isinstance(other, Exact):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Exact(other)
+        if isinstance(other, Fraction):
+            return Exact._trusted(other, _FRACTION_ZERO, 0)
+        if isinstance(other, int):
+            return Exact._trusted(Fraction(other), _FRACTION_ZERO, 0)
         if isinstance(other, complex):
             return Exact(_as_fraction(other.real), _as_fraction(other.imag))
         if isinstance(other, float):
@@ -85,12 +103,12 @@ class Exact:
                 "cannot add exact scalars carrying different powers of "
                 f"sqrt(pi/2): u**{self.upow} vs u**{o.upow}"
             )
-        return Exact(self.re + o.re, self.im + o.im, self.upow)
+        return Exact._trusted(self.re + o.re, self.im + o.im, self.upow)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Exact(-self.re, -self.im, self.upow)
+        return Exact._trusted(-self.re, -self.im, self.upow)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -112,11 +130,11 @@ class Exact:
         # a real operand needs two products, two real operands one
         if not o.im:
             if not self.im:
-                return Exact(self.re * o.re, _FRACTION_ZERO, upow)
-            return Exact(self.re * o.re, self.im * o.re, upow)
+                return Exact._trusted(self.re * o.re, _FRACTION_ZERO, upow)
+            return Exact._trusted(self.re * o.re, self.im * o.re, upow)
         if not self.im:
-            return Exact(self.re * o.re, self.re * o.im, upow)
-        return Exact(
+            return Exact._trusted(self.re * o.re, self.re * o.im, upow)
+        return Exact._trusted(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
             upow,
@@ -131,7 +149,7 @@ class Exact:
         d = o.re * o.re + o.im * o.im
         if not d:
             raise ZeroDivisionError("division by exact zero")
-        return Exact(
+        return Exact._trusted(
             (self.re * o.re + self.im * o.im) / d,
             (self.im * o.re - self.re * o.im) / d,
             self.upow - o.upow,
@@ -157,7 +175,7 @@ class Exact:
         return out
 
     def conjugate(self) -> Exact:
-        return Exact(self.re, -self.im, self.upow)
+        return Exact._trusted(self.re, -self.im, self.upow)
 
     # -- conversions -----------------------------------------------------
 
@@ -188,6 +206,13 @@ class Exact:
         return self.re == o.re and self.im == o.im and self.upow == o.upow
 
     def __hash__(self):
+        # equal to hash(other) wherever __eq__ can hold against a number
+        if self.upow == 0:
+            if not self.im:
+                return hash(self.re)
+            z = _exact_complex(self.re, self.im)
+            if z is not None:
+                return hash(z)
         return hash((self.re, self.im, self.upow))
 
     def __repr__(self) -> str:

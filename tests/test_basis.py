@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from clifft import basis as basis_module
-from clifft.algebra import Multivector
+from clifft.algebra import Multivector, blade_product
 from clifft.basis import (
     BasisFunction,
     CliffordPolynomial,
@@ -250,3 +250,128 @@ def test_evaluate_batch_matches_pointwise_evaluate():
     assert CliffordPolynomial(3).evaluate_batch(pts[:, :3]) == {}
     with pytest.raises(ValueError):
         CliffordPolynomial(3).evaluate_batch(np.zeros((4, 2)))
+
+
+def _reference_vector_times(p: CliffordPolynomial, step: int) -> CliffordPolynomial:
+    """sum_j e_j D_j p term by term through blade_product in Fractions:
+    the reference for the integer route of dirac and x_times."""
+    out = {}
+    for expo, blades in p.terms.items():
+        for j in range(p.m):
+            factor = 1 if step > 0 else expo[j]
+            if not factor:
+                continue
+            row = out.setdefault(expo[:j] + (expo[j] + step,) + expo[j + 1 :], {})
+            for blade, c in blade_product({1 << j: factor}, blades).items():
+                row[blade] = row.get(blade, Fraction(0)) + c
+    return CliffordPolynomial(p.m, out)
+
+
+def _random_polynomial(rng, m: int, n_terms: int, max_degree: int) -> CliffordPolynomial:
+    terms = {}
+    for _ in range(n_terms):
+        expo = tuple(int(e) for e in rng.integers(0, max_degree + 1, m))
+        row = terms.setdefault(expo, {})
+        for blade in rng.choice(1 << m, size=int(rng.integers(1, 4)), replace=False):
+            num, den = int(rng.integers(-40, 41)), int(rng.integers(1, 13))
+            row[int(blade)] = Fraction(num, den)
+    return CliffordPolynomial(m, terms)
+
+
+def _ordered(p: CliffordPolynomial):
+    return [(e, list(row.items())) for e, row in p.terms.items()]
+
+
+def _assert_clean(p: CliffordPolynomial, m: int):
+    """The invariants is_zero and == rely on."""
+    assert p.m == m
+    for expo, row in p.terms.items():
+        assert type(expo) is tuple and len(expo) == m
+        assert all(type(e) is int and e >= 0 for e in expo)
+        assert row, expo
+        for blade, c in row.items():
+            assert type(blade) is int and 0 <= blade < 1 << m
+            assert type(c) is Fraction and c != 0
+
+
+def test_dirac_and_x_times_match_blade_product_reference():
+    rng = np.random.default_rng(11)
+    for m in (2, 3, 4, 5):
+        for _ in range(25):
+            p = _random_polynomial(rng, m, int(rng.integers(1, 9)), 4)
+            for op, step in ((dirac, -1), (x_times, 1)):
+                got, want = op(p), _reference_vector_times(p, step)
+                assert got == want
+                assert _ordered(got) == _ordered(want)
+    # x(x q) = -r^2 q: the cross terms e_i e_j + e_j e_i cancel
+    q = CliffordPolynomial(3, {(1, 0, 0): {0b110: Fraction(2, 3)}, (0, 1, 1): {1: Fraction(-5)}})
+    assert x_times(x_times(q)) == basis_module._r2_times(q).scale(-1)
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m in range(2, 7) for k in range(1, 5)])
+def test_monogenic_route_matches_blade_product_reference(m, k):
+    for h, mono in zip(harmonic_basis(m, k), monogenic_basis(m, k)):
+        dh = _reference_vector_times(h, -1)
+        want = h + _reference_vector_times(dh, 1).scale(Fraction(1, m + 2 * k - 2))
+        assert _ordered(mono.poly) == _ordered(want)
+        assert _reference_vector_times(mono.poly, -1).is_zero()
+
+
+def _fd_dirac(p: CliffordPolynomial, pts: np.ndarray, h: float) -> dict[int, np.ndarray]:
+    """sum_j e_j d/dx_j of p's values by the five-point stencil, which
+    is exact for polynomials of degree <= 4 up to rounding."""
+    acc: dict[int, np.ndarray] = {}
+    for j in range(p.m):
+        step = np.zeros(p.m)
+        step[j] = h
+        vals = [p.evaluate_batch(pts + s * step) for s in (-2, -1, 1, 2)]
+        blades = set().union(*vals)
+        deriv = {
+            b: sum(w * v.get(b, 0.0) for w, v in zip((1.0, -8.0, 8.0, -1.0), vals)) / (12 * h)
+            for b in blades
+        }
+        for b, c in blade_product({1 << j: 1.0}, deriv).items():
+            acc[b] = acc.get(b, 0.0) + c
+    return acc
+
+
+def _max_abs(values: dict[int, np.ndarray]) -> float:
+    return max((float(np.max(np.abs(v))) for v in values.values()), default=0.0)
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m in range(3, 6) for k in range(4)])
+def test_monogenics_pass_a_finite_difference_dirac(m, k):
+    rng = np.random.default_rng(100 * m + k)
+    pts = rng.uniform(-1.0, 1.0, size=(12, m))
+    for h, mono in zip(harmonic_basis(m, k), monogenic_basis(m, k)):
+        scale = max(1.0, _max_abs(_majorant(mono.poly, np.abs(pts) + 0.1)))
+        assert _max_abs(_fd_dirac(mono.poly, pts, 1e-2)) <= 1e-11 * scale
+        # the same stencil sees the Dirac of the harmonic, which is not zero
+        fd, exact = _fd_dirac(h, pts, 1e-2), dirac(h).evaluate_batch(pts)
+        assert set(exact) <= set(fd)
+        err = max(float(np.max(np.abs(fd[b] - exact.get(b, 0.0)))) for b in fd)
+        assert err <= 1e-11 * scale
+        if k:
+            assert _max_abs(exact) > 1e-3
+
+
+def test_trusted_results_keep_the_polynomial_invariants():
+    rng = np.random.default_rng(5)
+    for m in (2, 3, 4):
+        for _ in range(10):
+            p = _random_polynomial(rng, m, int(rng.integers(1, 7)), 3)
+            q = _random_polynomial(rng, m, int(rng.integers(1, 7)), 3)
+            results = [
+                dirac(p), x_times(p), laplace(p), p.scale(Fraction(-3, 7)), p.scale(0),
+                p + q, p - q, p - p, x_times(x_times(p)), dirac(x_times(p)),
+                basis_module._r2_times(p),
+            ]
+            for r in results:
+                _assert_clean(r, m)
+            assert (p - p).is_zero() and p.scale(0).is_zero()
+            assert p - p == CliffordPolynomial(m)
+            assert p + q - q == p
+        mono = monogenic_basis(m, 2)[-1].poly
+        assert dirac(mono).is_zero() and dirac(mono) == CliffordPolynomial(m)
+        _assert_clean(mono, m)
+        _assert_clean(psi(3, 2, 1, m).poly, m)

@@ -116,3 +116,117 @@ def test_mul_real_operand_paths_match_four_products(a, b):
         assert isinstance(prod, Exact)
         assert isinstance(prod.re, Fraction) and isinstance(prod.im, Fraction)
         assert (prod.re, prod.im, prod.upow) == want
+
+
+@pytest.mark.parametrize(
+    "value, number",
+    [
+        (Exact(3), 3),
+        (Exact(-7), -7),
+        (Exact(Fraction(-7, 3)), Fraction(-7, 3)),
+        (Exact(Fraction(1, 2)), 0.5),
+        (Exact(Fraction(-3, 8), Fraction(5, 4)), complex(-0.375, 1.25)),
+        (Exact(0, 1), 1j),
+        (Exact(2), 2.0 + 0j),
+        (ZERO, 0),
+        (Exact(0, 0, 3), 0.0),
+    ],
+)
+def test_hash_agrees_with_eq_on_numbers(value, number):
+    assert value == number
+    assert hash(value) == hash(number)
+    assert len({value, number}) == 1
+    assert {number: "x"}.get(value) == "x"
+    assert {value: "x"}.get(number) == "x"
+
+
+def test_hash_of_values_no_number_equals():
+    # a power of u, or a part no binary float holds, equals only an Exact
+    for value in (Exact(3, 0, 1), Exact(Fraction(1, 3), 1), Exact(10**400, 1)):
+        assert hash(value) == hash(Exact(value.re, value.im, value.upow))
+        assert len({value, Exact(value.re, value.im, value.upow)}) == 1
+    assert Exact(Fraction(1, 3), 1) != complex(1 / 3, 1)
+
+
+def test_public_constructor_still_rejects_non_finite_and_strings():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            Exact(bad)
+        with pytest.raises(ValueError):
+            Exact(0, bad)
+        with pytest.raises(ValueError):
+            Exact(1) * complex(bad, 0.0)
+    with pytest.raises(TypeError):
+        Exact("1")
+    with pytest.raises(TypeError):
+        Exact(0, "1")
+    assert Exact(0, 0, -4).upow == 0
+
+
+# Reference for the arithmetic results: plain (Fraction, Fraction)
+# complex numbers and an integer power of u (products by _four_products),
+# each result then built through the public constructor.
+
+
+def _ref_add(a, b):
+    if not (a.re or a.im):
+        return b.re, b.im, b.upow
+    if not (b.re or b.im):
+        return a.re, a.im, a.upow
+    return a.re + b.re, a.im + b.im, a.upow
+
+
+def _ref_neg(a):
+    return -a.re, -a.im, a.upow
+
+
+def _ref_div(a, b):
+    d = b.re * b.re + b.im * b.im
+    return (
+        (a.re * b.re + a.im * b.im) / d,
+        (a.im * b.re - a.re * b.im) / d,
+        a.upow - b.upow,
+    )
+
+
+def _assert_built_as(got, ref):
+    want = Exact(*ref)
+    assert isinstance(got, Exact)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert type(got.upow) is int
+    assert (got.re, got.im, got.upow) == (want.re, want.im, want.upow)
+    if not (got.re or got.im):
+        assert got.upow == 0
+
+
+@given(sparse_exacts, sparse_exacts)
+def test_trusted_results_match_fraction_pair_reference(a, b):
+    _assert_built_as(-a, _ref_neg(a))
+    _assert_built_as(a.conjugate(), (a.re, -a.im, a.upow))
+    _assert_built_as(a * b, _four_products(a, b))
+    if a.upow == b.upow or a.is_zero or b.is_zero:
+        _assert_built_as(a + b, _ref_add(a, b))
+        _assert_built_as(a - b, _ref_add(a, Exact(*_ref_neg(b))))
+    if not b.is_zero:
+        _assert_built_as(a / b, _ref_div(a, b))
+
+
+@given(sparse_exacts, st.integers(min_value=0, max_value=6))
+def test_trusted_powers_match_repeated_reference_products(a, n):
+    ref = (Fraction(1), Fraction(0), 0)
+    for _ in range(n):
+        ref = _four_products(Exact(*ref), a)
+    _assert_built_as(a**n, ref)
+
+
+@given(sparse_exacts, st.one_of(st.integers(-10**6, 10**6), often_zero))
+def test_int_and_fraction_operands_coerce_like_the_public_constructor(a, x):
+    o = Exact._coerce(x)
+    _assert_built_as(o, (Fraction(x), Fraction(0), 0))
+    _assert_built_as(a * x, _four_products(a, Exact(x)))
+    _assert_built_as(x * a, _four_products(Exact(x), a))
+    if a.upow == 0 or a.is_zero or not x:
+        _assert_built_as(a + x, _ref_add(a, Exact(x)))
+        _assert_built_as(x - a, _ref_add(Exact(x), Exact(*_ref_neg(a))))
+    if x:
+        _assert_built_as(a / x, _ref_div(a, Exact(x)))
