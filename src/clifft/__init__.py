@@ -14,7 +14,6 @@ from .algebra import (
     Multivector,
     ParaBivector,
     geometric_product,
-    hermitian_inner,
     invariants_of,
     wedge,
 )
@@ -36,7 +35,6 @@ from .basis import (
 )
 from .checks import Check, worst
 from .engine import (
-    DomainReport,
     EigenvalueRecord,
     InversionReport,
     L2ScanReport,
@@ -47,7 +45,6 @@ from .engine import (
     closed_form_eigenvalue,
     closed_form_eigenvalue_exact,
     default_scheme,
-    domain_membership,
     hankel_laguerre_residual,
     inversion_composition_residual,
     l2_bound_scan,
@@ -56,7 +53,7 @@ from .engine import (
     verify_eigen,
     verify_inversion,
 )
-from .exact import Exact, exact_from_float
+from .exact import Exact
 from .kernels import (
     KernelExpr,
     KernelId,
@@ -67,8 +64,6 @@ from .kernels import (
     build_kernel_odd,
     eval_kernel,
     fg_system_residual,
-    kernel_from_json,
-    kernel_to_json,
     minus_counterpart,
     pde_residual,
     verify_recursion,
@@ -85,13 +80,11 @@ from .series import (
     eval_series,
     inverse_coefficients,
     series_coefficients,
-    series_kernel_value,
     transform_normalization,
     truncation_bound,
 )
 from .special import (
     BesselOrder,
-    bessel_j,
     bessel_jtilde,
     chebyshev_t,
     double_factorial,

@@ -24,7 +24,6 @@ __all__ = [
     "geometric_product",
     "wedge",
     "invariants_of",
-    "hermitian_inner",
 ]
 
 MAX_DIMENSION = 12
@@ -107,10 +106,6 @@ class Multivector:
             raise ValueError(f"expected {m} components, got {len(comps)}")
         return cls(m, {1 << j: comps[j] for j in range(m)})
 
-    @classmethod
-    def pseudoscalar(cls, m: int) -> Multivector:
-        return cls(m, {(1 << m) - 1: 1.0})
-
     # -- views -------------------------------------------------------------
 
     @property
@@ -123,9 +118,6 @@ class Multivector:
 
     def coefficient(self, key) -> complex:
         return complex(self._data[_blade_key_to_mask(key, self.m)])
-
-    def grades(self) -> set[int]:
-        return {int(mask).bit_count() for mask in np.flatnonzero(self._data)}
 
     # -- linear structure ----------------------------------------------------
 
@@ -171,25 +163,10 @@ class Multivector:
             return Multivector._from_data(self.m, self._data * other)
         return NotImplemented
 
-    # -- involutions and projections ------------------------------------------
+    # -- involutions and parts -------------------------------------------------
 
     def complex_conjugate(self) -> Multivector:
         return Multivector._from_data(self.m, np.conj(self._data))
-
-    def main_anti_involution(self) -> Multivector:
-        data = self._data.copy()
-        for mask in np.flatnonzero(data):
-            g = int(mask).bit_count()
-            if (g * (g + 1) // 2) & 1:
-                data[mask] = -data[mask]
-        return Multivector._from_data(self.m, data)
-
-    def grade_project(self, k: int) -> Multivector:
-        data = np.zeros_like(self._data)
-        for mask in np.flatnonzero(self._data):
-            if int(mask).bit_count() == k:
-                data[mask] = self._data[mask]
-        return Multivector._from_data(self.m, data)
 
     def scalar_part(self) -> complex:
         return complex(self._data[0])
@@ -216,22 +193,6 @@ class Multivector:
             name = "1" if mask == 0 else "e" + "".join(str(i) for i in _mask_to_indices(int(mask)))
             terms.append(f"({c.real:g}{c.imag:+g}j)*{name}" if c.imag else f"({c.real:g})*{name}")
         return f"Multivector(m={self.m}: " + (" + ".join(terms) or "0") + ")"
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        terms = []
-        for mask in np.flatnonzero(self._data):
-            c = complex(self._data[mask])
-            terms.append(
-                {"blade": list(_mask_to_indices(int(mask))), "re": c.real, "im": c.imag}
-            )
-        return {"m": self.m, "terms": terms}
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> Multivector:
-        m = payload["m"]
-        return cls(m, {tuple(t["blade"]): complex(t["re"], t.get("im", 0.0)) for t in payload["terms"]})
 
 
 def _vector_components(x) -> np.ndarray:
@@ -285,18 +246,6 @@ class ParaBivector:
         for (j, k), c in self.bivector.items():
             coeffs[(j, k)] = c
         return Multivector(self.m, coeffs)
-
-    def bivector_coefficient(self, j: int, k: int) -> complex:
-        if j == k:
-            return 0.0
-        if j < k:
-            return self.bivector.get((j, k), 0.0)
-        return -self.bivector.get((k, j), 0.0)
-
-    def norm(self) -> float:
-        return math.sqrt(
-            abs(self.scalar) ** 2 + sum(abs(c) ** 2 for c in self.bivector.values())
-        )
 
 
 def blade_product(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
@@ -353,9 +302,3 @@ def invariants_of(x, y) -> GeometricInvariants:
     t = math.sqrt(max(z * z - s * s, 0.0))
     w = s / z if z > 0 else None
     return GeometricInvariants(s=s, t=t, z=z, w=w)
-
-
-def hermitian_inner(a: Multivector, b: Multivector) -> complex:
-    """[bar(a^c) b]_0 = sum_A conj(a_A) b_A."""
-    a._check_same(b)
-    return complex(np.vdot(a._data, b._data))

@@ -44,6 +44,7 @@ from .engine import (
 from .kernels import (
     KernelId,
     build_kernel,
+    fg_system_residual,
     pde_residual,
     verify_recursion,
     verify_structural_identities,
@@ -203,7 +204,15 @@ def _check_pde(unit) -> list[Check]:
         x = rng.uniform(-1.6, 1.6, m)
         y = rng.uniform(-1.6, 1.6, m)
         residuals.append(pde_residual(kid, x, y))
-    return [Check.within("pde residual", {"m": m, "i": i}, worst(*residuals), 1e-6)]
+    # the profile form at (s, t) pairs of its own generator, so that the
+    # pde residual rows do not depend on it
+    fg_rng = np.random.default_rng((59, m, i))
+    s = fg_rng.uniform(-2.5, 2.5, 50)
+    t = fg_rng.uniform(0.1, 2.5, 50)
+    return [
+        Check.within("pde residual", {"m": m, "i": i}, worst(*residuals), 1e-6),
+        Check.within("fg system residual", {"m": m, "i": i}, fg_system_residual(kid, s, t), 1e-6),
+    ]
 
 
 def _check_eigen(m: int) -> list[Check]:
@@ -240,10 +249,12 @@ def _check_l2(unit) -> list[Check]:
 
 
 def _constraint_units(ms: list[int]) -> list[tuple[int, int | None, str]]:
-    # The classical stream of odd m >= 3 satisfies the constraint exactly
-    # when m = 1 mod 4; its rows follow the kernel rows.
+    # The relation is stated for the minus streams, to which a plus kernel's
+    # streams are converted, so each (m, i) is one minus unit.  The
+    # classical stream of odd m >= 3 satisfies it exactly when m = 1 mod 4;
+    # its rows follow the kernel rows.
     classical = [(m, None, "classical") for m in ms if m >= 3 and m % 2]
-    return _signed_units(ms) + classical
+    return [(m, i, "minus") for m, i in _kernel_units(ms)] + classical
 
 
 def _check_constraint(unit) -> list[Check]:

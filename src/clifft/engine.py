@@ -48,7 +48,6 @@ __all__ = [
     "EigenvalueRecord",
     "L2ScanReport",
     "InversionReport",
-    "DomainReport",
     "default_scheme",
     "radial_rule",
     "sample_points",
@@ -61,7 +60,6 @@ __all__ = [
     "inversion_composition_residual",
     "verify_diff_relations",
     "l2_bound_scan",
-    "domain_membership",
     "hankel_laguerre_residual",
 ]
 
@@ -692,7 +690,7 @@ def verify_diff_relations(
 
 
 # ---------------------------------------------------------------------------
-# boundedness scan and domain screen
+# boundedness scan and the Hankel-Laguerre eigenrelation
 
 
 @dataclass(frozen=True)
@@ -726,44 +724,6 @@ def l2_bound_scan(m: int, i: int, k_max: int) -> L2ScanReport:
         m=m, i=i, k_max=k_max, bounded=first_exceed is None,
         sup_magnitude=sup, first_exceed_k=first_exceed,
     )
-
-
-@dataclass(frozen=True)
-class DomainReport:
-    converged: bool
-    shell_contributions: tuple[float, ...]
-
-
-def domain_membership(
-    f,
-    i: int,
-    m: int,
-    shells: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0),
-    samples: int = 4096,
-    tol: float = 1e-8,
-    seed: int = 5,
-) -> DomainReport:
-    """Monte Carlo screen for membership in the natural domain of the
-    index-i transform: integral of |f(x)| (1 + |x|)^i over expanding
-    shells must tail off."""
-    rng = np.random.default_rng(seed)
-    fn = _as_value_source(f)
-    ball_vol = math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
-    edges = [0.0, *shells]
-    contributions = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        dirs = rng.normal(size=(samples, m))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        radii = (a**m + rng.uniform(size=samples) * (b**m - a**m)) ** (1.0 / m)
-        pts = dirs * radii[:, None]
-        mag = _norms(fn(pts)) * (1.0 + np.linalg.norm(pts, axis=1)) ** i
-        vol = ball_vol * (b**m - a**m)
-        contributions.append(float(np.mean(mag) * vol))
-    total = sum(contributions)
-    converged = contributions[-1] <= tol * max(total, 1.0) and (
-        contributions[-1] <= contributions[-2] if len(contributions) > 1 else True
-    )
-    return DomainReport(converged=converged, shell_contributions=tuple(contributions))
 
 
 def hankel_laguerre_residual(

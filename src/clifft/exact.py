@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["Exact", "U_FLOAT", "ZERO", "ONE", "I_UNIT", "U", "exact_from_float"]
+__all__ = ["Exact", "U_FLOAT", "ZERO", "ONE", "I_UNIT", "U"]
 
 U_FLOAT = math.sqrt(math.pi / 2.0)
 _FRACTION_ZERO = Fraction(0)
@@ -234,8 +234,3 @@ ZERO = Exact(0)
 ONE = Exact(1)
 I_UNIT = Exact(0, 1)
 U = Exact(1, 0, 1)
-
-
-def exact_from_float(re: float, im: float = 0.0, sqrt_pi_over_2: bool = False) -> Exact:
-    """Exact value from binary floats (each float converts exactly)."""
-    return Exact(_as_fraction(re), _as_fraction(im), 1 if sqrt_pi_over_2 else 0)

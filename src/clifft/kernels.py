@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import Multivector, ParaBivector, invariants_of
 from .checks import Check, worst
-from .exact import Exact, exact_from_float
+from .exact import Exact
 from .special import BesselOrder, bessel_jtilde
 
 __all__ = [
@@ -59,8 +59,6 @@ __all__ = [
     "eval_kernel",
     "pde_residual",
     "fg_system_residual",
-    "kernel_to_json",
-    "kernel_from_json",
 ]
 
 
@@ -118,9 +116,6 @@ class KernelExpr:
     def profiles(self, s, t) -> tuple[np.ndarray, np.ndarray]:
         """Scalar profile A(s, t) and bivector profile B(s, t)."""
         return eval_terms(self.scalar_terms, s, t), eval_terms(self.bivector_terms, s, t)
-
-    def evaluate(self, x, y) -> ParaBivector:
-        return eval_kernel(self, x, y)
 
 
 _SIGNS = ("plus", "minus")
@@ -389,7 +384,7 @@ def verify_recursion(m: int, i: int) -> list[Check]:
 
 
 def verify_structural_identities(m: int) -> list[Check]:
-    """Five exact identities tying neighbouring kernels together (even m >= 4),
+    """Seven exact identities tying neighbouring kernels together (even m >= 4),
     one Check each:
 
     1. g[m-2] = s g[m-3] + (m-3) g'[m-4]          (g' in dimension m-2)
@@ -397,10 +392,14 @@ def verify_structural_identities(m: int) -> list[Check]:
     3. ftilde[m-2] = (m-2)/(m-3) s ftilde[m-3] + (m-2) ftilde'[m-4]
     4. fhat[0] = -(-1)^(m/2) ftilde[1]
     5. g[0] = s^(-1) g[1]
+    6. the Clifford-Fourier kernel's scalar profile is minus that of the
+       index m/2 - 1 kernel
+    7. the same for the bivector profile
     """
     if m % 2 or m < 4:
         raise ValueError(f"structural identities need even m >= 4, got {m}")
     sgn = -1 if (m // 2) % 2 else 1
+    cf, mid = build_cf_kernel(m), build_kernel_even(m, m // 2 - 1)
     plan = [
         (
             "g-lowering",
@@ -425,6 +424,8 @@ def verify_structural_identities(m: int) -> list[Check]:
         ),
         ("fhat0-ftilde1", fhat_terms(m, 0), scale_terms(ftilde_terms(m, 1), -sgn)),
         ("g0-g1", g_terms(m, 0), shift_s(g_terms(m, 1), -1)),
+        ("cf-kernel scalar", cf.scalar_terms, scale_terms(mid.scalar_terms, -1)),
+        ("cf-kernel bivector", cf.bivector_terms, scale_terms(mid.bivector_terms, -1)),
     ]
     return _identity_checks({"m": m}, plan)
 
@@ -513,8 +514,9 @@ def pde_residual(kernel_id: KernelId, x, y, h: float = 1e-4) -> float:
     return worst(r1, r2)
 
 
-def fg_system_residual(kernel_id: KernelId, s: float, t: float, h: float = 1e-4) -> float:
-    """Relative residual of the scalar-profile form of the same system.
+def fg_system_residual(kernel_id: KernelId, s, t, h: float = 1e-4) -> float:
+    """Relative residual of the scalar-profile form of the same system,
+    the worst over arrays s and t (broadcast together).
 
     For profiles F (scalar) and G (bivector) of the plus kernel:
 
@@ -524,85 +526,29 @@ def fg_system_residual(kernel_id: KernelId, s: float, t: float, h: float = 1e-4)
     where rhs(P) = a P(-s, t) for even m and I a conj(P(-s, t)) for odd m.
     Requires t > h so central differences in t stay in range.
     """
-    if t <= h:
-        raise ValueError(f"need t > h for central differences, got t={t}, h={h}")
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    if not np.all(t > h):
+        raise ValueError(f"need t > h for central differences, got min t={np.min(t)}, h={h}")
     plus = build_kernel(replace(kernel_id, sign="plus"))
     m = kernel_id.m
     a = _system_factor(m)
+    # rows: s + h, s - h, t + h, t - h, the point itself, and -s
+    ss = np.stack([s + h, s - h, s, s, s, -s])
+    tt = np.stack([t, t, t + h, t - h, t, t])
+    F = eval_terms(plus.scalar_terms, ss, tt)
+    G = eval_terms(plus.bivector_terms, ss, tt)
 
-    def F(ss, tt):
-        return complex(eval_terms(plus.scalar_terms, ss, tt))
+    def diff(P: np.ndarray, row: int) -> np.ndarray:
+        return (P[row] - P[row + 1]) / (2 * h)
 
-    def G(ss, tt):
-        return complex(eval_terms(plus.bivector_terms, ss, tt))
+    def rhs(P: np.ndarray) -> np.ndarray:
+        return a * (np.conj(P[5]) if m % 2 else P[5])
 
-    dsF = (F(s + h, t) - F(s - h, t)) / (2 * h)
-    dtF = (F(s, t + h) - F(s, t - h)) / (2 * h)
-    dsG = (G(s + h, t) - G(s - h, t)) / (2 * h)
-    dtG = (G(s, t + h) - G(s, t - h)) / (2 * h)
-
-    if m % 2 == 0:
-        rhsF = a * F(-s, t)
-        rhsG = a * G(-s, t)
-    else:
-        rhsF = a * F(-s, t).conjugate()
-        rhsG = a * G(-s, t).conjugate()
-
-    lhs1 = dsF + t * dtG + (m - 1) * G(s, t)
-    lhs2 = dsG - dtF / t
-    r1 = abs(lhs1 - rhsF) / max(1.0, abs(lhs1), abs(rhsF))
-    r2 = abs(lhs2 - rhsG) / max(1.0, abs(lhs2), abs(rhsG))
-    return worst(r1, r2)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _term_to_json(term: KernelTerm) -> dict:
-    if term.coeff.upow not in (0, 1):
-        raise ValueError(f"kernel terms carry u^0 or u^1 only, got u^{term.coeff.upow}")
-    return {
-        "coeff_re": float(term.coeff.re),
-        "coeff_im": float(term.coeff.im),
-        "sqrt_pi_over_2": term.coeff.upow == 1,
-        "s_power": term.s_power,
-        "twice_order": term.order.twice_order,
-    }
-
-
-def _term_from_json(payload: dict) -> KernelTerm:
-    coeff = exact_from_float(
-        payload["coeff_re"], payload.get("coeff_im", 0.0), payload.get("sqrt_pi_over_2", False)
-    )
-    return KernelTerm(coeff, payload["s_power"], BesselOrder(payload["twice_order"]))
-
-
-def kernel_to_json(expr: KernelExpr, kernel_id: KernelId | None = None) -> dict:
-    out: dict = {"m": expr.m}
-    if kernel_id is not None:
-        out["i"] = kernel_id.i
-        out["sign"] = "+" if kernel_id.sign == "plus" else "-"
-        if kernel_id.e_i != 1.0:
-            out["e_i"] = [kernel_id.e_i.real, kernel_id.e_i.imag]
-    out["scalar"] = [_term_to_json(t) for t in expr.scalar_terms]
-    out["bivector"] = [_term_to_json(t) for t in expr.bivector_terms]
-    return out
-
-
-def kernel_from_json(payload: dict) -> tuple[KernelExpr, KernelId | None]:
-    expr = KernelExpr(
-        payload["m"],
-        tuple(_term_from_json(t) for t in payload["scalar"]),
-        tuple(_term_from_json(t) for t in payload["bivector"]),
-    )
-    kid = None
-    if "i" in payload and "sign" in payload:
-        re, im = payload.get("e_i", (1.0, 0.0))
-        kid = KernelId(
-            payload["m"],
-            payload["i"],
-            "plus" if payload["sign"] == "+" else "minus",
-            e_i=complex(re, im),
-        )
-    return expr, kid
+    residuals = []
+    for lhs, want in (
+        (diff(F, 0) + t * diff(G, 2) + (m - 1) * G[4], rhs(F)),
+        (diff(G, 0) - diff(F, 2) / t, rhs(G)),
+    ):
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(want)))
+        residuals.append(np.abs(lhs - want) / scale)
+    return worst(*residuals)

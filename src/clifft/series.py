@@ -41,7 +41,6 @@ import numpy as np
 from scipy.special import j0 as _j0
 from scipy.special import j1 as _j1
 
-from .algebra import ParaBivector, invariants_of
 from .checks import Check, worst
 from .exact import Exact, ONE
 from .kernels import KernelId
@@ -63,7 +62,6 @@ __all__ = [
     "series_minus_counterpart",
     "jtilde_stack",
     "eval_series",
-    "series_kernel_value",
     "truncation_bound",
     "eigenvalues_from_coefficients",
     "inverse_coefficients",
@@ -105,10 +103,11 @@ class SeriesCoefficients:
     ``a_fn`` gives the A-stream: a_0 = alpha_0 and a_k = lam alpha_k for
     k >= 1, the coefficient that :func:`eval_series` multiplies by
     z^k jtilde_{k+lam}(z) C_k^lam(w)/lam.  ``beta_fn`` gives beta_k.  Both
-    are finite in every dimension m >= 2.
+    are finite in every dimension m >= 2.  The eigenvalue functionals
+    (D_k, E_k) of the streams are kept per k once computed.
     """
 
-    __slots__ = ("m", "provenance", "_a", "_beta")
+    __slots__ = ("m", "provenance", "_a", "_beta", "_de_pairs")
 
     def __init__(
         self,
@@ -123,6 +122,7 @@ class SeriesCoefficients:
         self.provenance = provenance
         self._a = lru_cache(maxsize=None)(a_fn)
         self._beta = lru_cache(maxsize=None)(beta_fn)
+        self._de_pairs: dict[int, tuple[Exact, Exact]] = {}
 
     @property
     def lam(self) -> float:
@@ -267,19 +267,25 @@ class EigenvaluePair:
 
 
 def _functionals(coeffs: SeriesCoefficients, k: int) -> tuple[Exact, Exact]:
-    """Unbridged pair (D_k, E_k) built from the coefficient streams:
-    D_0 = E_0 = alpha_0, and for k >= 1 with a_k = lambda alpha_k
+    """Unbridged pair (D_k, E_k) built from the coefficient streams, kept
+    on the streams object: D_0 = E_0 = alpha_0, and for k >= 1 with
+    a_k = lambda alpha_k
 
         D_k = (2 a_k - k beta_k) / (m - 2 + 2k),
         E_k = (2 a_k + (k + m - 2) beta_k) / (m - 2 + 2k) = D_k + beta_k.
     """
-    if k == 0:
-        a0 = coeffs.alpha_exact(0)
-        return a0, a0
-    denom = coeffs.m - 2 + 2 * k
-    beta_k = coeffs.beta_exact(k)
-    d = coeffs.lambda_exact(k) * Fraction(2, denom) - beta_k * Fraction(k, denom)
-    return d, d + beta_k
+    pair = coeffs._de_pairs.get(k)
+    if pair is None:
+        if k == 0:
+            a0 = coeffs.alpha_exact(0)
+            pair = a0, a0
+        else:
+            denom = coeffs.m - 2 + 2 * k
+            beta_k = coeffs.beta_exact(k)
+            d = coeffs.lambda_exact(k) * Fraction(2, denom) - beta_k * Fraction(k, denom)
+            pair = d, d + beta_k
+        coeffs._de_pairs[k] = pair
+    return pair
 
 
 def eigenvalues_from_coefficients(coeffs: SeriesCoefficients, k: int) -> EigenvaluePair:
@@ -563,16 +569,6 @@ def eval_series(
         zpow_prev = zpow
         zpow = zpow * z_arr
     return a_total, b_total
-
-
-def series_kernel_value(
-    coeffs: SeriesCoefficients, x, y, n_terms: int
-) -> ParaBivector:
-    """Kernel value via the series route; pairs with the closed-form route."""
-    inv = invariants_of(x, y)
-    w = inv.w if inv.w is not None else 0.0
-    a, b = eval_series(coeffs, inv.z, w, n_terms)
-    return ParaBivector.from_geometry(coeffs.m, complex(a), complex(b), x, y)
 
 
 def _term_magnitudes(coeffs: SeriesCoefficients, k: int, log_half_z: float) -> float:

@@ -28,18 +28,14 @@ from scipy.special import jv as _jv
 
 __all__ = [
     "BesselOrder",
-    "bessel_j",
     "bessel_jtilde",
-    "jtilde_at_zero",
     "gegenbauer",
     "gegenbauer_all",
-    "gegenbauer_at_one",
     "chebyshev_t",
     "chebyshev_t_all",
     "chebyshev_u_all",
     "laguerre",
     "double_factorial",
-    "gamma",
     "log_gamma",
 ]
 
@@ -80,18 +76,6 @@ def _twice(order) -> int:
     raise TypeError(f"unsupported order type: {order!r}")
 
 
-def bessel_j(order, x):
-    """J_order(x) for order >= -1/2 and x >= 0."""
-    two = _twice(order)
-    if two < -1:
-        raise ValueError(f"unsupported order {two}/2: need order >= -1/2")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("bessel_j requires x >= 0")
-    out = _jv(two / 2.0, arr)
-    return out if arr.ndim else float(out)
-
-
 @lru_cache(maxsize=None)
 def _jtilde_series_coeffs(twice_order: int, nterms: int = 14) -> np.ndarray:
     """Coefficients c_k of jtilde(t) = sum_k c_k t^(2k), c_k = (-1)^k c_0 /
@@ -106,11 +90,6 @@ def _jtilde_series_coeffs(twice_order: int, nterms: int = 14) -> np.ndarray:
         coeffs[k] = scale * ((-1) ** k / den)
         den *= 2 * (k + 1) * (twice_order + 2 * k + 2)  # 4j(alpha + j), j = k + 1
     return coeffs
-
-
-def jtilde_at_zero(order) -> float:
-    """jtilde_alpha(0) = 2^(-alpha)/Gamma(alpha+1)."""
-    return float(_jtilde_series_coeffs(_twice(order))[0])
 
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -215,13 +194,6 @@ def gegenbauer(n: int, lam: float, w):
     return float(out) if np.asarray(w).ndim == 0 else out
 
 
-def gegenbauer_at_one(n: int, lam: float) -> float:
-    """C_n^lam(1) = (2 lam)_n / n!, computed in log space."""
-    if n == 0:
-        return 1.0
-    return math.exp(_gammaln(2 * lam + n) - _gammaln(2 * lam) - _gammaln(n + 1))
-
-
 def chebyshev_t_all(n: int, w):
     """T_0(w) .. T_n(w), first kind."""
     arr = np.asarray(w, dtype=float)
@@ -278,7 +250,3 @@ def log_gamma(x: float) -> float:
     if x <= 0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     return float(_gammaln(x))
-
-
-def gamma(x: float) -> float:
-    return math.exp(log_gamma(x))

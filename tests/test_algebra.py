@@ -11,7 +11,6 @@ from clifft.algebra import (
     ParaBivector,
     blade_product,
     geometric_product,
-    hermitian_inner,
     invariants_of,
     wedge,
 )
@@ -51,12 +50,6 @@ def test_product_associative_and_distributive(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@settings(max_examples=60)
-@given(multivectors(3), multivectors(3))
-def test_main_anti_involution_reverses_products(a, b):
-    assert (a * b).main_anti_involution() == b.main_anti_involution() * a.main_anti_involution()
-
-
 @given(vectors(3), vectors(3))
 def test_wedge_antisymmetric(x, y):
     assert wedge(x, y) == -wedge(y, x)
@@ -87,19 +80,11 @@ def test_invariants_at_origin_have_no_angle():
     assert inv.z == 0.0 and inv.w is None
 
 
-def test_grade_projection_and_scalar_part():
-    m = 3
-    a = Multivector(m, {0: 2.0, 0b011: 1.5, 0b111: -1.0})
+def test_scalar_part_and_norm():
+    a = Multivector(3, {0: 2.0, 0b011: 1.5, 0b111: -1.0})
     assert a.scalar_part() == 2.0
-    assert a.grade_project(2) == Multivector(m, {0b011: 1.5})
-    assert a.grade_project(1) == Multivector(m)
-
-
-def test_hermitian_inner_conjugates_first_slot():
-    a = Multivector(2, {0: 1j})
-    b = Multivector(2, {0: 1j})
-    assert hermitian_inner(a, b) == pytest.approx(1.0)
-    assert a.norm() == pytest.approx(1.0)
+    assert a.norm() == pytest.approx(np.sqrt(4.0 + 2.25 + 1.0))
+    assert Multivector(2, {0: 1j}).norm() == pytest.approx(1.0)
 
 
 def test_parabivector_matches_multivector_assembly():
@@ -108,9 +93,6 @@ def test_parabivector_matches_multivector_assembly():
     pb = ParaBivector.from_geometry(3, 2.0 - 1.0j, 0.75, x, y)
     direct = Multivector.scalar(3, 2.0 - 1.0j) + wedge(x, y) * 0.75
     assert pb.to_multivector().isclose(direct)
-    assert pb.bivector_coefficient(1, 2) == pytest.approx(
-        0.75 * (x[0] * y[1] - x[1] * y[0])
-    )
 
 
 def test_vector_wrapper_and_coefficients():
@@ -118,16 +100,11 @@ def test_vector_wrapper_and_coefficients():
     assert mv.coefficients == {(1,): 1.0, (2,): 2.0}
 
 
-def test_json_round_trip():
-    a = Multivector(3, {0: 1.0 + 2.0j, 0b101: -0.5})
-    back = Multivector.from_json(a.to_json())
-    assert back == a
-
-
 def test_pseudoscalar_square():
     # (e_1...e_m)^2 = (-1)^(m(m+1)/2) with the negative-definite metric
-    assert Multivector.pseudoscalar(3) * Multivector.pseudoscalar(3) == Multivector.scalar(3, 1.0)
-    assert Multivector.pseudoscalar(2) * Multivector.pseudoscalar(2) == Multivector.scalar(2, -1.0)
+    for m, square in ((2, -1.0), (3, 1.0)):
+        pseudoscalar = Multivector.basis_blade(m, *range(1, m + 1))
+        assert pseudoscalar * pseudoscalar == Multivector.scalar(m, square)
 
 
 @pytest.mark.parametrize("bad", [[], [[1.0, 2.0]], 3.0])

@@ -238,6 +238,19 @@ def _nan_pde_sample(monkeypatch):
     monkeypatch.setattr(cli, "pde_residual", lambda kid, x, y: next(residuals))
 
 
+def _nan_fg_sample(monkeypatch):
+    # the pde rows pass; one (s, t) sample of the profile form is NaN
+    monkeypatch.setattr(cli, "pde_residual", lambda kid, x, y: 1e-9)
+    real = cli.fg_system_residual
+
+    def fg_system_residual(kid, s, t):
+        s = s.copy()
+        s[1] = np.nan
+        return real(kid, s, t)
+
+    monkeypatch.setattr(cli, "fg_system_residual", fg_system_residual)
+
+
 def _nan_eigen_record(monkeypatch):
     records = [SimpleNamespace(abs_error=e) for e in (1e-9, np.nan, 1e-9)]
     monkeypatch.setattr(cli, "verify_eigen", lambda m: records)
@@ -277,6 +290,7 @@ def _reject_constant(name):
     [
         ("series", 2, _nan_bivector_series),
         ("pde", 2, _nan_pde_sample),
+        ("pde", 3, _nan_fg_sample),
         ("eigen", 2, _nan_eigen_record),
         ("inversion", 4, _nan_odd_composition_chain),
         ("diff", 2, _nan_second_diff_relation),

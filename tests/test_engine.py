@@ -15,7 +15,6 @@ from clifft.engine import (
     apply_transform_batch,
     bochner_reduce,
     default_scheme,
-    domain_membership,
     hankel_laguerre_residual,
     inversion_composition_residual,
     l2_bound_scan,
@@ -230,15 +229,6 @@ def test_l2_scan_pattern():
     assert closed_form_eigenvalue_exact(4, 2, 4, "2p").magnitude() == pytest.approx(5.0)
     rep = l2_bound_scan(6, 1, 50)
     assert rep.bounded and rep.sup_magnitude < 1
-
-
-def test_domain_membership_screen():
-    assert domain_membership(psi(0, 0, 1, 3), 1, 3).converged
-
-    def flat(pts: np.ndarray):
-        return {0: np.ones(len(pts))}
-
-    assert not domain_membership(flat, 0, 3).converged
 
 
 def test_hankel_laguerre_identity():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from clifft.exact import Exact, I_UNIT, ONE, U, U_FLOAT, ZERO, exact_from_float
+from clifft.exact import Exact, I_UNIT, ONE, U, U_FLOAT, ZERO
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 upows = st.integers(min_value=-3, max_value=3)
@@ -76,13 +76,6 @@ def test_coercion_of_mixed_operands():
     assert Exact(2) * 0.5 == Exact(1)
     assert Exact(1) * 1j == I_UNIT
     assert Exact._coerce("nope") is None
-
-
-def test_exact_from_float_round_trip():
-    x = exact_from_float(0.125, -2.5)
-    assert complex(x) == 0.125 - 2.5j
-    y = exact_from_float(1.0, 0.0, sqrt_pi_over_2=True)
-    assert float(y) == pytest.approx(U_FLOAT)
 
 
 def test_float_of_imaginary_raises():

@@ -23,8 +23,6 @@ from clifft.kernels import (
     fhat_terms,
     ftilde_terms,
     g_terms,
-    kernel_from_json,
-    kernel_to_json,
     minus_counterpart,
     pde_residual,
     scale_terms,
@@ -145,6 +143,7 @@ def test_structural_identities_dim4():
     names = [c.name for c in checks]
     assert names == [
         "g-lowering", "fhat-lowering", "ftilde-lowering", "fhat0-ftilde1", "g0-g1",
+        "cf-kernel scalar", "cf-kernel bivector",
     ]
 
 
@@ -181,17 +180,14 @@ def test_profile_system_residual():
     assert fg_system_residual(KernelId(3, 1), -0.4, 0.8) < 1e-6
     with pytest.raises(ValueError):
         fg_system_residual(KernelId(4, 0), 0.5, 1e-6)  # t must exceed the step
-
-
-def test_json_round_trip_with_and_without_id():
-    kid = KernelId(3, 1, "minus", e_i=1j)
-    expr = build_kernel(kid)
-    back, back_id = kernel_from_json(kernel_to_json(expr, kid))
-    assert back_id == kid
-    assert terms_equal(back.scalar_terms, expr.scalar_terms) is None
-    back, back_id = kernel_from_json(kernel_to_json(expr))
-    assert back_id is None
-    assert terms_equal(back.bivector_terms, expr.bivector_terms) is None
+    with pytest.raises(ValueError):
+        fg_system_residual(KernelId(4, 0), [0.5, 0.6], [1.0, 1e-6])  # at every point
+    # over arrays: the worst of the one-point residuals, bit for bit
+    rng = np.random.default_rng(11)
+    s, t = rng.uniform(-2.0, 2.0, 12), rng.uniform(0.2, 2.0, 12)
+    for kid in (KernelId(4, 1), KernelId(5, 2, e_i=np.exp(0.7j))):
+        pointwise = [fg_system_residual(kid, a, b) for a, b in zip(s, t)]
+        assert fg_system_residual(kid, s, t) == max(pointwise) < 1e-6
 
 
 def test_kernel_expr_canonicalizes():

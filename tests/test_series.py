@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from clifft.algebra import ParaBivector, invariants_of
 from clifft.exact import Exact, I_UNIT, ONE, U
-from clifft.kernels import KernelId, build_kernel
+from clifft.kernels import KernelId, build_kernel, eval_kernel
 from clifft.series import (
     SeriesCoefficients,
     _gegenbauer_over_lambda,
@@ -21,7 +22,6 @@ from clifft.series import (
     gamma2pow,
     inverse_coefficients,
     series_coefficients,
-    series_kernel_value,
     series_minus_counterpart,
     transform_normalization,
     truncation_bound,
@@ -201,11 +201,14 @@ def test_plane_series_reproduces_closed_form():
 
 
 def test_series_kernel_value_assembles_parabivector():
+    # the series profiles at (z, w) assemble the closed-form kernel value
     kid = KernelId(4, 1)
     x = np.array([0.5, -0.2, 0.8, 0.1])
     y = np.array([-0.3, 0.9, 0.4, -0.6])
-    got = series_kernel_value(series_coefficients(kid), x, y, 40).to_multivector()
-    want = build_kernel(kid).evaluate(x, y).to_multivector()
+    inv = invariants_of(x, y)
+    a, b = eval_series(series_coefficients(kid), inv.z, inv.w, 40)
+    got = ParaBivector.from_geometry(4, complex(a), complex(b), x, y).to_multivector()
+    want = eval_kernel(build_kernel(kid), x, y).to_multivector()
     assert got.isclose(want, tol=1e-9)
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from clifft.special import (
     BesselOrder,
-    bessel_j,
     bessel_jtilde,
     chebyshev_t,
     chebyshev_t_all,
@@ -18,8 +17,6 @@ from clifft.special import (
     double_factorial,
     gegenbauer,
     gegenbauer_all,
-    gegenbauer_at_one,
-    jtilde_at_zero,
     laguerre,
 )
 
@@ -51,11 +48,11 @@ def test_jtilde_series_continuous_across_switch():
 
 def test_jtilde_small_argument_is_stable():
     # naive jv/t^alpha is 0/0 at the origin; the series value is finite
+    # (jtilde_alpha(0) = 2^(-alpha)/Gamma(alpha + 1) at alpha = 5/2)
     val = bessel_jtilde(BesselOrder(5), np.array([0.0, 1e-8]))
-    limit = jtilde_at_zero(BesselOrder(5))
+    limit = 1.0 / (2**2.5 * math.gamma(3.5))
     assert val[0] == pytest.approx(limit, rel=1e-14)
     assert val[1] == pytest.approx(limit, rel=1e-10)
-    assert limit == pytest.approx(1.0 / (2**2.5 * math.gamma(3.5)))
 
 
 def test_jtilde_power_series_against_mpmath_below_one():
@@ -71,7 +68,6 @@ def test_jtilde_power_series_against_mpmath_below_one():
                 tm = mpmath.mpf(t)
                 ref = mpmath.besselj(nu, tm) * tm ** (-nu) if t else 1 / (2**nu * mpmath.gamma(nu + 1))
                 worst = max(worst, float(abs(value - ref) / abs(ref)))
-            assert jtilde_at_zero(BesselOrder(two)) == got[0]
     assert worst < 2e-15
 
 
@@ -100,8 +96,11 @@ def test_half_integer_closed_forms():
 
 
 def test_bessel_j_guards():
+    # orders below -1/2 are outside the kernel calculus, and so is t < 0
     with pytest.raises(ValueError):
-        bessel_j(BesselOrder(-3), 1.0)
+        bessel_jtilde(BesselOrder(-3), 1.0)
+    with pytest.raises(ValueError):
+        bessel_jtilde(BesselOrder(1), np.array([1.0, -0.5]))
 
 
 @settings(max_examples=40)
@@ -120,12 +119,6 @@ def test_gegenbauer_against_scipy():
         for lam in (0.5, 1.0, 2.5):
             want = sp.eval_gegenbauer(n, lam, w)
             assert np.allclose(gegenbauer(n, lam, w), want, rtol=1e-10, atol=1e-12)
-
-
-def test_gegenbauer_at_one_is_rising_factorial_ratio():
-    # C_n^lam(1) = (2 lam)_n / n!
-    assert gegenbauer_at_one(3, 1.0) == pytest.approx(sp.eval_gegenbauer(3, 1.0, 1.0))
-    assert gegenbauer_at_one(0, 0.75) == 1.0
 
 
 def test_chebyshev_values():
