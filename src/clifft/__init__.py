@@ -21,6 +21,7 @@ from .basis import (
     BasisFunction,
     CliffordPolynomial,
     GaussianPolynomial,
+    PolynomialTable,
     SphericalMonogenic,
     creation_psi,
     dirac,

@@ -30,6 +30,7 @@ from .special import double_factorial
 
 __all__ = [
     "CliffordPolynomial",
+    "PolynomialTable",
     "SphericalMonogenic",
     "BasisFunction",
     "GaussianPolynomial",
@@ -138,36 +139,92 @@ class CliffordPolynomial:
 
     def evaluate_batch(self, points: np.ndarray) -> dict[int, np.ndarray]:
         """Blade coefficient arrays over a (n, m) array of points."""
-        return self._evaluate_columns(self._columns(points))
-
-    def _columns(self, points: np.ndarray) -> np.ndarray:
-        """The coordinates of a (n, m) array of points as m contiguous rows."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.m:
-            raise ValueError(f"expected points of shape (n, {self.m})")
-        return np.ascontiguousarray(pts.T)
-
-    def _evaluate_columns(self, cols: np.ndarray) -> dict[int, np.ndarray]:
-        # powers[j][e - 1] = x_j^e, by repeated multiplication up to the
-        # largest exponent of x_j
-        powers = []
-        for j, col in enumerate(cols):
-            row = [col]
-            for _ in range(1, max((expo[j] for expo in self.terms), default=0)):
-                row.append(row[-1] * col)
-            powers.append(row)
-        n = cols.shape[1]
-        out: dict[int, np.ndarray] = {}
-        for expo, blades in self.terms.items():
-            factors = [powers[j][e - 1] for j, e in enumerate(expo) if e]
-            mono = reduce(np.multiply, factors) if factors else np.ones(n)
-            for blade, c in blades.items():
-                acc = out.setdefault(blade, np.zeros(n))
-                acc += float(c) * mono
-        return out
+        table = PolynomialTable(self.m, [self])
+        return table.split(table.evaluate(_columns(points, self.m)))[0]
 
     def __repr__(self) -> str:
         return f"CliffordPolynomial(m={self.m}, terms={len(self.terms)})"
+
+
+def _columns(points: np.ndarray, m: int) -> np.ndarray:
+    """The coordinates of a (n, m) array of points as m contiguous rows."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != m:
+        raise ValueError(f"expected points of shape (n, {m})")
+    return np.ascontiguousarray(pts.T)
+
+
+class PolynomialTable:
+    """Several polynomials in m variables, evaluated together.
+
+    The table has one row per (polynomial, blade) pair, listed in
+    ``rows``: the values at a batch of points are C @ M, with C the float
+    coefficients of the rows and M the monomials at the points.  C is kept
+    as each row's (monomial, coefficient) list in term order, because a
+    row uses few of the monomials.  Each monomial is a product in axis
+    order of powers x_j^e, made by repeated multiplication, and monomials
+    with a common leading part share it: x^(1,2,1) is the monomial
+    x^(1,2,0) times x_3.
+    """
+
+    __slots__ = ("rows", "_count", "_powers", "_monomials", "_terms")
+
+    def __init__(self, m: int, polys: Sequence[CliffordPolynomial]):
+        self._count = len(polys)
+        # a monomial is keyed by its nonzero (axis, exponent) pairs and built
+        # from the one keyed by all but the last pair; index 0 is the empty
+        # product
+        index: dict[tuple[tuple[int, int], ...], int] = {(): 0}
+        self._monomials: list[tuple[int, int, int]] = []  # (leading part, axis, exponent)
+        self._terms: list[list[tuple[int, float]]] = []  # per row: (monomial, coefficient)
+        self.rows: list[tuple[int, int]] = []
+        top = [0] * m
+        for pi, p in enumerate(polys):
+            row_of: dict[int, int] = {}
+            for expo, blades in p.terms.items():
+                key: tuple[tuple[int, int], ...] = ()
+                for j, e in enumerate(expo):
+                    if not e:
+                        continue
+                    top[j] = max(top[j], e)
+                    lead, key = key, key + ((j, e),)
+                    if key not in index:
+                        index[key] = len(index)
+                        self._monomials.append((index[lead], j, e))
+                for blade, c in blades.items():
+                    if blade not in row_of:
+                        row_of[blade] = len(self.rows)
+                        self.rows.append((pi, blade))
+                        self._terms.append([])
+                    self._terms[row_of[blade]].append((index[key], float(c)))
+        self._powers = [(j, e) for j, e_max in enumerate(top) for e in range(2, e_max + 1)]
+
+    def evaluate(self, cols: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+        """(C @ M) times weight, if one is given: the value of every row at
+        the points whose coordinates are the m rows of cols, one row each."""
+        power = {(j, 1): col for j, col in enumerate(cols)}
+        for j, e in self._powers:
+            power[j, e] = power[j, e - 1] * cols[j]
+        mono = [np.ones(cols.shape[1])]
+        for lead, j, e in self._monomials:
+            mono.append(power[j, e] if lead == 0 else mono[lead] * power[j, e])
+        out = np.empty((len(self.rows), cols.shape[1]))
+        term = np.empty(cols.shape[1])
+        for row, terms in zip(out, self._terms):
+            (first, c), *rest = terms
+            np.multiply(c, mono[first], out=row)
+            for idx, c in rest:
+                row += np.multiply(c, mono[idx], out=term)
+        if weight is not None:
+            out *= weight
+        return out
+
+    def split(self, values: np.ndarray) -> list[dict[int, np.ndarray]]:
+        """The rows of :meth:`evaluate` as one blade dict per polynomial."""
+        out: list[dict[int, np.ndarray]] = [{} for _ in range(self._count)]
+        for (pi, blade), vals in zip(self.rows, values):
+            out[pi][blade] = vals
+        return out
 
 
 def _vector_times(p: CliffordPolynomial, step: int) -> CliffordPolynomial:
@@ -458,15 +515,10 @@ def laguerre_poly_coeffs(j: int, alpha: Fraction) -> list[Fraction]:
 
 def _gaussian_values(poly: CliffordPolynomial, points: np.ndarray) -> dict[int, np.ndarray]:
     """Blade coefficient arrays of P(x) exp(-|x|^2/2) at (n, m) points."""
-    cols = poly._columns(points)
-    r2 = cols[0] * cols[0]
-    for col in cols[1:]:
-        r2 += col * col
-    gauss = np.exp(-0.5 * r2)
-    values = poly._evaluate_columns(cols)
-    for v in values.values():
-        v *= gauss
-    return values
+    cols = _columns(points, poly.m)
+    r2 = reduce(np.add, [x * x for x in cols])
+    table = PolynomialTable(poly.m, [poly])
+    return table.split(table.evaluate(cols, np.exp(-0.5 * r2)))[0]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .algebra import blade_product
-from .basis import BasisFunction, GaussianPolynomial, SphericalMonogenic, monogenic_basis, psi, x_times
+from .basis import (
+    BasisFunction,
+    GaussianPolynomial,
+    PolynomialTable,
+    SphericalMonogenic,
+    monogenic_basis,
+    psi,
+    x_times,
+)
 from .checks import worst
 from .exact import Exact
 from .kernels import KernelId, build_kernel, eval_terms
@@ -82,30 +90,66 @@ class QuadratureScheme:
     W_i = sqrt(2) w_i exp(u_i^2), so sum W f(x) approximates the
     unweighted integral of f for functions with Gaussian decay; the
     rewritten weights stay O(1), avoiding overflow.
+
+    Only the axis rule is stored.  The points are numbered in C order of
+    their axis indices (i_1, ..., i_m), and :meth:`chunks` builds each run
+    of consecutive points from the axis rule, with the weight of a point
+    the product W_(i_1) W_(i_2) ... W_(i_m) taken left to right.
     """
 
     def __init__(self, m: int, nodes_per_axis: int | None = None):
         if m < 1:
             raise ValueError("dimension must be >= 1")
-        n = nodes_per_axis or GRID_NODES.get(m)
+        n = GRID_NODES.get(m) if nodes_per_axis is None else nodes_per_axis
         if n is None:
             raise ValueError(
                 f"no default grid size for dimension {m}; pass nodes_per_axis"
             )
+        if n < 1:
+            raise ValueError(f"nodes per axis must be >= 1, got {n}")
         u, w = np.polynomial.hermite.hermgauss(n)
         self.m = m
         self.nodes_per_axis = n
         self.axis_nodes = math.sqrt(2.0) * u
         self.axis_weights = math.sqrt(2.0) * w * np.exp(u * u)
-        grids = np.meshgrid(*([self.axis_nodes] * m), indexing="ij")
-        self.points = np.stack([g.reshape(-1) for g in grids], axis=1)
-        self.weights = reduce(np.multiply.outer, [self.axis_weights] * m).reshape(-1)
 
     def __len__(self) -> int:
-        return self.points.shape[0]
+        return self.nodes_per_axis**self.m
 
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(self.weights * values))
+    def chunks(self, size: int = _CHUNK_ROWS):
+        """(points, weights) of consecutive runs of at most size points;
+        points is the (n, m) transpose of a contiguous (m, n) array."""
+        if size < 1:
+            raise ValueError(f"chunk size must be >= 1, got {size}")
+        # coordinates and axis weights of axes 2..m at the n^(m-1) points of
+        # one value of the first axis, one row per axis
+        n, rest = self.nodes_per_axis, self.m - 1
+        idx = np.indices((n,) * rest).reshape(rest, n**rest)
+        coords, axis_wts = self.axis_nodes[idx], self.axis_weights[idx]
+        block = n**rest
+        total = len(self)
+        for start in range(0, total, size):
+            stop = min(start + size, total)
+            cols = np.empty((self.m, stop - start))
+            wts = np.empty(stop - start)
+            pos = start
+            # one segment per value of the first axis
+            while pos < stop:
+                first, lo = divmod(pos, block)
+                hi = min(block, lo + stop - pos)
+                seg = slice(pos - start, pos - start + hi - lo)
+                cols[0, seg] = self.axis_nodes[first]
+                cols[1:, seg] = coords[:, lo:hi]
+                wts[seg] = self.axis_weights[first]
+                for axis_w in axis_wts[:, lo:hi]:
+                    wts[seg] *= axis_w
+                pos += hi - lo
+            yield cols.T, wts
+
+    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
+        """sum W f(x) over the grid, with f evaluated on one chunk of (n, m)
+        points at a time."""
+        return complex(sum(np.sum(wts * f(pts)) for pts, wts in self.chunks()))
 
     def self_test(self, tol: float = 1e-10) -> float:
         """Relative error integrating centered and shifted unit Gaussians
@@ -113,18 +157,13 @@ class QuadratureScheme:
         exact = (2.0 * math.pi) ** (self.m / 2.0)
 
         def rel_error(offset):
-            vals = np.exp(-0.5 * np.sum((self.points - offset) ** 2, axis=1))
-            return abs(self.integrate(vals).real - exact) / exact
+            value = self.integrate(lambda pts: np.exp(-0.5 * np.sum((pts - offset) ** 2, axis=1)))
+            return abs(value.real - exact) / exact
 
         err = worst(rel_error(np.zeros(self.m)), rel_error(0.35 * np.arange(1, self.m + 1)))
         if not err < tol:
             raise RuntimeError(f"quadrature self-test failed: rel error {err:.3e}")
         return err
-
-    def chunks(self, size: int = _CHUNK_ROWS):
-        for start in range(0, len(self), size):
-            sl = slice(start, start + size)
-            yield self.points[sl], self.weights[sl]
 
 
 @lru_cache(maxsize=None)
@@ -237,28 +276,23 @@ def closed_form_eigenvalue(
 BladeValues = dict[int, np.ndarray]  # array-valued multivector: blade mask -> values at points
 
 
-def _as_value_source(f) -> Callable[[np.ndarray], BladeValues]:
-    if isinstance(f, (BasisFunction, GaussianPolynomial)):
-        return f.values
-    if callable(f):
-        return f
-    raise TypeError(f"cannot evaluate {f!r} on a point batch")
-
-
 def apply_transform_batch(
     kernel,
-    fs: Sequence,
+    fs: Sequence[BasisFunction | GaussianPolynomial],
     ys: np.ndarray,
     scheme: QuadratureScheme | None = None,
 ) -> list[BladeValues]:
-    """Transforms of several functions under one kernel, at points ys.
+    """Transforms of several Gaussian polynomials P(x) exp(-|x|^2/2) under
+    one kernel, at points ys.
 
     F[f](y) = (2 pi)^(-m/2) integral of K(x, y) f(x); the kernel profile
-    evaluations are shared across all fs.  Per chunk of quadrature points
-    the work is one real matrix product W @ P:
+    evaluations are shared across all fs, and so is the evaluation of the
+    functions: one :class:`PolynomialTable` of their polynomials.  Per chunk
+    of quadrature points the work is one real matrix product W @ P:
 
-    * W has one row per (function, blade) pair, its weighted values; a
-      complex value gives a real row and an imaginary row;
+    * W has one row per (function, blade) pair, its values times the
+      quadrature weight and the Gaussian, all from one table of monomials
+      (the coefficients are rational, so W is real);
     * P has the scalar profile A and the bivector moments B x_j side by
       side as real columns, one per target each; a complex profile (odd m)
       gives a block of real-part columns and a block of imaginary-part
@@ -277,49 +311,38 @@ def apply_transform_batch(
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if ys.shape[1] != m:
         raise ValueError(f"expected points with {m} coordinates")
-    sources = [_as_value_source(f) for f in fs]
+    for f in fs:
+        if not isinstance(f, (BasisFunction, GaussianPolynomial)):
+            raise TypeError(f"expected a BasisFunction or GaussianPolynomial, got {f!r}")
+    table = PolynomialTable(m, [f.poly for f in fs])
     r = ys.shape[0]
     ys_norm = np.linalg.norm(ys, axis=1)
     has_biv = bool(expr.bivector_terms)
     n_blocks = 1 + m if has_biv else 1
-    # (function, blade, 1 or 1j) -> sum over chunks of its row of W @ P
-    sums: dict[tuple[int, int, complex], np.ndarray] = {}
+    sums = 0.0  # rows of W @ P, summed over chunks
 
     for pts, wts in scheme.chunks(min(_CHUNK_ROWS, max(1, _CHUNK_ENTRIES // (r * n_blocks)))):
         # targets x points layout, so every array below is contiguous along
         # the points that the product sums over
         cols = np.ascontiguousarray(pts.T)
+        r2 = reduce(np.add, [x * x for x in cols])
         s_mat = ys @ cols
-        t_mat = ys_norm[:, None] * np.sqrt(reduce(np.add, [x * x for x in cols]))
+        t_mat = ys_norm[:, None] * np.sqrt(r2)
         t_mat = np.sqrt(np.maximum(t_mat * t_mat - s_mat * s_mat, 0.0), out=t_mat)
         a_mat = eval_terms(expr.scalar_terms, s_mat, t_mat)
         b_mat = eval_terms(expr.bivector_terms, s_mat, t_mat) if has_biv else a_mat
         del s_mat, t_mat
         parts = (np.real, np.imag) if np.iscomplexobj(a_mat) or np.iscomplexobj(b_mat) else (np.real,)
         # profile[part, 0] = A, profile[part, 1 + j] = B x_j, each targets x points
-        profile = np.empty((len(parts), n_blocks, r, len(pts)))
+        profile = np.empty((len(parts), n_blocks, r, len(wts)))
         for p, part in enumerate(parts):
             profile[p, 0] = part(a_mat)
             for j in range(1, n_blocks):
                 np.multiply(part(b_mat), cols[j - 1], out=profile[p, j])
         del a_mat, b_mat
 
-        values = [source(pts) for source in sources]
-        keys = [
-            (fi, blade, unit)
-            for fi, vals in enumerate(values)
-            for blade, v in vals.items()
-            for unit in ((1, 1j) if np.iscomplexobj(v) else (1,))
-        ]
-        w_mat = np.empty((len(keys), len(pts)))
-        for row, (fi, blade, unit) in zip(w_mat, keys):
-            v = values[fi][blade]
-            np.multiply(wts, np.real(v) if unit == 1 else np.imag(v), out=row)
-        for key, row in zip(keys, w_mat @ profile.reshape(-1, len(pts)).T):
-            if key in sums:
-                sums[key] += row
-            else:
-                sums[key] = row
+        w_mat = table.evaluate(cols, wts * np.exp(-0.5 * r2))
+        sums = sums + w_mat @ profile.reshape(-1, len(wts)).T
 
     norm = complex(transform_normalization(m))
     pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
@@ -329,9 +352,9 @@ def apply_transform_batch(
         tgt = out[fi].setdefault(blade, np.zeros(r, dtype=complex))
         tgt += delta
 
-    for (fi, blade, unit), row in sums.items():
+    for (fi, blade), row in zip(table.rows, sums):
         parts = row.reshape(-1, n_blocks, r)
-        blocks = (unit * norm) * (parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0])
+        blocks = norm * (parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0])
         acc(fi, blade, blocks[0])
         if not has_biv:
             continue

@@ -99,12 +99,13 @@ def _jtilde_trig(twice_order: int, t: np.ndarray) -> np.ndarray | None:
     """Closed forms for half-integer orders -1/2 .. 9/2, valid for t >= 1."""
     if twice_order not in (-1, 1, 3, 5, 7, 9):
         return None
-    st, ct = np.sin(t), np.cos(t)
+    # orders -1/2 and 1/2 need only one of cos t and sin t
     if twice_order == -1:
-        val = ct
-    elif twice_order == 1:
-        val = st / t
-    elif twice_order == 3:
+        return _SQRT_2_OVER_PI * np.cos(t)
+    if twice_order == 1:
+        return _SQRT_2_OVER_PI * (np.sin(t) / t)
+    st, ct = np.sin(t), np.cos(t)
+    if twice_order == 3:
         val = (st - t * ct) / t**3
     elif twice_order == 5:
         val = ((3.0 - t * t) * st - 3.0 * t * ct) / t**5

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from clifft.basis import harmonic_dimension, monogenic_basis, psi
+from clifft.basis import PolynomialTable, harmonic_dimension, monogenic_basis, psi
 from clifft.basis import dirac as dirac_op
 from clifft.checks import Check, worst
 from clifft.engine import (
@@ -221,14 +221,19 @@ def test_criterion_10_monogenic_basis():
         ]
         n = len(fs)
         gram = np.zeros((n, n))
+        table = PolynomialTable(m, [f.poly for f in fs])
+        # the bilinear sum over blades, no conjugate: one real matrix
+        # product per blade over the rows of the functions that have it
+        by_blade: dict[int, list[int]] = {}
+        for r, (_, blade) in enumerate(table.rows):
+            by_blade.setdefault(blade, []).append(r)
         for pts, wts in scheme.chunks():
-            vals = [f.values(pts) for f in fs]
-            # the bilinear sum over blades, no conjugate: one real matrix
-            # product per blade over the functions that have it
-            for blade in set().union(*vals):
-                idx = [a for a, v in enumerate(vals) if blade in v]
-                rows = np.array([vals[a][blade] for a in idx])
-                gram[np.ix_(idx, idx)] += (rows * wts) @ rows.T
+            cols = np.ascontiguousarray(pts.T)
+            # every function's values at the chunk from one shared evaluation
+            vals = table.evaluate(cols, np.exp(-0.5 * np.sum(cols * cols, axis=0)))
+            for rows in by_blade.values():
+                idx = [table.rows[r][0] for r in rows]
+                gram[np.ix_(idx, idx)] += (vals[rows] * wts) @ vals[rows].T
         cross = worst(*(
             abs(gram[a, b]) / np.sqrt(abs(gram[a, a]) * abs(gram[b, b]))
             for a in range(n)

@@ -12,6 +12,7 @@ from clifft.basis import (
     BasisFunction,
     CliffordPolynomial,
     GaussianPolynomial,
+    PolynomialTable,
     creation_psi,
     dirac,
     harmonic_basis,
@@ -231,25 +232,43 @@ def _majorant(p: CliffordPolynomial, pts: np.ndarray) -> dict[int, np.ndarray]:
 
 def test_evaluate_batch_matches_pointwise_evaluate():
     # the batch builds each monomial from a table of powers by repeated
-    # multiplication; the pointwise route raises each coordinate with **
+    # multiplication; the pointwise route raises each coordinate with **.
+    # The grid and radial routes share the batch evaluator, so it is held
+    # to this oracle one polynomial at a time and several in one table.
     rng = np.random.default_rng(17)
     for m in (2, 3, 4):
         pts = rng.uniform(-3.0, 3.0, size=(25, m))
         polys = [psi(j, k, 1, m).poly for j in range(3) for k in range(4)]
         polys += [CliffordPolynomial.constant(m, Fraction(-7, 3)), CliffordPolynomial(m)]
-        for p in polys:
-            batch = p.evaluate_batch(pts)
+        table = PolynomialTable(m, polys)
+        together = table.split(table.evaluate(np.ascontiguousarray(pts.T)))
+        assert [(pi, b) for pi, vals in enumerate(together) for b in vals] == table.rows
+        for p, joint in zip(polys, together):
             scale = _majorant(p, pts)
-            assert set(batch) == set(scale)
-            for n, pt in enumerate(pts):
-                single = p.evaluate(pt)
-                assert set(np.flatnonzero(single._data)) <= set(batch)
-                for blade, vals in batch.items():
-                    err = abs(vals[n] - single._data[blade])
-                    assert err <= 1e-15 * max(1.0, scale[blade][n]), (m, p, blade, err)
+            for batch in (p.evaluate_batch(pts), joint):
+                assert set(batch) == set(scale)
+                for n, pt in enumerate(pts):
+                    single = p.evaluate(pt)
+                    assert set(np.flatnonzero(single._data)) <= set(batch)
+                    for blade, vals in batch.items():
+                        err = abs(vals[n] - single._data[blade])
+                        assert err <= 1e-15 * max(1.0, scale[blade][n]), (m, p, blade, err)
     assert CliffordPolynomial(3).evaluate_batch(pts[:, :3]) == {}
     with pytest.raises(ValueError):
         CliffordPolynomial(3).evaluate_batch(np.zeros((4, 2)))
+
+
+def test_polynomial_table_weight_multiplies_every_value():
+    rng = np.random.default_rng(5)
+    m = 3
+    polys = [psi(j, k, 1, m).poly for j in range(3) for k in range(3)]
+    cols = rng.uniform(-2.0, 2.0, size=(m, 40))
+    weight = rng.uniform(0.1, 3.0, size=40)
+    table = PolynomialTable(m, polys)
+    plain, weighted = table.evaluate(cols), table.evaluate(cols, weight)
+    assert weighted.shape == plain.shape == (len(table.rows), 40)
+    assert np.max(np.abs(weighted - plain * weight)) <= 1e-14 * np.max(np.abs(plain * weight))
+    assert PolynomialTable(m, []).evaluate(cols).shape == (0, 40)
 
 
 def _reference_vector_times(p: CliffordPolynomial, step: int) -> CliffordPolynomial:

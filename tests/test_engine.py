@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from clifft import engine
-from clifft.basis import monogenic_basis, psi
+from clifft.basis import GaussianPolynomial, monogenic_basis, psi
 from clifft.engine import (
     QuadratureScheme,
     closed_form_eigenvalue,
@@ -36,19 +37,49 @@ def test_scheme_self_test_and_sizes():
         QuadratureScheme(7)  # no default grid that large
 
 
+def test_scheme_rejects_a_node_count_below_one():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="nodes per axis"):
+            QuadratureScheme(2, n)
+    with pytest.raises(ValueError, match="chunk size"):
+        next(QuadratureScheme(2, 4).chunks(0))
+
+
+@pytest.mark.parametrize("m, n", [(1, 9), (2, 9), (3, 7), (4, 6), (2, 64), (3, 48), (4, 36)])
+def test_chunks_equal_a_meshgrid_reference_bitwise(m, n):
+    scheme = QuadratureScheme(m, n)
+    grids = np.meshgrid(*([scheme.axis_nodes] * m), indexing="ij")
+    points = np.stack([g.reshape(-1) for g in grids], axis=1)
+    weights = reduce(np.multiply.outer, [scheme.axis_weights] * m).reshape(-1)
+    assert len(scheme) == len(points)
+    # size 1 and 7 on the default grids would take too many chunks
+    for size in (1, 7, 1000, 16_384) if len(points) < 20_000 else (1000, 16_384):
+        start = 0
+        for pts, wts in scheme.chunks(size):
+            stop = min(start + size, len(points))
+            assert pts.shape == (stop - start, m) and wts.shape == (stop - start,)
+            assert np.ascontiguousarray(pts).tobytes() == points[start:stop].tobytes()
+            assert wts.tobytes() == weights[start:stop].tobytes()
+            start = stop
+        assert start == len(points)
+
+
 def test_scheme_self_test_fails_on_a_nan_weight():
     scheme = QuadratureScheme(2, 16)
     assert scheme.self_test() < 1e-10
-    scheme.weights[5] = np.nan
+    scheme.axis_weights[5] = np.nan
     with pytest.raises(RuntimeError, match="self-test failed"):
         scheme.self_test()
 
 
 def test_scheme_integrates_polynomial_gaussian():
     s = default_scheme(2)
-    vals = (s.points[:, 0] ** 2) * np.exp(-0.5 * np.sum(s.points**2, axis=1))
-    # integral of x1^2 e^(-|x|^2/2) = (2 pi)^(m/2)
-    assert s.integrate(vals).real == pytest.approx(2 * math.pi, rel=1e-12)
+
+    def f(pts: np.ndarray) -> np.ndarray:
+        return pts[:, 0] ** 2 * np.exp(-0.5 * np.sum(pts**2, axis=1))
+
+    # integral of x1^2 e^(-|x|^2/2) = (2 pi)^(m/2), summed chunk by chunk
+    assert s.integrate(f).real == pytest.approx(2 * math.pi, rel=1e-12)
 
 
 def test_radial_rule_covers_oscillation():
@@ -106,20 +137,17 @@ def test_transform_batch_shares_kernel_evaluations():
             assert np.allclose(one[blade], two[blade], atol=1e-14)
 
 
-def test_transform_of_a_complex_source_is_linear():
-    # at m = 3 the profiles are complex; a complex source value gives a
-    # real and an imaginary row of the weighted matrix
+def test_transform_is_linear_at_complex_profiles():
+    # at m = 3 the profiles are complex, so W @ P has a real and an
+    # imaginary block per row; T[g + h] = T[g] + T[h] with g + h one table row
+    # set, and g, h keep their eigenvalues
     m = 3
     kid = KernelId(m, 1)
     assert np.iscomplexobj(eval_terms(build_kernel(kid).scalar_terms, 0.3, 0.8))
     g, h = psi(0, 1, 1, m), psi(1, 0, 1, m)
-
-    def g_plus_ih(pts: np.ndarray):
-        gv, hv = g.values(pts), h.values(pts)
-        return {b: gv.get(b, 0.0) + 1j * hv.get(b, 0.0) for b in gv.keys() | hv.keys()}
-
+    g_plus_h = GaussianPolynomial(g.poly + h.poly)
     ys = sample_points(m, 5, 2.0, seed=21)
-    t_g, t_h, t_gh = apply_transform_batch(kid, [g, h, g_plus_ih], ys)
+    t_g, t_h, t_gh = apply_transform_batch(kid, [g, h, g_plus_h], ys)
     for bf, got in ((g, t_g), (h, t_h)):
         lam = closed_form_eigenvalue(m, 1, bf.k, "2p+1" if bf.j % 2 else "2p")
         want = bf.values(ys)
@@ -127,8 +155,13 @@ def test_transform_of_a_complex_source_is_linear():
             assert np.max(np.abs(got.get(blade, 0.0) - lam * want.get(blade, 0.0))) < 1e-10, blade
     assert set(t_gh) == set(t_g) | set(t_h)
     for blade in t_gh:
-        lin = t_g.get(blade, 0.0) + 1j * t_h.get(blade, 0.0)
+        lin = t_g.get(blade, 0.0) + t_h.get(blade, 0.0)
         assert np.max(np.abs(t_gh[blade] - lin)) < 1e-14, blade
+
+
+def test_transform_takes_gaussian_polynomials_only():
+    with pytest.raises(TypeError, match="GaussianPolynomial"):
+        apply_transform_batch(KernelId(2, 0), [lambda pts: {0: np.ones(len(pts))}], np.ones((1, 2)))
 
 
 def test_transform_keeps_even_m_profiles_real(monkeypatch):

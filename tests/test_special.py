@@ -95,6 +95,14 @@ def test_half_integer_closed_forms():
     assert bessel_jtilde(BesselOrder(1), t) == pytest.approx(root * math.sin(t) / t)
 
 
+def test_orders_minus_and_plus_half_are_one_trig_function_bit_for_bit():
+    # order -1/2 takes only the cosine and order 1/2 only the sine
+    t = np.concatenate([[1.0], np.linspace(1.0, 60.0, 5001)[1:], [1e3, 1e6]])
+    root = math.sqrt(2.0 / math.pi)
+    assert np.array_equal(bessel_jtilde(BesselOrder(-1), t), root * np.cos(t))
+    assert np.array_equal(bessel_jtilde(BesselOrder(1), t), root * (np.sin(t) / t))
+
+
 def test_bessel_j_guards():
     # orders below -1/2 are outside the kernel calculus, and so is t < 0
     with pytest.raises(ValueError):
