@@ -200,7 +200,7 @@ def _vector_components(x) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("a vector needs a one-dimensional, nonempty component list")
-    return arr if np.iscomplexobj(arr) else arr.astype(float)
+    return arr if np.iscomplexobj(arr) else arr.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -228,24 +228,29 @@ class ParaBivector:
     @classmethod
     def from_geometry(cls, m: int, scalar, g, x, y) -> ParaBivector:
         """Parabivector scalar + g*(x wedge y)."""
-        xv = _vector_components(x)
-        yv = _vector_components(y)
+        xv = _vector_components(x).tolist()
+        yv = _vector_components(y).tolist()
         if len(xv) != m or len(yv) != m:
             raise ValueError("vector dimension mismatch")
         biv: dict[tuple[int, int], complex] = {}
+        g = complex(g)
         if g:
             for j in range(m):
                 for k in range(j + 1, m):
-                    c = complex(g) * (xv[j] * yv[k] - xv[k] * yv[j])
+                    c = g * (xv[j] * yv[k] - xv[k] * yv[j])
                     if c:
                         biv[(j + 1, k + 1)] = c
         return cls(m, complex(scalar), biv)
 
     def to_multivector(self) -> Multivector:
-        coeffs: dict = {0: self.scalar}
+        m = _check_dimension(self.m)
+        data = np.zeros(1 << m, dtype=complex)
+        data[0] = 0j + self.scalar  # a sum from zero, as Multivector builds: no negative zeros
         for (j, k), c in self.bivector.items():
-            coeffs[(j, k)] = c
-        return Multivector(self.m, coeffs)
+            if not 1 <= j < k <= m:
+                raise ValueError(f"bivector index pair ({j}, {k}) needs 1 <= j < k <= {m}")
+            data[(1 << (j - 1)) | (1 << (k - 1))] = 0j + c
+        return Multivector._from_data(m, data)
 
 
 def blade_product(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
@@ -297,8 +302,13 @@ def invariants_of(x, y) -> GeometricInvariants:
     yv = _vector_components(y)
     if xv.size != yv.size:
         raise ValueError("dimension mismatch")
-    s = float(np.real(np.dot(xv, yv)))
-    z = float(np.linalg.norm(xv) * np.linalg.norm(yv))
+    if np.iscomplexobj(xv) or np.iscomplexobj(yv):
+        s = float(np.real(np.dot(xv, yv)))
+        z = float(np.linalg.norm(xv) * np.linalg.norm(yv))
+    else:
+        # the same dot products as np.dot and np.linalg.norm, without their set-up
+        s = float(xv.dot(yv))
+        z = math.sqrt(xv.dot(xv)) * math.sqrt(yv.dot(yv))
     t = math.sqrt(max(z * z - s * s, 0.0))
     w = s / z if z > 0 else None
     return GeometricInvariants(s=s, t=t, z=z, w=w)

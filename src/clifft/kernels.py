@@ -434,20 +434,26 @@ def verify_structural_identities(m: int) -> list[Check]:
 # evaluation
 
 
-def eval_terms(terms: Sequence[KernelTerm], s, t) -> np.ndarray:
-    """Evaluate sum of terms at arrays s, t (broadcast together).
+def eval_terms(terms: Sequence[KernelTerm], s, t):
+    """Evaluate sum of terms at s, t: two numbers (int or float, np.float64
+    included) give a Python float or complex; arrays (broadcast together)
+    give an array.
 
     The result is real when every coefficient is real (every even m) and
-    complex otherwise."""
-    s_arr = np.asarray(s, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    s_arr, t_arr = np.broadcast_arrays(s_arr, t_arr)
+    complex otherwise.  Either way each order is one bessel_jtilde call."""
     coeffs = [term.coeff_complex for term in terms]
     real = not any(c.imag for c in coeffs)
-    total = np.zeros(s_arr.shape, dtype=float if real else complex)
     by_order: dict[int, list[tuple[float | complex, int]]] = {}
     for term, c in zip(terms, coeffs):
         by_order.setdefault(term.order.twice_order, []).append((c.real if real else c, term.s_power))
+    if isinstance(s, (int, float)) and isinstance(t, (int, float)):
+        total = 0.0 if real else 0j
+        for two, group in by_order.items():
+            poly = sum(c * s**s_power if s_power else c for c, s_power in group)
+            total += poly * bessel_jtilde(BesselOrder(two), t)
+        return total
+    s_arr, t_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    total = np.zeros(s_arr.shape, dtype=float if real else complex)
     for two, group in by_order.items():
         poly = sum(c * s_arr**s_power if s_power else c for c, s_power in group)
         total += poly * bessel_jtilde(BesselOrder(two), t_arr)

@@ -605,8 +605,8 @@ def truncation_bound(coeffs: SeriesCoefficients, z_max: float, eps: float) -> in
     bounded by a geometric comparison once terms at least halve.  Raises
     ValueError when a term majorant overflows a float.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if not math.isfinite(z_max):
         raise ValueError(f"z_max must be finite, got {z_max!r}")
     z = max(float(z_max), 1e-9)

@@ -77,26 +77,29 @@ def _twice(order) -> int:
 
 
 @lru_cache(maxsize=None)
-def _jtilde_series_coeffs(twice_order: int, nterms: int = 14) -> np.ndarray:
-    """Coefficients c_k of jtilde(t) = sum_k c_k t^(2k), c_k = (-1)^k c_0 /
-    prod_{j<=k} 4j(alpha+j), with c_0 = 1/(2^alpha alpha!), or sqrt(2/pi)/(2 alpha)!!
-    for half-integer alpha; the rational part of each is one correctly rounded quotient."""
+def _jtilde_series_coeffs(twice_order: int) -> tuple[float, ...]:
+    """Coefficients c_k of jtilde(t) = sum_k c_k t^(2k), highest k first
+    (Horner order), with 24 terms for the orders of _SERIES_UP_TO and 14
+    otherwise.  c_k = (-1)^k c_0 / prod_{j<=k} 4j(alpha+j), with
+    c_0 = 1/(2^alpha alpha!), or sqrt(2/pi)/(2 alpha)!! for half-integer
+    alpha; the rational part of each is one correctly rounded quotient."""
     if twice_order % 2:
         scale, den = _SQRT_2_OVER_PI, math.prod(range(twice_order, 0, -2))
     else:
         scale, den = 1.0, 2 ** (twice_order // 2) * math.factorial(twice_order // 2)
-    coeffs = np.empty(nterms)
-    for k in range(nterms):
-        coeffs[k] = scale * ((-1) ** k / den)
+    coeffs = []
+    for k in range(_LONG_SERIES_TERMS if twice_order in _SERIES_UP_TO else 14):
+        coeffs.append(scale * ((-1) ** k / den))
         den *= 2 * (k + 1) * (twice_order + 2 * k + 2)  # 4j(alpha + j), j = k + 1
-    return coeffs
+    return tuple(reversed(coeffs))
 
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def _jtilde_trig(twice_order: int, t: np.ndarray) -> np.ndarray | None:
-    """Closed forms for half-integer orders -1/2 .. 9/2, valid for t >= 1."""
+def _jtilde_trig(twice_order: int, t):
+    """Closed forms for half-integer orders -1/2 .. 9/2, valid for t >= 1,
+    on a float or an array; None for every other order."""
     if twice_order not in (-1, 1, 3, 5, 7, 9):
         return None
     # orders -1/2 and 1/2 need only one of cos t and sin t
@@ -104,16 +107,18 @@ def _jtilde_trig(twice_order: int, t: np.ndarray) -> np.ndarray | None:
         return _SQRT_2_OVER_PI * np.cos(t)
     if twice_order == 1:
         return _SQRT_2_OVER_PI * (np.sin(t) / t)
+    # np.power, not **: on a float, ** is the C library's pow, which can
+    # differ in the last bit from numpy's vectorised pow on arrays
     st, ct = np.sin(t), np.cos(t)
     if twice_order == 3:
-        val = (st - t * ct) / t**3
+        val = (st - t * ct) / np.power(t, 3)
     elif twice_order == 5:
-        val = ((3.0 - t * t) * st - 3.0 * t * ct) / t**5
+        val = ((3.0 - t * t) * st - 3.0 * t * ct) / np.power(t, 5)
     elif twice_order == 7:
-        val = ((15.0 - 6.0 * t * t) * st - (15.0 * t - t**3) * ct) / t**7
+        val = ((15.0 - 6.0 * t * t) * st - (15.0 * t - np.power(t, 3)) * ct) / np.power(t, 7)
     else:
         t2 = t * t
-        val = ((105.0 - 45.0 * t2 + t2 * t2) * st - (105.0 * t - 10.0 * t**3) * ct) / t**9
+        val = ((105.0 - 45.0 * t2 + t2 * t2) * st - (105.0 * t - 10.0 * np.power(t, 3)) * ct) / np.power(t, 9)
     return _SQRT_2_OVER_PI * val
 
 
@@ -132,29 +137,48 @@ def bessel_jtilde(order, t):
     orders 5/2, 7/2 and 9/2; closed trigonometric forms for half-integer
     orders above that; J_0(t) and J_1(t)/t by scipy's j0 and j1 for the
     orders 0 and 1; the generic Bessel function jv for every other order.
+    A 0-d t picks its branch once and returns a float; an array t is
+    split into those branches by masks.
     """
     two = _twice(order)
     if two < -1:
         raise ValueError(f"unsupported order {two}/2: need order >= -1/2")
-    arr = np.asarray(t, dtype=float)
-    scalar_in = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    if not isinstance(t, (int, float)):
+        arr = np.asarray(t, dtype=float)
+        if arr.ndim:
+            return _jtilde_array(two, arr)
+    return _jtilde_point(two, float(t))
+
+
+def _jtilde_point(two: int, t: float) -> float:
+    """One point: the branches of _jtilde_array, on a Python float."""
+    if t < 0:
+        raise ValueError("bessel_jtilde requires t >= 0")
+    if t < _SERIES_UP_TO.get(two, 1.0):
+        t2 = t * t
+        acc, *rest = _jtilde_series_coeffs(two)
+        for c in rest:
+            acc = acc * t2 + c
+        return acc
+    if two == 0:
+        return float(_j0(t))
+    if two == 2:
+        return float(_j1(t)) / t
+    val = _jtilde_trig(two, t)
+    if val is None:
+        alpha = two / 2.0
+        val = _jv(alpha, t) * np.power(t, -alpha)
+    return float(val)
+
+
+def _jtilde_array(two: int, arr: np.ndarray) -> np.ndarray:
     if np.any(arr < 0):
         raise ValueError("bessel_jtilde requires t >= 0")
     out = np.empty_like(arr)
-
     small = arr < _SERIES_UP_TO.get(two, 1.0)
     if np.any(small):
-        if two in _SERIES_UP_TO:
-            coeffs = _jtilde_series_coeffs(two, _LONG_SERIES_TERMS)
-        else:
-            coeffs = _jtilde_series_coeffs(two)
         t2 = arr[small] ** 2
-        if t2.size == 1:
-            # one point: the same IEEE operations in Python floats, without
-            # numpy's per-call cost on each of up to 24 Horner steps
-            t2 = float(t2[0])
-        acc, *rest = coeffs[::-1].tolist()
+        acc, *rest = _jtilde_series_coeffs(two)
         for c in rest:
             acc = acc * t2 + c
         out[small] = acc
@@ -169,9 +193,9 @@ def bessel_jtilde(order, t):
             trig = _jtilde_trig(two, tb)
             if trig is None:
                 alpha = two / 2.0
-                trig = _jv(alpha, tb) * tb ** (-alpha)
+                trig = _jv(alpha, tb) * np.power(tb, -alpha)
             out[big] = trig
-    return float(out[0]) if scalar_in else out
+    return out
 
 
 def gegenbauer_all(n: int, lam: float, w):

@@ -67,6 +67,9 @@ def test_vector_product_splits_into_inner_and_wedge(x, y):
 @given(vectors(4), vectors(4))
 def test_invariant_identities(x, y):
     inv = invariants_of(x, y)
+    # the same bits as numpy's dot product and norm
+    assert inv.s == float(np.dot(x, y))
+    assert inv.z == float(np.linalg.norm(x) * np.linalg.norm(y))
     assert inv.t**2 == pytest.approx(inv.z**2 - inv.s**2, abs=1e-9)
     xv = Multivector.from_vector(4, x)
     w = wedge(x, y)
@@ -90,9 +93,12 @@ def test_scalar_part_and_norm():
 def test_parabivector_matches_multivector_assembly():
     x = np.array([0.3, -1.2, 0.5])
     y = np.array([1.1, 0.4, -0.2])
-    pb = ParaBivector.from_geometry(3, 2.0 - 1.0j, 0.75, x, y)
-    direct = Multivector.scalar(3, 2.0 - 1.0j) + wedge(x, y) * 0.75
+    pb = ParaBivector.from_geometry(3, 2.0 - 1.0j, 0.75 + 0.5j, x, y)
+    direct = Multivector.scalar(3, 2.0 - 1.0j) + wedge(x, y) * (0.75 + 0.5j)
     assert pb.to_multivector().isclose(direct)
+    for bad in ({(2, 1): 1.0}, {(1, 4): 1.0}, {(0, 2): 1.0}):
+        with pytest.raises(ValueError):
+            ParaBivector(3, 1.0, bad).to_multivector()
 
 
 def test_vector_wrapper_and_coefficients():

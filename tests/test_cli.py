@@ -165,6 +165,8 @@ def test_verify_rejects_out_of_domain_dimension(capsys, suite, m):
         ["coeffs", "--m", "4", "--i", "1", "--k-max", "-3"],
         ["eigentable", "--m", "4", "--output", "/nonexistent/x.csv"],
         ["verify", "--suite", "l2", "--m", "4", "--output", "/nonexistent/x.json"],
+        ["kernel-eval", "--m", "4", "--i", "1", "--s", "1", "--t", "1",
+         "--eps", "inf", "--compare-series"],
     ],
 )
 def test_bad_input_exits_two(capsys, argv):

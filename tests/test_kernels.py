@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -212,6 +213,63 @@ def test_eval_terms_converts_each_coefficient_once(monkeypatch):
     s_pts, t_pts = np.array([0.3, -1.2]), np.array([0.5, 2.0])
     first = eval_terms(terms, s_pts, t_pts)
     second = eval_terms(terms, s_pts, t_pts)
+    points = [eval_terms(terms, s, t) for s, t in zip(s_pts.tolist(), t_pts.tolist())]
     assert np.array_equal(first, second)
+    assert all(type(p) is complex for p in points)
+    assert np.allclose(points, first, rtol=1e-14, atol=0.0)
     assert len(converted) == len(terms)
     assert sorted(map(id, converted)) == sorted(id(term.coeff) for term in terms)
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _jtilde_reference(two: int, t: float):
+    """jtilde of twice-order two at t, from mpmath at the working precision."""
+    nu = mpmath.mpf(two) / 2
+    if t == 0:
+        return 1 / (2**nu * mpmath.gamma(nu + 1))
+    tm = mpmath.mpf(t)
+    return mpmath.besselj(nu, tm) * tm ** (-nu)
+
+
+def test_eval_terms_against_mpmath():
+    # every closed-form kernel of m = 2..6, both signs, e_i = e^(0.7 I) at odd
+    # m, on 0-d and array input; the error is taken relative to the majorant
+    # sum |c| |s|^a jtilde_alpha(0), which bounds every term since
+    # |jtilde_alpha(t)| <= jtilde_alpha(0) for alpha >= -1/2
+    rng = np.random.default_rng(41)
+    s_pts = np.concatenate([[0.0, 0.7, -2.5, 3.9], rng.uniform(-4.0, 4.0, 36)])
+    t_pts = np.concatenate([[0.0, 0.999, 1.0, 3.999], rng.uniform(0.0, 25.0, 36)])
+    e_odd = complex(math.cos(0.7), math.sin(0.7))
+    jt_ref: dict = {}
+    worst = 0.0
+    with mpmath.workdps(60):
+        u = mpmath.sqrt(mpmath.pi / 2)
+        for m in range(2, 7):
+            for i in range(m - 1):
+                for sign in ("plus", "minus"):
+                    expr = build_kernel(KernelId(m, i, sign, e_odd if m % 2 else 1.0))
+                    for terms in (expr.scalar_terms, expr.bivector_terms):
+                        coeffs = [
+                            mpmath.mpc(_mp(tm.coeff.re), _mp(tm.coeff.im)) * u**tm.coeff.upow
+                            for tm in terms
+                        ]
+                        array = eval_terms(terms, s_pts, t_pts)
+                        for j, (s, t) in enumerate(zip(s_pts.tolist(), t_pts.tolist())):
+                            ref = 0
+                            majorant = 0
+                            for tm, c in zip(terms, coeffs):
+                                two = tm.order.twice_order
+                                for key in ((two, t), (two, 0.0)):
+                                    if key not in jt_ref:
+                                        jt_ref[key] = _jtilde_reference(*key)
+                                ref += c * mpmath.mpf(s) ** tm.s_power * jt_ref[two, t]
+                                majorant += abs(c) * abs(s) ** tm.s_power * jt_ref[two, 0.0]
+                            for got in (array[j], eval_terms(terms, s, t)):
+                                # a zero majorant (every term has a factor s, at s = 0)
+                                # allows no error at all
+                                err = abs(got - ref) / majorant if majorant else abs(got)
+                                worst = max(worst, float(err))
+    assert worst < 2e-15, worst

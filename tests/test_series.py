@@ -223,7 +223,10 @@ def test_truncation_bound_is_honest(m):
     assert truncation_bound(coeffs, 9.0, 1e-9) >= n
 
 
-@pytest.mark.parametrize("z_max, eps", [(1e300, 1e-9), (math.inf, 1e-9), (math.nan, 1e-9), (6.0, math.nan)])
+@pytest.mark.parametrize(
+    "z_max, eps",
+    [(1e300, 1e-9), (math.inf, 1e-9), (math.nan, 1e-9), (6.0, math.nan), (6.0, math.inf)],
+)
 def test_truncation_bound_rejects_ranges_it_cannot_bound(z_max, eps):
     with pytest.raises(ValueError):
         truncation_bound(series_coefficients(KernelId(3, 0)), z_max, eps)

@@ -28,13 +28,37 @@ def test_bessel_order_wrapper():
     assert BesselOrder(3).shifted(1).twice_order == 5
 
 
+def both_paths(order, ts: np.ndarray) -> np.ndarray:
+    """bessel_jtilde on the array ts and on each of its points as a float:
+    two rows, so that every oracle below holds both paths."""
+    points = [bessel_jtilde(order, t) for t in ts.tolist()]
+    assert all(type(p) is float for p in points)
+    return np.stack([bessel_jtilde(order, ts), np.array(points)])
+
+
+def test_jtilde_point_path_equals_array_path_bit_for_bit():
+    # twice-orders -1..21 on [0, 60], with points on and next to every cutoff
+    # (t = 1, and t = 4 for the orders that keep the series that far): the
+    # 0-d path takes the array path's branch, coefficients and operations
+    cuts = np.array([1.0, 4.0])
+    ts = np.unique(np.concatenate([
+        np.linspace(0.0, 60.0, 3001), cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 9.0),
+    ]))
+    for two in range(-1, 22):
+        order = BesselOrder(two)
+        array, point = both_paths(order, ts)
+        assert np.array_equal(point, array), two
+        zero_d = [bessel_jtilde(order, np.asarray(t)) for t in ts[::50]]
+        assert np.array_equal(zero_d, array[::50]), two
+
+
 def test_jtilde_matches_direct_quotient_above_one():
     t = np.linspace(1.0, 9.0, 40)
     for two in (-1, 1, 3, 4, 5, 8):
         order = BesselOrder(two)
         want = sp.jv(order.value, t) / t**order.value
-        got = bessel_jtilde(order, t)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+        for got in both_paths(order, t):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 def test_jtilde_series_continuous_across_switch():
@@ -63,11 +87,12 @@ def test_jtilde_power_series_against_mpmath_below_one():
     with mpmath.workdps(60):
         for two in range(-1, 201):
             nu = mpmath.mpf(two) / 2
-            got = bessel_jtilde(BesselOrder(two), ts)
-            for t, value in zip(ts, got):
+            got = both_paths(BesselOrder(two), ts)
+            for t, values in zip(ts, got.T):
                 tm = mpmath.mpf(t)
                 ref = mpmath.besselj(nu, tm) * tm ** (-nu) if t else 1 / (2**nu * mpmath.gamma(nu + 1))
-                worst = max(worst, float(abs(value - ref) / abs(ref)))
+                for value in values:
+                    worst = max(worst, float(abs(value - ref) / abs(ref)))
     assert worst < 2e-15
 
 
@@ -78,12 +103,13 @@ def test_jtilde_integer_orders_zero_and_one_against_mpmath():
     worst = {}
     with mpmath.workdps(60):
         for two in (0, 2):
-            got = bessel_jtilde(BesselOrder(two), ts)
+            got = both_paths(BesselOrder(two), ts)
             err = 0.0
-            for t, value in zip(ts, got):
+            for t, values in zip(ts, got.T):
                 tm = mpmath.mpf(t)
                 ref = mpmath.besselj(two // 2, tm) / tm ** (two // 2)
-                err = max(err, float(abs(value - ref) / max(1, abs(ref))))
+                for value in values:
+                    err = max(err, float(abs(value - ref) / max(1, abs(ref))))
             worst[two // 2] = err
     assert max(worst.values()) <= 1e-15, worst
 
@@ -104,11 +130,15 @@ def test_orders_minus_and_plus_half_are_one_trig_function_bit_for_bit():
 
 
 def test_bessel_j_guards():
-    # orders below -1/2 are outside the kernel calculus, and so is t < 0
-    with pytest.raises(ValueError):
-        bessel_jtilde(BesselOrder(-3), 1.0)
-    with pytest.raises(ValueError):
-        bessel_jtilde(BesselOrder(1), np.array([1.0, -0.5]))
+    # orders below -1/2 are outside the kernel calculus, and so is t < 0,
+    # on either path; NaN propagates through every branch
+    for t, negative in ((1.0, -0.5), (np.array([1.0, 2.0]), np.array([1.0, -0.5]))):
+        with pytest.raises(ValueError):
+            bessel_jtilde(BesselOrder(-3), t)
+        with pytest.raises(ValueError):
+            bessel_jtilde(BesselOrder(1), negative)
+        for two in (-1, 0, 1, 2, 3, 4, 5, 9, 11):
+            assert np.all(np.isnan(bessel_jtilde(BesselOrder(two), np.nan * t)))
 
 
 @settings(max_examples=40)
