@@ -74,7 +74,8 @@ __all__ = [
 GRID_NODES = {2: 64, 3: 48, 4: 36}
 
 # Quadrature points per chunk: keeps a chunk's function values and its
-# weighted matrix W (one row per function and blade) near cache size.
+# weighted matrix W (one row per function and blade) near cache size.  Also
+# the entries per strip of the radial route's nodes x targets Bessel table.
 _CHUNK_ROWS = 16_384
 # Entries rows x targets x (1 + m) of a chunk's profile matrix: bounds it,
 # and the s, t and profile arrays it is built from, when targets are many
@@ -410,39 +411,61 @@ def _radial_bessel_integral(
     rho: np.ndarray,
 ) -> np.ndarray:
     """integral over r of r^r_power f0(r) (r rho)^z_power
-    jtilde_(twice_order/2)(r rho), for each target rho.  The Bessel factor
-    is the one-row :func:`jtilde_stack`, whose fixed point blocks keep the
-    nodes x targets grid from multiplying the memory it takes."""
-    z = rule.nodes[:, None] * rho[None, :]
-    vals = jtilde_stack(twice_order, 0, z)[0]
-    if z_power:
-        vals = vals * z**z_power
-    wf = rule.weights * rule.nodes**r_power * f0_vals
-    return wf @ vals
+    jtilde_(twice_order/2)(r rho), for each target rho.
+
+    The nodes x targets table of Bessel factors is never stored: it is
+    taken in strips of consecutive nodes, at most _CHUNK_ROWS entries
+    each, and every strip is summed into the result before the next one
+    is built.  When the targets are the rule's own nodes the table is
+    symmetric, and only its upper triangle is evaluated: a strip covers
+    the columns from its first node on, adds its weighted rows to those
+    columns and, mirrored, the columns right of its diagonal block to its
+    own rows.
+    """
+    nodes = rule.nodes
+    symmetric = np.array_equal(rho, nodes)
+    wf = rule.weights * nodes**r_power * f0_vals
+    out = np.zeros(len(rho))
+    lo = 0
+    while lo < len(nodes):
+        first = lo if symmetric else 0
+        hi = min(len(nodes), lo + max(1, _CHUNK_ROWS // max(1, len(rho) - first)))
+        z = nodes[lo:hi, None] * rho[None, first:]
+        vals = jtilde_stack(twice_order, 0, z)[0]
+        if z_power:
+            vals = vals * z**z_power
+        out[first:] += wf[lo:hi] @ vals
+        if symmetric:
+            out[lo:hi] += vals[:, hi - lo:] @ wf[hi:]
+        lo = hi
+    return out
 
 
 def bochner_reduce(
-    source,
+    sources: Sequence,
     monogenic: SphericalMonogenic,
     radial_profile: Callable[[np.ndarray], np.ndarray],
     parity: str,
     ys: np.ndarray,
     rule: RadialRule | None = None,
-) -> BladeValues:
-    """Transform of f0(r) M_k(x) (parity "2p") or f0(r) x M_k(x)
-    (parity "2p+1") via the radial reduction.
+) -> list[BladeValues]:
+    """Transforms of f0(r) M_k(x) (parity "2p") or f0(r) x M_k(x)
+    (parity "2p+1") via the radial reduction, one per source (a
+    :class:`KernelId` or :class:`SeriesCoefficients`).
 
     The angular factor passes through and the radial factor becomes a
-    Bessel-weighted integral; radial_profile must decay fast enough to be
-    negligible beyond r = 14.  Valid in every dimension >= 2.
+    Bessel-weighted integral times the kernel's eigenvalue on degree k.
+    Only the eigenvalue depends on the source, so the integral and the
+    angular values are computed once for all of them.  radial_profile
+    must decay fast enough to be negligible beyond r = 14.  Valid in
+    every dimension >= 2.
     """
     if parity not in _PARITIES:
         raise ValueError(f"parity must be one of {_PARITIES}")
-    coeffs = _coeffs_of(source)
-    m = coeffs.m
-    if monogenic.m != m:
+    coeffs = [_coeffs_of(source) for source in sources]
+    m, k = monogenic.m, monogenic.k
+    if any(c.m != m for c in coeffs):
         raise ValueError("monogenic dimension mismatch")
-    k = monogenic.k
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     rho = np.linalg.norm(ys, axis=1)
     if np.any(rho <= 0):
@@ -450,16 +473,18 @@ def bochner_reduce(
     rule = rule or _rule_for(rho)
     eta = ys / rho[:, None]
     f0 = np.asarray(radial_profile(rule.nodes), dtype=float)
-    ev = eigenvalues_from_coefficients(coeffs, k)
     if parity == "2p":
-        scale = ev.even_branch
         integral = _radial_bessel_integral(rule, f0, m + k - 1, k, 2 * k + m - 2, rho)
         angular = monogenic.poly.evaluate_batch(eta)
     else:
-        scale = ev.odd_branch
         integral = _radial_bessel_integral(rule, f0, m + k, k + 1, 2 * k + m, rho)
         angular = x_times(monogenic.poly).evaluate_batch(eta)
-    return {blade: scale * integral * vals for blade, vals in angular.items()}
+    out = []
+    for c in coeffs:
+        ev = eigenvalues_from_coefficients(c, k)
+        scale = ev.even_branch if parity == "2p" else ev.odd_branch
+        out.append({blade: scale * integral * vals for blade, vals in angular.items()})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -525,27 +550,28 @@ def verify_eigen(
 
     if method != "radial":
         raise ValueError(f"unknown method {method!r}")
-    for i in i_list:
-        kid = KernelId(m, i, sign)
-        coeffs = series_coefficients(kid)
-        for k in k_list:
-            mono = monogenic_basis(m, k)[0]
-            for j in j_list:
-                a, odd = divmod(j, 2)
-                alpha = m / 2.0 + k - 1 + odd
+    kids = [KernelId(m, i, sign) for i in i_list]
+    coeffs = [series_coefficients(kid) for kid in kids]
+    rule = _rule_for(np.linalg.norm(ys, axis=1))
+    # records in (i, k, j) order; every (k, j) is one reduction for all i
+    per_i: list[list[EigenvalueRecord]] = [[] for _ in kids]
+    for k in k_list:
+        mono = monogenic_basis(m, k)[0]
+        for j in j_list:
+            a, odd = divmod(j, 2)
+            alpha = m / 2.0 + k - 1 + odd
 
-                def f0(rr: np.ndarray, a=a, alpha=alpha) -> np.ndarray:
-                    return laguerre(a, alpha, rr * rr) * np.exp(-0.5 * rr * rr)
+            def f0(rr: np.ndarray, a=a, alpha=alpha) -> np.ndarray:
+                return laguerre(a, alpha, rr * rr) * np.exp(-0.5 * rr * rr)
 
-                parity = _PARITIES[odd]
-                got = bochner_reduce(coeffs, mono, f0, parity, ys)
-                bf = psi(j, k, 1, m)
-                lam = _rayleigh(m, bf.values(ys), got)
+            parity = _PARITIES[odd]
+            ref_vals = psi(j, k, 1, m).values(ys)
+            got = bochner_reduce(coeffs, mono, f0, parity, ys, rule)
+            for kid, rows, vals in zip(kids, per_i, got):
+                lam = _rayleigh(m, ref_vals, vals)
                 want = _reference_eigenvalue(kid, k, parity) * (-1) ** a
-                records.append(
-                    EigenvalueRecord(m, i, k, parity, want, lam, abs(lam - want))
-                )
-    return records
+                rows.append(EigenvalueRecord(m, kid.i, k, parity, want, lam, abs(lam - want)))
+    return [rec for rows in per_i for rec in rows]
 
 
 # ---------------------------------------------------------------------------

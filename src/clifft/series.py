@@ -424,7 +424,8 @@ _STACK_BLOCK = 16384
 def _bessel_upward(beta: float, i0: int, n: int, t: np.ndarray, j_lo, j_hi) -> np.ndarray:
     """Rows J_(beta+i0+j)(t), j = 0..n, by the upward recurrence
     J_(nu+1) = (2 nu/t) J_nu - J_(nu-1) from J_beta = j_lo and
-    J_(beta+1) = j_hi; stable where t is at least the top order."""
+    J_(beta+1) = j_hi; stable where t is at least the top order.  The
+    one row i0 = 1, n = 0 reads only j_hi, and j_lo may then be None."""
     rows = np.empty((n + 1, t.size))
     two_over_t = 2.0 / t
     prev, cur = j_lo, j_hi
@@ -485,20 +486,28 @@ def _jtilde_block(twice_order_min: int, t: np.ndarray, out: np.ndarray) -> None:
     if not tb.size:
         return
     # the stack starts i0 orders above the base order beta
-    if twice_order_min % 2:
-        beta = -0.5
-        amp = np.sqrt((2.0 / math.pi) / tb)
-        j_lo, j_hi = amp * np.cos(tb), amp * np.sin(tb)
-    else:
-        beta = 0.0
-        j_lo, j_hi = _j0(tb), _j1(tb)
     i0 = (twice_order_min + 1) // 2
     nu_min = twice_order_min / 2.0
     up = tb >= nu_min + n
-    rows = np.empty((n + 1, tb.size))
-    for mask, recurrence in ((up, _bessel_upward), (~up, _bessel_miller)):
-        if mask.any():
-            rows[:, mask] = recurrence(beta, i0, n, tb[mask], j_lo[mask], j_hi[mask])
+    # J_beta is read by row 0, by the upward recurrence past order beta + 1
+    # and by Miller's normalisation; a one-row stack at order beta + 1 on
+    # upward points alone reads only J_(beta+1)
+    all_up = up.all()
+    need_lo = i0 == 0 or i0 + n > 1 or not all_up
+    if twice_order_min % 2:
+        beta = -0.5
+        amp = np.sqrt((2.0 / math.pi) / tb)
+        j_lo, j_hi = amp * np.cos(tb) if need_lo else None, amp * np.sin(tb)
+    else:
+        beta = 0.0
+        j_lo, j_hi = _j0(tb) if need_lo else None, _j1(tb)
+    if all_up:
+        rows = _bessel_upward(beta, i0, n, tb, j_lo, j_hi)
+    else:
+        rows = np.empty((n + 1, tb.size))
+        for mask, recurrence in ((up, _bessel_upward), (~up, _bessel_miller)):
+            if mask.any():
+                rows[:, mask] = recurrence(beta, i0, n, tb[mask], j_lo[mask], j_hi[mask])
     for j in range(n + 1):
         rows[j] *= tb ** -(nu_min + j)
     out[:, big] = rows

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -26,7 +27,7 @@ from clifft.engine import (
     verify_inversion,
 )
 from clifft.kernels import KernelId, build_kernel, eval_terms
-from clifft.series import eigenvalues_from_coefficients, series_coefficients
+from clifft.series import eigenvalues_from_coefficients, jtilde_stack, series_coefficients
 
 
 def test_scheme_self_test_and_sizes():
@@ -224,11 +225,74 @@ def test_bochner_agrees_with_full_grid():
     def f0(rr: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * rr * rr)
 
-    radial_vals = bochner_reduce(kid, mono, f0, "2p", ys)
+    (radial_vals,) = bochner_reduce([kid], mono, f0, "2p", ys)
     for blade in set(grid_vals) | set(radial_vals):
         a = grid_vals.get(blade, 0.0)
         b = radial_vals.get(blade, 0.0)
         assert np.max(np.abs(a - b)) < 1e-10, blade
+
+
+@pytest.mark.parametrize("m", [5, 6])
+@pytest.mark.parametrize("parity", ["2p", "2p+1"])
+def test_bochner_batch_equals_single_sources(m, parity):
+    # one reduction for every kernel index gives each kernel exactly what
+    # a reduction of its own gives
+    k = 1
+    mono = monogenic_basis(m, k)[0]
+    ys = sample_points(m, 7, 2.2, seed=5)
+    sources = [KernelId(m, i) for i in range(m - 1)]
+    sources.append(series_coefficients(KernelId(m, 1, "minus")))
+
+    def f0(rr: np.ndarray) -> np.ndarray:
+        return (1.0 + rr * rr) * np.exp(-0.5 * rr * rr)
+
+    batch = bochner_reduce(sources, mono, f0, parity, ys)
+    assert len(batch) == len(sources)
+    for source, got in zip(sources, batch):
+        (single,) = bochner_reduce([source], mono, f0, parity, ys)
+        assert got.keys() == single.keys()
+        assert all(np.array_equal(got[blade], single[blade]) for blade in got)
+    with pytest.raises(ValueError):
+        bochner_reduce([KernelId(m + 1, 0)], mono, f0, parity, ys)
+
+
+@pytest.mark.parametrize("twice_order, z_power", [(2, 0), (1, 0), (4, 1), (3, 1)])
+@pytest.mark.parametrize(
+    "rule",
+    [
+        radial_rule(14.0, math.pi / 14.0, 16),  # the composition's rule, 1,008 nodes
+        radial_rule(14.0, 0.25, 15),  # 840 nodes: strips of 19 rows and up
+    ],
+)
+def test_radial_integral_triangle_matches_dense_table(rule, twice_order, z_power):
+    nodes = rule.nodes
+    f0 = np.exp(-0.5 * nodes**2) * (1.0 + np.sin(3.0 * nodes))
+    r_power = 3
+    got = engine._radial_bessel_integral(rule, f0, r_power, z_power, twice_order, nodes)
+    z = nodes[:, None] * nodes[None, :]
+    dense = (rule.weights * nodes**r_power * f0) @ (jtilde_stack(twice_order, 0, z)[0] * z**z_power)
+    assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+    # general targets take the same strips over all columns
+    rho = np.linspace(0.05, 3.0, 97)
+    got = engine._radial_bessel_integral(rule, f0, r_power, z_power, twice_order, rho)
+    z = nodes[:, None] * rho[None, :]
+    dense = (rule.weights * nodes**r_power * f0) @ (jtilde_stack(twice_order, 0, z)[0] * z**z_power)
+    assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_radial_integral_never_stores_the_table():
+    rule = radial_rule(14.0, math.pi / 14.0, 16)
+    f0 = np.exp(-0.5 * rule.nodes**2)
+    table_bytes = 8 * len(rule.nodes) ** 2
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        engine._radial_bessel_integral(rule, f0, 3, 1, 4, rule.nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # strips of 16,384 entries take about 1.8 MB, a stored table 8 MB
+    assert peak < table_bytes / 3, (peak, table_bytes)
 
 
 def test_verify_eigen_grid_and_radial():
@@ -237,6 +301,8 @@ def test_verify_eigen_grid_and_radial():
     assert max(r.abs_error for r in recs) < 1e-10
     recs = verify_eigen(6, i_values=(0, 2, 4), k_values=(0, 1), j_values=(0, 1, 2))
     assert max(r.abs_error for r in recs) < 1e-10
+    # records come in (i, k, j) order
+    assert [(r.i, r.k) for r in recs] == [(i, k) for i in (0, 2, 4) for k in (0, 1) for _ in range(3)]
     # j = 2 exercises the (-1)^p alternation in the reference value
     assert any(r.parity == "2p" for r in recs)
 
@@ -244,8 +310,8 @@ def test_verify_eigen_grid_and_radial():
 def test_verify_inversion_exact_and_radial_composition():
     rep = verify_inversion(4, k_max=60)
     assert rep.exact_ok and rep.first_failure is None
-    assert inversion_composition_residual(4, 1) < 1e-12
-    assert inversion_composition_residual(5, 0) < 1e-12
+    for m, i in ((3, 0), (4, 1), (5, 0), (6, 0), (8, 0)):
+        assert inversion_composition_residual(m, i) < 1e-12, (m, i)
 
 
 def test_diff_relations_couple_the_sign_pair():
