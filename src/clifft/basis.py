@@ -49,6 +49,7 @@ __all__ = [
 
 Expo = tuple[int, ...]
 BladeMap = dict[int, Fraction]
+IntRows = dict[Expo, dict[int, int]]  # integer numerators over one denominator
 _ZERO = Fraction(0)
 
 
@@ -227,38 +228,50 @@ class PolynomialTable:
         return out
 
 
-def _vector_times(p: CliffordPolynomial, step: int) -> CliffordPolynomial:
-    """sum_j e_j D_j p: D_j multiplies by x_j (step 1) or is d/dx_j (step -1).
+def _numerators(p: CliffordPolynomial) -> tuple[int, IntRows]:
+    """The lcm of p's denominators, and p's coefficients over it."""
+    den = math.lcm(*(c.denominator for blades in p.terms.values() for c in blades.values()))
+    return den, {e: {b: c.numerator * (den // c.denominator) for b, c in blades.items()}
+                 for e, blades in p.terms.items()}
 
-    Runs on integer numerators over the lcm of p's denominators, with
+
+def _over(m: int, rows: IntRows, den: int) -> CliffordPolynomial:
+    """The polynomial of integer numerators over den, zeros dropped."""
+    return CliffordPolynomial._trusted(
+        m, {e: {b: Fraction(n, den) for b, n in row.items() if n} for e, row in rows.items()}
+    )
+
+
+def _vector_times(m: int, rows: IntRows, step: int) -> IntRows:
+    """sum_j e_j D_j on numerators: D_j multiplies by x_j (step 1) or is
+    d/dx_j (step -1).  Rows come in order of first touch, zero sums kept.
+
     e_j e_B = (-1)^s e_(B xor j), s the number of generators of B up to
     and including e_j."""
-    den = math.lcm(*(c.denominator for blades in p.terms.values() for c in blades.values()))
-    out: dict[Expo, dict[int, int]] = {}
-    for expo, blades in p.terms.items():
-        nums = [(b, c.numerator * (den // c.denominator)) for b, c in blades.items()]
-        for j in range(p.m):
+    out: IntRows = {}
+    for expo, nums in rows.items():
+        for j in range(m):
             factor = 1 if step > 0 else expo[j]
             if not factor:
                 continue
             bit, low = 1 << j, (2 << j) - 1
             row = out.setdefault(expo[:j] + (expo[j] + step,) + expo[j + 1 :], {})
-            for b, n in nums:
+            for b, n in nums.items():
                 term = -factor * n if (b & low).bit_count() & 1 else factor * n
                 row[b ^ bit] = row.get(b ^ bit, 0) + term
-    return CliffordPolynomial._trusted(
-        p.m, {e: {b: Fraction(n, den) for b, n in row.items() if n} for e, row in out.items()}
-    )
+    return out
 
 
 def dirac(p: CliffordPolynomial) -> CliffordPolynomial:
     """Left Dirac operator sum_j e_j d/dx_j."""
-    return _vector_times(p, -1)
+    den, rows = _numerators(p)
+    return _over(p.m, _vector_times(p.m, rows, -1), den)
 
 
 def x_times(p: CliffordPolynomial) -> CliffordPolynomial:
     """Left multiplication by the vector variable x = sum_j x_j e_j."""
-    return _vector_times(p, 1)
+    den, rows = _numerators(p)
+    return _over(p.m, _vector_times(p.m, rows, 1), den)
 
 
 def laplace(p: CliffordPolynomial) -> CliffordPolynomial:
@@ -458,13 +471,21 @@ def monogenic_projection(h: CliffordPolynomial) -> CliffordPolynomial:
         raise ValueError("expected a homogeneous polynomial")
     if not laplace(h).is_zero():
         raise ValueError("polynomial is not harmonic")
-    k = h.degree()
+    k, m = h.degree(), h.m
     if k == 0:
         return h
-    proj = h + x_times(dirac(h)).scale(Fraction(1, h.m + 2 * k - 2))
-    if not dirac(proj).is_zero():
+    # M = (c H + x dH)/c, c = m + 2k - 2, on numerators; dH has no zero entry
+    # (each comes from one term of H), so rows come in x_times(dirac(h)) order
+    den, rows = _numerators(h)
+    c = m + 2 * k - 2
+    proj = {e: {b: c * n for b, n in row.items()} for e, row in rows.items()}
+    for e, row in _vector_times(m, _vector_times(m, rows, -1), 1).items():
+        acc = proj.setdefault(e, {})
+        for b, n in row.items():
+            acc[b] = acc.get(b, 0) + n
+    if any(n for row in _vector_times(m, proj, -1).values() for n in row.values()):
         raise RuntimeError("projection failed to produce a monogenic")
-    return proj
+    return _over(m, proj, c * den)
 
 
 @lru_cache(maxsize=None)

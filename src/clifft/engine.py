@@ -502,10 +502,12 @@ class EigenvalueRecord:
     abs_error: float
 
 
-def _reference_eigenvalue(kernel_id: KernelId, k: int, parity: str) -> complex:
-    if kernel_id.sign == "plus":
-        return closed_form_eigenvalue(kernel_id.m, kernel_id.i, k, parity, 0, kernel_id.e_i)
-    ev = eigenvalues_from_coefficients(series_coefficients(kernel_id), k)
+def _reference_eigenvalue(coeffs: SeriesCoefficients, k: int, parity: str) -> complex:
+    """The closed form for a plus kernel, else the eigenvalue of its streams."""
+    kid = coeffs.provenance
+    if kid.sign == "plus":
+        return closed_form_eigenvalue(kid.m, kid.i, k, parity, 0, kid.e_i)
+    ev = eigenvalues_from_coefficients(coeffs, k)
     return ev.even_branch if parity == "2p" else ev.odd_branch
 
 
@@ -537,12 +539,13 @@ def verify_eigen(
         fs = [psi(j, k, 1, m) for k in k_list for j in j_list]
         for i in i_list:
             kid = KernelId(m, i, sign)
+            coeffs = series_coefficients(kid)
             transformed = apply_transform_batch(kid, fs, ys, scheme)
             for fi, bf in enumerate(fs):
                 ref_vals = bf.values(ys)
                 lam = _rayleigh(m, ref_vals, transformed[fi])
                 parity = _PARITIES[bf.j % 2]
-                want = _reference_eigenvalue(kid, bf.k, parity) * (-1) ** (bf.j // 2)
+                want = _reference_eigenvalue(coeffs, bf.k, parity) * (-1) ** (bf.j // 2)
                 records.append(
                     EigenvalueRecord(m, i, bf.k, parity, want, lam, abs(lam - want))
                 )
@@ -551,7 +554,7 @@ def verify_eigen(
     if method != "radial":
         raise ValueError(f"unknown method {method!r}")
     kids = [KernelId(m, i, sign) for i in i_list]
-    coeffs = [series_coefficients(kid) for kid in kids]
+    streams = [series_coefficients(kid) for kid in kids]
     rule = _rule_for(np.linalg.norm(ys, axis=1))
     # records in (i, k, j) order; every (k, j) is one reduction for all i
     per_i: list[list[EigenvalueRecord]] = [[] for _ in kids]
@@ -566,10 +569,10 @@ def verify_eigen(
 
             parity = _PARITIES[odd]
             ref_vals = psi(j, k, 1, m).values(ys)
-            got = bochner_reduce(coeffs, mono, f0, parity, ys, rule)
-            for kid, rows, vals in zip(kids, per_i, got):
+            got = bochner_reduce(streams, mono, f0, parity, ys, rule)
+            for kid, coeffs, rows, vals in zip(kids, streams, per_i, got):
                 lam = _rayleigh(m, ref_vals, vals)
-                want = _reference_eigenvalue(kid, k, parity) * (-1) ** a
+                want = _reference_eigenvalue(coeffs, k, parity) * (-1) ** a
                 rows.append(EigenvalueRecord(m, kid.i, k, parity, want, lam, abs(lam - want)))
     return [rec for rows in per_i for rec in rows]
 

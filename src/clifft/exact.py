@@ -6,34 +6,52 @@ number times an integer power of u = sqrt(pi/2).  Tracking that power
 symbolically keeps recursion and eigenvalue checks exact equalities in
 Q[i] instead of floating-point comparisons.
 
-An :class:`Exact` value represents ``(re + I*im) * u**upow`` with ``re``
-and ``im`` rational.  Sums require both operands to carry the same power
-of u (zero is absorbed by anything); products and quotients add and
-subtract the powers.  Since u**p is irrational for every p != 0, two
-values are equal iff their normalized triples coincide.
+An :class:`Exact` value is ``(a + I*b)/d * u**upow`` with integers a, b
+and d > 0, gcd(a, b, d) = 1, and zero as 0/1 with upow 0.  Sums require
+both operands to carry the same power of u (zero is absorbed by
+anything); products and quotients add and subtract the powers.  Each
+operation takes integer products and divides out one gcd.  Since u**p is
+irrational for every p != 0, this form is canonical: two values are equal
+iff their quadruples coincide.  ``re`` and ``im`` are Fraction views.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 __all__ = ["Exact", "U_FLOAT", "ZERO", "ONE", "I_UNIT", "U"]
 
 U_FLOAT = math.sqrt(math.pi / 2.0)
-_FRACTION_ZERO = Fraction(0)
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
+def _ratio(v) -> tuple[int, int]:
+    """v as (numerator, denominator > 0)."""
     if isinstance(v, int):
-        return Fraction(v)
+        return v, 1
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ValueError(f"cannot represent non-finite value {v!r} exactly")
-        return Fraction(v)
+        return v.as_integer_ratio()
     raise TypeError(f"cannot interpret {type(v).__name__} as an exact rational")
+
+
+def _exact(a: int, b: int, d: int, upow: int) -> Exact:
+    """(a + I b)/d u**upow from integers already in canonical form."""
+    x = object.__new__(Exact)
+    x._a, x._b, x._d, x.upow = a, b, d, upow
+    return x
+
+
+def _canonical(a: int, b: int, d: int, upow: int) -> Exact:
+    """(a + I b)/d u**upow for any integers with d > 0."""
+    if not (a or b):
+        return ZERO
+    g = math.gcd(a, b, d)
+    return _exact(a // g, b // g, d // g, upow)
 
 
 def _exact_complex(re: Fraction, im: Fraction) -> complex | None:
@@ -48,29 +66,27 @@ def _exact_complex(re: Fraction, im: Fraction) -> complex | None:
 class Exact:
     """A complex rational multiple of u**upow, u = sqrt(pi/2)."""
 
-    __slots__ = ("re", "im", "upow")
+    __slots__ = ("_a", "_b", "_d", "upow")
 
     def __init__(self, re=0, im=0, upow: int = 0):
-        re = _as_fraction(re)
-        im = _as_fraction(im)
-        if not re and not im:
-            upow = 0
-        self.re = re
-        self.im = im
-        self.upow = int(upow)
+        n1, d1 = _ratio(re)
+        n2, d2 = _ratio(im)
+        x = _canonical(n1 * d2, n2 * d1, d1 * d2, operator.index(upow))
+        self._a, self._b, self._d, self.upow = x._a, x._b, x._d, x.upow
 
-    @classmethod
-    def _trusted(cls, re: Fraction, im: Fraction, upow: int) -> Exact:
-        """No conversion: re and im are already Fractions."""
-        self = object.__new__(cls)
-        self.re, self.im, self.upow = re, im, upow if re or im else 0
-        return self
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- predicates ------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not (self._a or self._b)
 
     # -- coercion --------------------------------------------------------
 
@@ -78,14 +94,11 @@ class Exact:
     def _coerce(other):
         if isinstance(other, Exact):
             return other
-        if isinstance(other, Fraction):
-            return Exact._trusted(other, _FRACTION_ZERO, 0)
-        if isinstance(other, int):
-            return Exact._trusted(Fraction(other), _FRACTION_ZERO, 0)
+        if isinstance(other, (int, Fraction, float)):
+            n, d = _ratio(other)
+            return _canonical(n, 0, d, 0)
         if isinstance(other, complex):
-            return Exact(_as_fraction(other.real), _as_fraction(other.imag))
-        if isinstance(other, float):
-            return Exact(_as_fraction(other))
+            return Exact(other.real, other.imag)
         return None
 
     # -- arithmetic ------------------------------------------------------
@@ -94,21 +107,22 @@ class Exact:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero:
+        if not (self._a or self._b):
             return o
-        if o.is_zero:
+        if not (o._a or o._b):
             return self
         if self.upow != o.upow:
             raise ValueError(
                 "cannot add exact scalars carrying different powers of "
                 f"sqrt(pi/2): u**{self.upow} vs u**{o.upow}"
             )
-        return Exact._trusted(self.re + o.re, self.im + o.im, self.upow)
+        d1, d2 = self._d, o._d
+        return _canonical(self._a * d2 + o._a * d1, self._b * d2 + o._b * d1, d1 * d2, o.upow)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Exact._trusted(-self.re, -self.im, self.upow)
+        return _exact(-self._a, -self._b, self._d, self.upow)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -126,19 +140,8 @@ class Exact:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        upow = self.upow + o.upow
-        # a real operand needs two products, two real operands one
-        if not o.im:
-            if not self.im:
-                return Exact._trusted(self.re * o.re, _FRACTION_ZERO, upow)
-            return Exact._trusted(self.re * o.re, self.im * o.re, upow)
-        if not self.im:
-            return Exact._trusted(self.re * o.re, self.re * o.im, upow)
-        return Exact._trusted(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-            upow,
-        )
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        return _canonical(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d, self.upow + o.upow)
 
     __rmul__ = __mul__
 
@@ -146,13 +149,13 @@ class Exact:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if not d:
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        n = a2 * a2 + b2 * b2
+        if not n:
             raise ZeroDivisionError("division by exact zero")
-        return Exact._trusted(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-            self.upow - o.upow,
+        # (a1 + I b1)/d1 times d2 (a2 - I b2)/n
+        return _canonical(
+            (a1 * a2 + b1 * b2) * o._d, (b1 * a2 - a1 * b2) * o._d, self._d * n, self.upow - o.upow
         )
 
     def __rtruediv__(self, other):
@@ -175,18 +178,20 @@ class Exact:
         return out
 
     def conjugate(self) -> Exact:
-        return Exact._trusted(self.re, -self.im, self.upow)
+        return _exact(self._a, -self._b, self._d, self.upow)
 
     # -- conversions -----------------------------------------------------
+    # int true division is correctly rounded, so a/d is the float of the
+    # Fraction a/d whether or not gcd(a, d) = 1
 
     def __complex__(self) -> complex:
         scale = (math.pi / 2.0) ** (self.upow / 2.0)
-        return complex(float(self.re) * scale, float(self.im) * scale)
+        return complex(self._a / self._d * scale, self._b / self._d * scale)
 
     def __float__(self) -> float:
-        if self.im:
+        if self._b:
             raise ValueError("exact value has a nonzero imaginary part")
-        return float(self.re) * (math.pi / 2.0) ** (self.upow / 2.0)
+        return self._a / self._d * (math.pi / 2.0) ** (self.upow / 2.0)
 
     def magnitude(self) -> float:
         return abs(complex(self))
@@ -200,20 +205,23 @@ class Exact:
     # -- identity --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except ValueError:  # a NaN or infinite float or complex
+            return False
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im and self.upow == o.upow
+        return (self._a, self._b, self._d, self.upow) == (o._a, o._b, o._d, o.upow)
 
     def __hash__(self):
         # equal to hash(other) wherever __eq__ can hold against a number
         if self.upow == 0:
-            if not self.im:
+            if not self._b:
                 return hash(self.re)
             z = _exact_complex(self.re, self.im)
             if z is not None:
                 return hash(z)
-        return hash((self.re, self.im, self.upow))
+        return hash((self._a, self._b, self._d, self.upow))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -230,7 +238,7 @@ class Exact:
         return f"Exact(({body})*u**{self.upow})"
 
 
-ZERO = Exact(0)
+ZERO = _exact(0, 0, 1, 0)
 ONE = Exact(1)
 I_UNIT = Exact(0, 1)
 U = Exact(1, 0, 1)

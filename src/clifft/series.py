@@ -84,6 +84,7 @@ def gamma2pow(m: int, a: int, b: int) -> Exact:
     return Exact(Fraction(2 ** (b + 1), 2**a) * double_factorial(m - 2 * b - 2), 0, 1)
 
 
+@lru_cache(maxsize=None)
 def bridge_prefactor(m: int) -> Exact:
     """2^(1 - m/2) / Gamma(m/2), the constant that aligns the radial
     reduction with the (2 pi)^(-m/2) transform normalization."""

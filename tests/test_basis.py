@@ -336,6 +336,37 @@ def test_monogenic_route_matches_blade_product_reference(m, k):
         assert _reference_vector_times(mono.poly, -1).is_zero()
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_monogenic_projection_matches_the_composed_operators(m):
+    # the composition the one-pass projection replaces, through the public
+    # dirac, x_times, scale and +: equal term for term, in blade order
+    for k in range(1, 5):
+        for h in harmonic_basis(m, k):
+            got = monogenic_projection(h)
+            want = h + x_times(dirac(h)).scale(Fraction(1, m + 2 * k - 2))
+            assert _ordered(got) == _ordered(want)
+            assert all(type(c) is Fraction for row in got.terms.values() for c in row.values())
+            _assert_clean(got, m)
+    assert monogenic_projection(harmonic_basis(m, 0)[0]) == harmonic_basis(m, 0)[0]
+
+
+def test_monogenic_projection_self_check_catches_a_wrong_bivector_part(monkeypatch):
+    h = harmonic_basis(4, 2)[0]
+    vector_times = basis_module._vector_times
+
+    def flipped(m, rows, step):
+        # x dH with its bivector part negated; dH and the check untouched
+        out = vector_times(m, rows, step)
+        if step < 0:
+            return out
+        return {e: {b: -n if b.bit_count() == 2 else n for b, n in row.items()}
+                for e, row in out.items()}
+
+    monkeypatch.setattr(basis_module, "_vector_times", flipped)
+    with pytest.raises(RuntimeError, match="monogenic"):
+        monogenic_projection(h)
+
+
 def _fd_dirac(p: CliffordPolynomial, pts: np.ndarray, h: float) -> dict[int, np.ndarray]:
     """sum_j e_j d/dx_j of p's values by the five-point stencil, which
     is exact for polynomials of degree <= 4 up to rounding."""

@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from clifft import engine
+from clifft import engine, series
 from clifft.basis import GaussianPolynomial, monogenic_basis, psi
 from clifft.engine import (
     QuadratureScheme,
@@ -312,6 +312,24 @@ def test_verify_inversion_exact_and_radial_composition():
     assert rep.exact_ok and rep.first_failure is None
     for m, i in ((3, 0), (4, 1), (5, 0), (6, 0), (8, 0)):
         assert inversion_composition_residual(m, i) < 1e-12, (m, i)
+
+
+def test_minus_sign_references_reuse_the_streams_per_index(monkeypatch):
+    built = []
+
+    def counted(kid):
+        built.append(kid)
+        return series_coefficients(kid)
+
+    monkeypatch.setattr(engine, "series_coefficients", counted)
+    recs = verify_eigen(6, sign="minus", method="radial")
+    assert len(recs) == 5 * 3 * 2
+    assert built == [KernelId(6, i, "minus") for i in range(5)]
+    assert max(r.abs_error for r in recs) < 1e-10
+    # one bridge prefactor per dimension, not one per k
+    series.bridge_prefactor.cache_clear()
+    assert verify_inversion(7, k_max=12).exact_ok
+    assert series.bridge_prefactor.cache_info().misses == 1
 
 
 def test_diff_relations_couple_the_sign_pair():

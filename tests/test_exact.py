@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -223,3 +224,70 @@ def test_int_and_fraction_operands_coerce_like_the_public_constructor(a, x):
         _assert_built_as(x - a, _ref_add(Exact(x), Exact(*_ref_neg(a))))
     if x:
         _assert_built_as(a / x, _ref_div(a, Exact(x)))
+
+
+def test_eq_against_non_finite_numbers_is_false():
+    for bad in (math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(0.0, math.inf)):
+        for value in (Exact(1), ZERO, Exact(2, 3, 1)):
+            assert not value == bad
+            assert value != bad
+            assert not bad == value
+    # arithmetic with a non-finite operand still raises
+    for op in (lambda v: Exact(1) + v, lambda v: v - Exact(1), lambda v: Exact(1) / v):
+        with pytest.raises(ValueError):
+            op(math.inf)
+        with pytest.raises(ValueError):
+            op(complex(math.nan, 1.0))
+
+
+def test_upow_must_be_an_integer():
+    for bad in (2.7, 2.0, "2", Fraction(2)):
+        with pytest.raises(TypeError):
+            Exact(1, 0, bad)
+    assert Exact(1, 0, True).upow == 1
+    assert type(Exact(3, 0, np.int64(-2)).upow) is int
+    assert Exact(3, 0, np.int64(-2)) == Exact(3, 0, -2)
+
+
+def _assert_canonical(x):
+    """(a + I b)/d u**upow with d > 0 and gcd(a, b, d) = 1; zero is
+    0/1 with upow 0; re and im are Fraction views of a/d and b/d."""
+    assert isinstance(x, Exact)
+    a, b, d = x._a, x._b, x._d
+    assert type(a) is int and type(b) is int and type(d) is int and type(x.upow) is int
+    assert d > 0 and math.gcd(a, b, d) == 1
+    if not (a or b):
+        assert (d, x.upow) == (1, 0)
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert (x.re, x.im) == (Fraction(a, d), Fraction(b, d))
+
+
+plain_floats = st.one_of(st.just(0.0), st.floats(-1e6, 1e6), st.floats(-1e-3, 1e-3))
+
+
+@given(
+    st.one_of(fractions, st.integers(-10**6, 10**6), plain_floats),
+    st.one_of(often_zero, st.integers(-10**6, 10**6), plain_floats),
+    upows,
+)
+def test_public_constructor_is_canonical(re, im, upow):
+    x = Exact(re, im, upow)
+    _assert_canonical(x)
+    assert (x.re, x.im) == (Fraction(re), Fraction(im))
+    assert x.upow == (upow if (re or im) else 0)
+
+
+@given(sparse_exacts, st.one_of(sparse_exacts, plain_operands), st.integers(0, 5))
+def test_every_operation_returns_the_canonical_form(a, b, n):
+    results = [-a, a.conjugate(), a**n, a * b, b * a, Exact._coerce(b)]
+    o = Exact._coerce(b)
+    if a.upow == o.upow or a.is_zero or o.is_zero:
+        results += [a + b, b + a, a - b, b - a, a - a]
+    if not o.is_zero:
+        results += [a / b]
+    if not a.is_zero:
+        results += [b / a, a / a]
+    for x in results:
+        _assert_canonical(x)
+    # equal values have equal quadruples, whichever way they were made
+    assert a * b == b * a and hash(a * b) == hash(b * a)
