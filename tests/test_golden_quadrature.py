@@ -1,0 +1,58 @@
+"""Golden outputs of the quadrature suites, compared as text.
+
+Each file in ``tests/golden/quadrature/`` is the standard output of
+``clifft verify --suite eigen`` or ``--suite diff`` at the default
+dimensions.  Both integrate numerically on the Gauss-Hermite grid, and
+their text reads the same with one and with two BLAS threads.  A change
+that moves a digit regenerates the files, and the diff of the committed
+files lists every digit that moved.
+
+Regenerate the files after a deliberate change of output with
+
+    PYTHONPATH=src python tests/test_golden_quadrature.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from clifft import cli
+
+GOLDEN = Path(__file__).parent / "golden" / "quadrature"
+
+COMMANDS = {f"verify_{suite}.json": ["verify", "--suite", suite] for suite in ("eigen", "diff")}
+
+
+def _render(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"clifft {' '.join(argv)} exited with {code}")
+    return buf.getvalue()
+
+
+def test_golden_files_are_the_command_set():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_matches_golden_text(name):
+    with open(GOLDEN / name, newline="") as fh:
+        want = fh.read()
+    assert _render(COMMANDS[name]) == want
+
+
+def main() -> None:
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name, argv in COMMANDS.items():
+        with open(GOLDEN / name, "w", newline="") as fh:
+            fh.write(_render(argv))
+
+
+if __name__ == "__main__":
+    main()
