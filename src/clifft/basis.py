@@ -158,17 +158,22 @@ def _columns(points: np.ndarray, m: int) -> np.ndarray:
 class PolynomialTable:
     """Several polynomials in m variables, evaluated together.
 
-    The table has one row per (polynomial, blade) pair, listed in
-    ``rows``: the values at a batch of points are C @ M, with C the float
-    coefficients of the rows and M the monomials at the points.  C is kept
-    as each row's (monomial, coefficient) list in term order, because a
-    row uses few of the monomials.  Each monomial is a product in axis
-    order of powers x_j^e, made by repeated multiplication, and monomials
-    with a common leading part share it: x^(1,2,1) is the monomial
-    x^(1,2,0) times x_3.
+    The table has one row per (polynomial, blade, parity of the monomial
+    degree) triple, with the (polynomial, blade) pair of each row listed
+    in ``rows``: the values at a batch of points are C @ M, with C the
+    float coefficients of the rows and M the monomials at the points.
+    The first ``n_even`` rows hold the monomials of even degree and the
+    rest those of odd degree, each part in order of first touch, so a row
+    is even or odd under x -> -x; a blade of a polynomial with terms of
+    both parities has one row of each, and :meth:`split` adds them.  C is
+    kept as each row's (monomial, coefficient) list in term order,
+    because a row uses few of the monomials.  Each monomial is a product
+    in axis order of powers x_j^e, made by repeated multiplication, and
+    monomials with a common leading part share it: x^(1,2,1) is the
+    monomial x^(1,2,0) times x_3.
     """
 
-    __slots__ = ("rows", "_count", "_powers", "_monomials", "_terms")
+    __slots__ = ("rows", "n_even", "_count", "_powers", "_monomials", "_terms")
 
     def __init__(self, m: int, polys: Sequence[CliffordPolynomial]):
         self._count = len(polys)
@@ -177,11 +182,12 @@ class PolynomialTable:
         # product
         index: dict[tuple[tuple[int, int], ...], int] = {(): 0}
         self._monomials: list[tuple[int, int, int]] = []  # (leading part, axis, exponent)
-        self._terms: list[list[tuple[int, float]]] = []  # per row: (monomial, coefficient)
-        self.rows: list[tuple[int, int]] = []
+        terms: list[list[tuple[int, float]]] = []  # per row: (monomial, coefficient)
+        rows: list[tuple[int, int]] = []
+        parities: list[int] = []
         top = [0] * m
         for pi, p in enumerate(polys):
-            row_of: dict[int, int] = {}
+            row_of: dict[tuple[int, int], int] = {}
             for expo, blades in p.terms.items():
                 key: tuple[tuple[int, int], ...] = ()
                 for j, e in enumerate(expo):
@@ -192,12 +198,18 @@ class PolynomialTable:
                     if key not in index:
                         index[key] = len(index)
                         self._monomials.append((index[lead], j, e))
+                parity = sum(expo) % 2
                 for blade, c in blades.items():
-                    if blade not in row_of:
-                        row_of[blade] = len(self.rows)
-                        self.rows.append((pi, blade))
-                        self._terms.append([])
-                    self._terms[row_of[blade]].append((index[key], float(c)))
+                    if (blade, parity) not in row_of:
+                        row_of[blade, parity] = len(rows)
+                        rows.append((pi, blade))
+                        parities.append(parity)
+                        terms.append([])
+                    terms[row_of[blade, parity]].append((index[key], float(c)))
+        order = sorted(range(len(rows)), key=parities.__getitem__)
+        self.rows = [rows[r] for r in order]
+        self._terms = [terms[r] for r in order]
+        self.n_even = parities.count(0)
         self._powers = [(j, e) for j, e_max in enumerate(top) for e in range(2, e_max + 1)]
 
     def evaluate(self, cols: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
@@ -221,10 +233,11 @@ class PolynomialTable:
         return out
 
     def split(self, values: np.ndarray) -> list[dict[int, np.ndarray]]:
-        """The rows of :meth:`evaluate` as one blade dict per polynomial."""
+        """The rows of :meth:`evaluate` as one blade dict per polynomial,
+        the even and the odd row of a blade added."""
         out: list[dict[int, np.ndarray]] = [{} for _ in range(self._count)]
         for (pi, blade), vals in zip(self.rows, values):
-            out[pi][blade] = vals
+            out[pi][blade] = out[pi][blade] + vals if blade in out[pi] else vals
         return out
 
 
@@ -405,15 +418,18 @@ def harmonic_basis(m: int, k: int) -> tuple[CliffordPolynomial, ...]:
         raise ValueError("harmonics need m >= 2")
     if k < 0:
         raise ValueError("degree must be >= 0")
-    monos = _monomials(m, k)
     classes: dict[Expo, list[Expo]] = {}
-    for e in monos:
+    for e in _monomials(m, k):
         classes.setdefault(tuple(x % 2 for x in e), []).append(e)
+    # the Laplacian's targets, degree k - 2, by the same parity classes
+    row_classes: dict[Expo, list[Expo]] = {}
+    for e in _monomials(m, k - 2) if k >= 2 else []:
+        row_classes.setdefault(tuple(x % 2 for x in e), []).append(e)
     out: list[CliffordPolynomial] = []
     for par in classes:
         sub = classes[par]
         col_of = {e: idx for idx, e in enumerate(sub)}
-        row_monos = [e for e in _monomials(m, k - 2) if tuple(x % 2 for x in e) == par] if k >= 2 else []
+        row_monos = row_classes.get(par, [])
         row_of = {e: idx for idx, e in enumerate(row_monos)}
         rows: list[dict[int, Fraction]] = [dict() for _ in row_monos]
         for e in sub:

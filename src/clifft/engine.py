@@ -36,7 +36,7 @@ from .basis import (
 )
 from .checks import worst
 from .exact import Exact
-from .kernels import KernelId, build_kernel, eval_terms
+from .kernels import KernelId, build_kernel, eval_terms, eval_terms_by_parity
 from .series import (
     SeriesCoefficients,
     eigenvalues_from_coefficients,
@@ -96,6 +96,12 @@ class QuadratureScheme:
     their axis indices (i_1, ..., i_m), and :meth:`chunks` builds each run
     of consecutive points from the axis rule, with the weight of a point
     the product W_(i_1) W_(i_2) ... W_(i_m) taken left to right.
+
+    The axis rule is symmetric bit for bit (numpy symmetrizes it), so
+    point i of N is minus point N - 1 - i and has the same weight.  A sum
+    of W f over the grid is therefore 2 sum of W (f(x) + f(-x))/2 over
+    the first ceil(N/2) points, the last of them counted once when N is
+    odd, because it is the origin and its own mirror.
     """
 
     def __init__(self, m: int, nodes_per_axis: int | None = None):
@@ -117,18 +123,21 @@ class QuadratureScheme:
     def __len__(self) -> int:
         return self.nodes_per_axis**self.m
 
-    def chunks(self, size: int = _CHUNK_ROWS):
-        """(points, weights) of consecutive runs of at most size points;
+    def chunks(self, size: int = _CHUNK_ROWS, stop: int | None = None):
+        """(points, weights) of consecutive runs of at most size points,
+        over the points numbered below stop (all of them by default);
         points is the (n, m) transpose of a contiguous (m, n) array."""
         if size < 1:
             raise ValueError(f"chunk size must be >= 1, got {size}")
+        total = len(self) if stop is None else stop
+        if not 0 <= total <= len(self):
+            raise ValueError(f"stop must lie in 0..{len(self)}, got {stop}")
         # coordinates and axis weights of axes 2..m at the n^(m-1) points of
         # one value of the first axis, one row per axis
         n, rest = self.nodes_per_axis, self.m - 1
         idx = np.indices((n,) * rest).reshape(rest, n**rest)
         coords, axis_wts = self.axis_nodes[idx], self.axis_weights[idx]
         block = n**rest
-        total = len(self)
         for start in range(0, total, size):
             stop = min(start + size, total)
             cols = np.empty((self.m, stop - start))
@@ -220,13 +229,13 @@ def sample_points(m: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
 _PARITIES = ("2p", "2p+1")
 
 
-def _eigen_magnitude(m: int, i: int, k: int) -> Fraction:
-    """|eigenvalue| at (i, k): a double-factorial ratio, the same on both
-    branches."""
+def _eigen_ratio(m: int, i: int, k: int) -> tuple[int, int]:
+    """|eigenvalue| at (i, k) as (numerator, denominator): a ratio of double
+    factorials, the same on both branches."""
     df = double_factorial
     if (i + k) % 2 == 0:
-        return Fraction(df(k + i - 1), df(k + m - i - 3))
-    return Fraction(df(k + i), df(k + m - i - 2))
+        return df(k + i - 1), df(k + m - i - 3)
+    return df(k + i), df(k + m - i - 2)
 
 
 def closed_form_eigenvalue_exact(
@@ -258,7 +267,7 @@ def closed_form_eigenvalue_exact(
 
     unit = unit_sgn if odd_branch == bool((i + k) % 2) else unit_one
     flip = (not odd_branch) if k % 2 else i % 2
-    val = unit * _eigen_magnitude(m, i, k)
+    val = unit * Fraction(*_eigen_ratio(m, i, k))
     if (p + flip) % 2:
         val = -val
     return val
@@ -277,6 +286,19 @@ def closed_form_eigenvalue(
 BladeValues = dict[int, np.ndarray]  # array-valued multivector: blade mask -> values at points
 
 
+def _parity_parts(terms, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The s-even and s-odd parts of a kernel profile at (s, t), None for a
+    part without terms: a profile whose powers of s share one parity is
+    its own even or odd part."""
+    parities = {term.s_power % 2 for term in terms}
+    if len(parities) == 2:
+        return eval_terms_by_parity(terms, s, t)
+    if not parities:
+        return None, None
+    part = eval_terms(terms, s, t)
+    return (None, part) if 1 in parities else (part, None)
+
+
 def apply_transform_batch(
     kernel,
     fs: Sequence[BasisFunction | GaussianPolynomial],
@@ -288,23 +310,32 @@ def apply_transform_batch(
 
     F[f](y) = (2 pi)^(-m/2) integral of K(x, y) f(x); the kernel profile
     evaluations are shared across all fs, and so is the evaluation of the
-    functions: one :class:`PolynomialTable` of their polynomials.  Per chunk
-    of quadrature points the work is one real matrix product W @ P:
+    functions: one :class:`PolynomialTable` of their polynomials.
 
-    * W has one row per (function, blade) pair, its values times the
-      quadrature weight and the Gaussian, all from one table of monomials
-      (the coefficients are rational, so W is real);
-    * P has the scalar profile A and the bivector moments B x_j side by
-      side as real columns, one per target each; a complex profile (odd m)
-      gives a block of real-part columns and a block of imaginary-part
-      columns, a real one (even m) only the first.
+    The sum runs over the first ceil(N/2) points of the scheme only, each
+    standing for itself and its mirror -x (point N - 1 - i for point i):
+    its weight is doubled, except at the origin of an odd grid, its own
+    mirror.  Under x -> -x a table row is even or odd, s changes sign, t
+    stays, and x_j changes sign.  So an even row pairs with the s-even part
+    of the scalar profile A and the s-odd part of the bivector profile B
+    times x_j; an odd row with the s-odd part of A and the s-even part of
+    B times x_j.  Per chunk the work is one real matrix product W @ P per
+    row parity, on the even and the odd rows of the table's weighted
+    values W (the function values times the quadrature weight and the
+    Gaussian; the coefficients are rational, so W is real).  P has the
+    parts of A and of B x_j that the rows pair with side by side as real
+    columns, one per target each, and leaves out a part that has no
+    terms; a complex profile (odd m) gives a block of real-part columns
+    and a block of imaginary-part columns, a real one (even m) only the
+    first.
 
     The rows of W @ P are summed over chunks and split into scalar and
     bivector parts once, after the last chunk; the bivector step multiplies
-    f's blades by blade_product.  A chunk holds at most _CHUNK_ROWS
-    quadrature points, and at most _CHUNK_ENTRIES entries rows x targets x
-    (1 + m) of P (twice that many when the profile is complex), so memory
-    stays bounded however many targets there are.
+    f's blades by blade_product.  A chunk holds at most _CHUNK_ROWS / 2
+    quadrature points, and at most _CHUNK_ENTRIES entries of its two P
+    matrices, counted as 2 x rows x targets x (1 + m) (twice that many
+    when the profile is complex), so memory stays bounded however many
+    targets there are.
     """
     expr = build_kernel(kernel) if isinstance(kernel, KernelId) else kernel
     m = expr.m
@@ -318,11 +349,16 @@ def apply_transform_batch(
     table = PolynomialTable(m, [f.poly for f in fs])
     r = ys.shape[0]
     ys_norm = np.linalg.norm(ys, axis=1)
-    has_biv = bool(expr.bivector_terms)
-    n_blocks = 1 + m if has_biv else 1
-    sums = 0.0  # rows of W @ P, summed over chunks
+    n_blocks = 1 + m if expr.bivector_terms else 1
+    half = (len(scheme) + 1) // 2
+    size = min(_CHUNK_ROWS // 2, max(1, _CHUNK_ENTRIES // (2 * r * n_blocks)))
+    # per row parity: the blocks of P (0 for A, 1 + j for B x_j) and the
+    # rows of W @ P summed over chunks
+    blocks: list[list[int]] = [[], []]
+    sums: list[np.ndarray | None] = [None, None]
+    done = 0
 
-    for pts, wts in scheme.chunks(min(_CHUNK_ROWS, max(1, _CHUNK_ENTRIES // (r * n_blocks)))):
+    for pts, wts in scheme.chunks(size, half):
         # targets x points layout, so every array below is contiguous along
         # the points that the product sums over
         cols = np.ascontiguousarray(pts.T)
@@ -330,41 +366,69 @@ def apply_transform_batch(
         s_mat = ys @ cols
         t_mat = ys_norm[:, None] * np.sqrt(r2)
         t_mat = np.sqrt(np.maximum(t_mat * t_mat - s_mat * s_mat, 0.0), out=t_mat)
-        a_mat = eval_terms(expr.scalar_terms, s_mat, t_mat)
-        b_mat = eval_terms(expr.bivector_terms, s_mat, t_mat) if has_biv else a_mat
+        a_even, a_odd = _parity_parts(expr.scalar_terms, s_mat, t_mat)
+        b_even, b_odd = _parity_parts(expr.bivector_terms, s_mat, t_mat)
         del s_mat, t_mat
-        parts = (np.real, np.imag) if np.iscomplexobj(a_mat) or np.iscomplexobj(b_mat) else (np.real,)
-        # profile[part, 0] = A, profile[part, 1 + j] = B x_j, each targets x points
-        profile = np.empty((len(parts), n_blocks, r, len(wts)))
-        for p, part in enumerate(parts):
-            profile[p, 0] = part(a_mat)
-            for j in range(1, n_blocks):
-                np.multiply(part(b_mat), cols[j - 1], out=profile[p, j])
-        del a_mat, b_mat
+        pairs = ((a_even, b_odd), (a_odd, b_even))
+        complex_parts = any(np.iscomplexobj(v) for pair in pairs for v in pair)
+        parts = (np.real, np.imag) if complex_parts else (np.real,)
 
-        w_mat = table.evaluate(cols, wts * np.exp(-0.5 * r2))
-        sums = sums + w_mat @ profile.reshape(-1, len(wts)).T
+        weight = 2.0 * wts * np.exp(-0.5 * r2)
+        done += len(wts)
+        if done == half and len(scheme) % 2:
+            weight[-1] *= 0.5  # the origin, its own mirror
+        w_mat = table.evaluate(cols, weight)
+        for g, (a, b) in enumerate(pairs):
+            w_rows = w_mat[: table.n_even] if g == 0 else w_mat[table.n_even :]
+            # (block, profile part, coordinate it is multiplied by)
+            sources = ([(0, a, None)] if a is not None else []) + (
+                [(1 + j, b, cols[j]) for j in range(m)] if b is not None else []
+            )
+            blocks[g] = [q for q, _, _ in sources]
+            if not len(w_rows) or not sources:
+                continue
+            # profile[part, block] is targets x points
+            profile = np.empty((len(parts), len(sources), r, len(wts)))
+            for p, part in enumerate(parts):
+                for q, (_, prof, x) in enumerate(sources):
+                    if x is None:
+                        profile[p, q] = part(prof)
+                    else:
+                        np.multiply(part(prof), x, out=profile[p, q])
+            prod = w_rows @ profile.reshape(-1, len(wts)).T
+            del profile
+            if sums[g] is None:
+                sums[g] = prod
+            else:
+                sums[g] += prod
+        del a_even, a_odd, b_even, b_odd, pairs
 
     norm = complex(transform_normalization(m))
-    pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
+    biv_pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
     out: list[BladeValues] = [dict() for _ in fs]
 
     def acc(fi: int, blade: int, delta: np.ndarray) -> None:
         tgt = out[fi].setdefault(blade, np.zeros(r, dtype=complex))
         tgt += delta
 
-    for (fi, blade), row in zip(table.rows, sums):
-        parts = row.reshape(-1, n_blocks, r)
-        blocks = norm * (parts[0] + 1j * parts[1] if len(parts) == 2 else parts[0])
-        acc(fi, blade, blocks[0])
-        if not has_biv:
-            continue
-        biv = {
-            (1 << j) | (1 << k): ys[:, k] * blocks[1 + j] - ys[:, j] * blocks[1 + k]
-            for j, k in pairs
-        }
-        for mask, delta in blade_product(biv, {blade: 1}).items():
-            acc(fi, mask, delta)
+    row_groups = (table.rows[: table.n_even], table.rows[table.n_even :])
+    for rows, row_sums, row_blocks in zip(row_groups, sums, blocks):
+        if row_sums is None:
+            continue  # no rows, or no profile part pairs with them
+        for (fi, blade), row in zip(rows, row_sums):
+            split = row.reshape(-1, len(row_blocks), r)
+            vals = norm * (split[0] + 1j * split[1] if len(split) == 2 else split[0])
+            by_block = dict(zip(row_blocks, vals))
+            if 0 in by_block:
+                acc(fi, blade, by_block[0])
+            if 1 not in by_block:
+                continue
+            biv = {
+                (1 << j) | (1 << k): ys[:, k] * by_block[1 + j] - ys[:, j] * by_block[1 + k]
+                for j, k in biv_pairs
+            }
+            for mask, delta in blade_product(biv, {blade: 1}).items():
+                acc(fi, mask, delta)
     return out
 
 
@@ -764,17 +828,18 @@ def l2_bound_scan(m: int, i: int, k_max: int) -> L2ScanReport:
     """
     if not 0 <= i <= m - 2:
         raise ValueError(f"index i out of range 0..{m - 2}: {i}")
-    sup = Fraction(0)
+    # magnitudes compared as integer ratios, num/den > a/b iff num b > a den
+    sup_num, sup_den = 0, 1
     first_exceed = None
     for k in range(k_max + 1):
-        mag = _eigen_magnitude(m, i, k)
-        if mag > sup:
-            sup = mag
-        if mag > 1 and first_exceed is None:
+        num, den = _eigen_ratio(m, i, k)
+        if num * sup_den > sup_num * den:
+            sup_num, sup_den = num, den
+        if num > den and first_exceed is None:
             first_exceed = k
     return L2ScanReport(
         m=m, i=i, k_max=k_max, bounded=first_exceed is None,
-        sup_magnitude=sup, first_exceed_k=first_exceed,
+        sup_magnitude=Fraction(sup_num, sup_den), first_exceed_k=first_exceed,
     )
 
 

@@ -56,6 +56,7 @@ __all__ = [
     "verify_recursion",
     "verify_structural_identities",
     "eval_terms",
+    "eval_terms_by_parity",
     "eval_kernel",
     "pde_residual",
     "fg_system_residual",
@@ -434,6 +435,51 @@ def verify_structural_identities(m: int) -> list[Check]:
 # evaluation
 
 
+class _Grouping:
+    """The terms of one tuple grouped by Bessel order, in order of first
+    appearance.  Per order: every (coefficient, power of s) pair in term
+    order, and the pairs of even and of odd power.  Coefficients are
+    floats when every one is real (every even m), complex otherwise."""
+
+    __slots__ = ("real", "orders")
+
+    def __init__(self, terms: Sequence[KernelTerm]):
+        coeffs = [term.coeff_complex for term in terms]
+        self.real = not any(c.imag for c in coeffs)
+        by_order: dict[int, list[tuple[float | complex, int]]] = {}
+        for term, c in zip(terms, coeffs):
+            by_order.setdefault(term.order.twice_order, []).append((c.real if self.real else c, term.s_power))
+        self.orders = [
+            (
+                BesselOrder(two),
+                group,
+                [(c, a) for c, a in group if a % 2 == 0],
+                [(c, a) for c, a in group if a % 2],
+            )
+            for two, group in by_order.items()
+        ]
+
+
+# groupings of the term tuples evaluated so far, by identity: a kernel's
+# tuples live as long as its cached KernelExpr, and the entry holds the
+# tuple, so its id is not reused while the entry stands
+_GROUPINGS: dict[int, tuple[tuple[KernelTerm, ...], _Grouping]] = {}
+
+
+def _grouping(terms: Sequence[KernelTerm]) -> _Grouping:
+    hit = _GROUPINGS.get(id(terms))
+    if hit is not None and hit[0] is terms:
+        return hit[1]
+    grouping = _Grouping(terms)
+    if type(terms) is tuple:
+        _GROUPINGS[id(terms)] = (terms, grouping)
+    return grouping
+
+
+def _poly(group, s):
+    return sum(c * s**a if a else c for c, a in group)
+
+
 def eval_terms(terms: Sequence[KernelTerm], s, t):
     """Evaluate sum of terms at s, t: two numbers (int or float, np.float64
     included) give a Python float or complex; arrays (broadcast together)
@@ -441,23 +487,34 @@ def eval_terms(terms: Sequence[KernelTerm], s, t):
 
     The result is real when every coefficient is real (every even m) and
     complex otherwise.  Either way each order is one bessel_jtilde call."""
-    coeffs = [term.coeff_complex for term in terms]
-    real = not any(c.imag for c in coeffs)
-    by_order: dict[int, list[tuple[float | complex, int]]] = {}
-    for term, c in zip(terms, coeffs):
-        by_order.setdefault(term.order.twice_order, []).append((c.real if real else c, term.s_power))
+    grouping = _grouping(terms)
     if isinstance(s, (int, float)) and isinstance(t, (int, float)):
-        total = 0.0 if real else 0j
-        for two, group in by_order.items():
-            poly = sum(c * s**s_power if s_power else c for c, s_power in group)
-            total += poly * bessel_jtilde(BesselOrder(two), t)
+        total = 0.0 if grouping.real else 0j
+        for order, group, _, _ in grouping.orders:
+            total += _poly(group, s) * bessel_jtilde(order, t)
         return total
     s_arr, t_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    total = np.zeros(s_arr.shape, dtype=float if real else complex)
-    for two, group in by_order.items():
-        poly = sum(c * s_arr**s_power if s_power else c for c, s_power in group)
-        total += poly * bessel_jtilde(BesselOrder(two), t_arr)
+    total = np.zeros(s_arr.shape, dtype=float if grouping.real else complex)
+    for order, group, _, _ in grouping.orders:
+        total += _poly(group, s_arr) * bessel_jtilde(order, t_arr)
     return total
+
+
+def eval_terms_by_parity(terms: Sequence[KernelTerm], s, t) -> tuple[np.ndarray, np.ndarray]:
+    """The parts E and O of the sum of terms P with P(+-s, t) = E +- O, as
+    arrays over s and t broadcast together: E sums the terms of even
+    power of s, O those of odd power.  Each order is one bessel_jtilde
+    call, shared by both parts; real or complex as in eval_terms."""
+    grouping = _grouping(terms)
+    s_arr, t_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    dtype = float if grouping.real else complex
+    even, odd = np.zeros(s_arr.shape, dtype=dtype), np.zeros(s_arr.shape, dtype=dtype)
+    for order, _, even_group, odd_group in grouping.orders:
+        jt = bessel_jtilde(order, t_arr)
+        for part, group in ((even, even_group), (odd, odd_group)):
+            if group:
+                part += _poly(group, s_arr) * jt
+    return even, odd
 
 
 def eval_kernel(kernel, x, y) -> ParaBivector:

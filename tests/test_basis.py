@@ -242,7 +242,10 @@ def test_evaluate_batch_matches_pointwise_evaluate():
         polys += [CliffordPolynomial.constant(m, Fraction(-7, 3)), CliffordPolynomial(m)]
         table = PolynomialTable(m, polys)
         together = table.split(table.evaluate(np.ascontiguousarray(pts.T)))
-        assert [(pi, b) for pi, vals in enumerate(together) for b in vals] == table.rows
+        # rows of even degree come first; within a parity, polynomial order
+        assert [(pi, b) for pi, vals in enumerate(together) for b in vals] == sorted(
+            table.rows, key=lambda row: row[0]
+        )
         for p, joint in zip(polys, together):
             scale = _majorant(p, pts)
             for batch in (p.evaluate_batch(pts), joint):
@@ -269,6 +272,34 @@ def test_polynomial_table_weight_multiplies_every_value():
     assert weighted.shape == plain.shape == (len(table.rows), 40)
     assert np.max(np.abs(weighted - plain * weight)) <= 1e-14 * np.max(np.abs(plain * weight))
     assert PolynomialTable(m, []).evaluate(cols).shape == (0, 40)
+
+
+def test_polynomial_table_puts_even_rows_first_and_adds_split_rows():
+    # 1 + x_1 + x_1 x_2^2 on the scalar blade has terms of both parities, so
+    # it takes one even and one odd row; x_2 e_1 is odd only
+    m = 3
+    mixed = CliffordPolynomial(m, {
+        (0, 0, 0): {0: Fraction(1)},
+        (1, 0, 0): {0: Fraction(1)},
+        (1, 2, 0): {0: Fraction(1)},
+        (0, 1, 0): {1: Fraction(3, 2)},
+    })
+    polys = [psi(1, 0, 1, m).poly, mixed, psi(0, 2, 1, m).poly]
+    table = PolynomialTable(m, polys)
+    assert table.rows.count((1, 0)) == 2
+    cols = np.random.default_rng(9).uniform(-2.0, 2.0, size=(m, 30))
+    vals = table.evaluate(cols)
+    # x -> -x keeps the even rows and negates the odd ones
+    mirrored = table.evaluate(-cols)
+    assert np.array_equal(mirrored[: table.n_even], vals[: table.n_even])
+    assert np.array_equal(mirrored[table.n_even :], -vals[table.n_even :])
+    assert 0 < table.n_even < len(table.rows)
+    # the split rows of a blade add up to its value, against the pointwise route
+    for p, got in zip(polys, table.split(vals)):
+        want = np.array([p.evaluate(pt)._data for pt in cols.T])
+        assert set(got) == set(np.flatnonzero(np.any(want, axis=0)))
+        for blade, v in got.items():
+            assert np.allclose(v, want[:, blade], rtol=1e-14, atol=1e-14)
 
 
 def _reference_vector_times(p: CliffordPolynomial, step: int) -> CliffordPolynomial:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from clifft import engine, series
-from clifft.basis import GaussianPolynomial, monogenic_basis, psi
+from clifft.algebra import blade_product
+from clifft.basis import CliffordPolynomial, GaussianPolynomial, PolynomialTable, monogenic_basis, psi
 from clifft.engine import (
     QuadratureScheme,
     closed_form_eigenvalue,
@@ -26,7 +27,7 @@ from clifft.engine import (
     verify_eigen,
     verify_inversion,
 )
-from clifft.kernels import KernelId, build_kernel, eval_terms
+from clifft.kernels import KernelId, build_kernel, eval_terms, eval_terms_by_parity
 from clifft.series import eigenvalues_from_coefficients, jtilde_stack, series_coefficients
 
 
@@ -63,6 +64,26 @@ def test_chunks_equal_a_meshgrid_reference_bitwise(m, n):
             assert wts.tobytes() == weights[start:stop].tobytes()
             start = stop
         assert start == len(points)
+
+
+@pytest.mark.parametrize("m, n", [(2, 64), (3, 9), (4, 5)])
+def test_grid_mirrors_bitwise_and_stop_bounds_the_points(m, n):
+    # the half-grid fold rests on point i being minus point N - 1 - i with
+    # the same weight, bit for bit, and on chunks stopping at ceil(N/2)
+    scheme = QuadratureScheme(m, n)
+    pts = np.concatenate([p for p, _ in scheme.chunks()])
+    wts = np.concatenate([w for _, w in scheme.chunks()])
+    assert np.array_equal(pts, -pts[::-1]) and np.array_equal(wts, wts[::-1])
+    half = (len(scheme) + 1) // 2
+    head = list(scheme.chunks(50, half))
+    assert all(len(w) <= 50 for _, w in head)
+    assert np.array_equal(np.concatenate([p for p, _ in head]), pts[:half])
+    assert np.array_equal(np.concatenate([w for _, w in head]), wts[:half])
+    if len(scheme) % 2:
+        assert not np.any(pts[half - 1])  # the origin
+    for bad in (-1, len(scheme) + 1):
+        with pytest.raises(ValueError, match="stop"):
+            next(scheme.chunks(50, bad))
 
 
 def test_scheme_self_test_fails_on_a_nan_weight():
@@ -185,7 +206,12 @@ def test_transform_keeps_even_m_profiles_real(monkeypatch):
     def complex_terms(terms, s, t):
         return eval_terms(terms, s, t).astype(complex)
 
+    def complex_parts(terms, s, t):
+        return tuple(part.astype(complex) for part in eval_terms_by_parity(terms, s, t))
+
+    # the profile A of (4, 1) has powers of s of both parities, B one
     monkeypatch.setattr(engine, "eval_terms", complex_terms)
+    monkeypatch.setattr(engine, "eval_terms_by_parity", complex_parts)
     for one, two in zip(real, apply_transform_batch(kid, fs, ys)):
         assert set(one) == set(two)
         for blade in one:
@@ -194,22 +220,92 @@ def test_transform_keeps_even_m_profiles_real(monkeypatch):
 
 def test_transform_chunks_bound_point_pairs(monkeypatch):
     # 4096 grid points against 2,000 targets: a single chunk would hold
-    # 8.2e6 (point, target) pairs
+    # 8.2e6 (point, target) pairs; the transform reads the first half of
+    # the grid, each point standing for its mirror too
     scheme = QuadratureScheme(2, 64)
     rows = []
     chunks = scheme.chunks
 
-    def recording_chunks(size):
-        for pts, wts in chunks(size):
+    def recording_chunks(size, stop=None):
+        for pts, wts in chunks(size, stop):
             rows.append(len(pts))
             yield pts, wts
 
     monkeypatch.setattr(scheme, "chunks", recording_chunks)
     monkeypatch.setattr(engine, "eval_terms", lambda terms, s, t: np.zeros(s.shape))
+    monkeypatch.setattr(
+        engine, "eval_terms_by_parity", lambda terms, s, t: (np.zeros(s.shape), np.zeros(s.shape))
+    )
     ys = sample_points(2, 2000, 2.0, seed=3)
     apply_transform_batch(KernelId(2, 0), [psi(0, 0, 1, 2)], ys, scheme)
-    assert len(rows) > 1 and sum(rows) == len(scheme)
+    assert len(rows) > 1 and sum(rows) == (len(scheme) + 1) // 2
     assert all(n * len(ys) <= 5_000_000 for n in rows), rows
+
+
+def _full_grid_reference(kid: KernelId, fs, ys: np.ndarray, scheme: QuadratureScheme) -> list:
+    """The transform summed over every point of the grid: per chunk one
+    product W @ P, P holding A and B x_j at every point (the loop that the
+    half-grid fold replaced, kept here as its oracle)."""
+    expr = build_kernel(kid)
+    m, r = kid.m, len(ys)
+    table = PolynomialTable(m, [f.poly for f in fs])
+    sums = 0.0
+    for pts, wts in scheme.chunks(1000):
+        cols = np.ascontiguousarray(pts.T)
+        r2 = np.sum(cols * cols, axis=0)
+        s = ys @ cols
+        t = np.sqrt(np.maximum(np.outer(np.sum(ys * ys, axis=1), r2) - s * s, 0.0))
+        a, b = eval_terms(expr.scalar_terms, s, t), eval_terms(expr.bivector_terms, s, t)
+        profile = np.stack([a] + [b * x for x in cols]).astype(complex)
+        w_mat = table.evaluate(cols, wts * np.exp(-0.5 * r2))
+        sums = sums + np.tensordot(w_mat, profile, axes=([1], [2]))  # rows x (1 + m) x r
+    norm = complex(series.transform_normalization(m))
+    out = [dict() for _ in fs]
+    for (fi, blade), blocks in zip(table.rows, norm * sums):
+        terms = {blade: blocks[0]}
+        biv = {
+            (1 << j) | (1 << k): ys[:, k] * blocks[1 + j] - ys[:, j] * blocks[1 + k]
+            for j in range(m) for k in range(j + 1, m)
+        }
+        for part in (terms, blade_product(biv, {blade: 1})):
+            for mask, vals in part.items():
+                out[fi][mask] = out[fi].get(mask, 0) + vals
+    return out
+
+
+def _mixed_parity_function(m: int) -> GaussianPolynomial:
+    """(1 + x_1 + x_1 x_2^2) + (x_2 - 2 x_1^2) e_1 e_2, times the Gaussian:
+    each blade has terms of both parities."""
+    def expo(**powers):
+        return tuple(powers.get(f"x{j + 1}", 0) for j in range(m))
+
+    return GaussianPolynomial(CliffordPolynomial(m, {
+        expo(): {0: Fraction(1)},
+        expo(x1=1): {0: Fraction(1)},
+        expo(x1=1, x2=2): {0: Fraction(1)},
+        expo(x2=1): {0b11: Fraction(1)},
+        expo(x1=2): {0b11: Fraction(-2)},
+    }))
+
+
+@pytest.mark.parametrize("m, n", [(2, 7), (3, 9), (2, 64), (4, 5)])
+def test_half_grid_fold_equals_the_full_grid(m, n):
+    # odd node counts put the origin on the grid, its own mirror; m = 3
+    # has complex profiles, also with e_i off the real axis
+    scheme = QuadratureScheme(m, n)
+    fs = [psi(j, k, 1, m) for j in (0, 1, 2) for k in (0, 1, 2)] + [_mixed_parity_function(m)]
+    ys = sample_points(m, 4, 2.0, seed=8)
+    kids = [KernelId(m, i, sign) for i in range(m - 1) for sign in ("plus", "minus")]
+    if m % 2:
+        kids.append(KernelId(m, 1, "plus", complex(math.cos(0.7), math.sin(0.7))))
+    for kid in kids:
+        got = apply_transform_batch(kid, fs, ys, scheme)
+        want = _full_grid_reference(kid, fs, ys, scheme)
+        for fi, (g, w) in enumerate(zip(got, want)):
+            scale = max(float(np.max(np.abs(v))) for v in w.values())
+            for blade in set(g) | set(w):
+                err = np.max(np.abs(g.get(blade, 0.0) - w.get(blade, 0.0)))
+                assert err <= 1e-14 * scale, (kid, fi, blade, err / scale)
 
 
 def test_bochner_agrees_with_full_grid():

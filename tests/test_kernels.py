@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from clifft import kernels as kernels_module
 from clifft.exact import Exact, U
 from clifft.kernels import (
     KernelExpr,
@@ -20,6 +21,7 @@ from clifft.kernels import (
     build_kernel_odd,
     eval_kernel,
     eval_terms,
+    eval_terms_by_parity,
     fg_system_residual,
     fhat_terms,
     ftilde_terms,
@@ -219,6 +221,58 @@ def test_eval_terms_converts_each_coefficient_once(monkeypatch):
     assert np.allclose(points, first, rtol=1e-14, atol=0.0)
     assert len(converted) == len(terms)
     assert sorted(map(id, converted)) == sorted(id(term.coeff) for term in terms)
+
+
+def test_eval_terms_takes_a_list_like_its_tuple():
+    terms = build_kernel(KernelId(4, 2)).scalar_terms
+    s_pts, t_pts = np.array([0.3, -1.2, 2.0]), np.array([0.5, 2.0, 7.5])
+    assert np.array_equal(eval_terms(list(terms), s_pts, t_pts), eval_terms(terms, s_pts, t_pts))
+    assert eval_terms(list(terms), 0.3, 0.5) == eval_terms(terms, 0.3, 0.5)
+
+
+def test_parity_split_gives_the_profile_at_plus_and_minus_s():
+    # P(+-s, t) = E +- O for every closed-form profile of m = 2..6, both
+    # signs, e_i = e^(0.7 I) at odd m; the error is taken relative to the
+    # majorant sum |c| |s|^a jtilde_alpha(0), as in the mpmath test below
+    rng = np.random.default_rng(43)
+    s_pts = np.concatenate([[0.0, 0.7, -2.5], rng.uniform(-4.0, 4.0, 37)]).reshape(4, 10)
+    t_pts = np.concatenate([[0.0, 0.999, 1.0], rng.uniform(0.0, 25.0, 37)]).reshape(4, 10)
+    e_odd = complex(math.cos(0.7), math.sin(0.7))
+    for m in range(2, 7):
+        for i in range(m - 1):
+            for sign in ("plus", "minus"):
+                expr = build_kernel(KernelId(m, i, sign, e_odd if m % 2 else 1.0))
+                for terms in (expr.scalar_terms, expr.bivector_terms):
+                    even, odd = eval_terms_by_parity(terms, s_pts, t_pts)
+                    assert even.shape == odd.shape == s_pts.shape
+                    assert even.dtype == odd.dtype == eval_terms(terms, s_pts, t_pts).dtype
+                    majorant = sum(
+                        abs(complex(tm.coeff)) * np.abs(s_pts) ** tm.s_power
+                        * eval_terms((KernelTerm(Exact(1), 0, tm.order),), 0.0, 0.0)
+                        for tm in terms
+                    )
+                    for sgn in (1, -1):
+                        got = even + sgn * odd
+                        want = eval_terms(terms, sgn * s_pts, t_pts)
+                        assert np.all(np.abs(got - want) <= 4e-16 * len(terms) * majorant), (m, i, sign)
+
+
+def test_parity_split_takes_one_bessel_call_per_order(monkeypatch):
+    # the scalar profile of (4, 1) has the order 1/2 with the powers s^0
+    # and s^1, so both parts share that order's Bessel values
+    terms = build_kernel(KernelId(4, 1)).scalar_terms
+    assert {tm.s_power % 2 for tm in terms} == {0, 1}
+    calls = []
+    jtilde = kernels_module.bessel_jtilde
+
+    def counted(order, t):
+        calls.append(order)
+        return jtilde(order, t)
+
+    monkeypatch.setattr(kernels_module, "bessel_jtilde", counted)
+    even, odd = eval_terms_by_parity(terms, np.array([0.4, -1.0]), np.array([0.2, 3.0]))
+    assert sorted(calls) == sorted({tm.order for tm in terms})
+    assert not np.iscomplexobj(even) and not np.iscomplexobj(odd)
 
 
 def _mp(q: Fraction):
