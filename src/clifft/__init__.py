@@ -85,7 +85,6 @@ from .series import (
     truncation_bound,
 )
 from .special import (
-    BesselOrder,
     bessel_jtilde,
     chebyshev_t,
     double_factorial,

@@ -569,10 +569,6 @@ class BasisFunction:
     monogenic: SphericalMonogenic
     poly: CliffordPolynomial
 
-    @property
-    def parity(self) -> str:
-        return "odd" if self.j % 2 else "even"
-
     def values(self, points: np.ndarray) -> dict[int, np.ndarray]:
         """Blade coefficient arrays at (n, m) points, Gaussian included."""
         return _gaussian_values(self.poly, points)

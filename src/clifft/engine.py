@@ -47,7 +47,7 @@ from .series import (
     transform_normalization,
     truncation_bound,
 )
-from .special import BesselOrder, bessel_jtilde, double_factorial, laguerre
+from .special import bessel_jtilde, double_factorial, laguerre
 
 __all__ = [
     "GRID_NODES",
@@ -161,9 +161,9 @@ class QuadratureScheme:
         points at a time."""
         return complex(sum(np.sum(wts * f(pts)) for pts, wts in self.chunks()))
 
-    def self_test(self, tol: float = 1e-10) -> float:
+    def self_test(self) -> float:
         """Relative error integrating centered and shifted unit Gaussians
-        against the exact value (2 pi)^(m/2).  Raises unless below tol."""
+        against the exact value (2 pi)^(m/2).  Raises unless below 1e-10."""
         exact = (2.0 * math.pi) ** (self.m / 2.0)
 
         def rel_error(offset):
@@ -171,7 +171,7 @@ class QuadratureScheme:
             return abs(value.real - exact) / exact
 
         err = worst(rel_error(np.zeros(self.m)), rel_error(0.35 * np.arange(1, self.m + 1)))
-        if not err < tol:
+        if not err < 1e-10:
             raise RuntimeError(f"quadrature self-test failed: rel error {err:.3e}")
         return err
 
@@ -183,20 +183,24 @@ def default_scheme(m: int) -> QuadratureScheme:
     return scheme
 
 
+# The radial route integrates over r in [0, _R_MAX]: every radial profile
+# it meets carries the factor exp(-r^2/2), 2.7e-43 at r = 14.
+_R_MAX = 14.0
+
+
 @dataclass(frozen=True)
 class RadialRule:
-    """Composite Gauss-Legendre rule on [0, r_max]."""
+    """Composite Gauss-Legendre rule on [0, _R_MAX]."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(self.weights * values))
 
-
-def radial_rule(r_max: float = 14.0, panel_width: float = 1.0, points_per_panel: int = 16) -> RadialRule:
-    u, w = np.polynomial.legendre.leggauss(points_per_panel)
-    edges = np.minimum(np.arange(0.0, r_max + panel_width, panel_width), r_max)
+def radial_rule(panel_width: float) -> RadialRule:
+    """16 Gauss-Legendre points on each panel of the given width (the last
+    one cut at _R_MAX)."""
+    u, w = np.polynomial.legendre.leggauss(16)
+    edges = np.minimum(np.arange(0.0, _R_MAX + panel_width, panel_width), _R_MAX)
     nodes = []
     weights = []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -210,7 +214,7 @@ def radial_rule(r_max: float = 14.0, panel_width: float = 1.0, points_per_panel:
 
 def _rule_for(ys_norms: np.ndarray) -> RadialRule:
     width = min(1.0, math.pi / max(float(np.max(ys_norms)), 1.0))
-    return radial_rule(14.0, width, 16)
+    return radial_rule(width)
 
 
 def sample_points(m: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
@@ -521,7 +525,7 @@ def bochner_reduce(
     Bessel-weighted integral times the kernel's eigenvalue on degree k.
     Only the eigenvalue depends on the source, so the integral and the
     angular values are computed once for all of them.  radial_profile
-    must decay fast enough to be negligible beyond r = 14.  Valid in
+    must decay fast enough to be negligible beyond r = _R_MAX.  Valid in
     every dimension >= 2.
     """
     if parity not in _PARITIES:
@@ -570,7 +574,7 @@ def _reference_eigenvalue(coeffs: SeriesCoefficients, k: int, parity: str) -> co
     """The closed form for a plus kernel, else the eigenvalue of its streams."""
     kid = coeffs.provenance
     if kid.sign == "plus":
-        return closed_form_eigenvalue(kid.m, kid.i, k, parity, 0, kid.e_i)
+        return closed_form_eigenvalue(kid.m, kid.i, k, parity, e_i=kid.e_i)
     ev = eigenvalues_from_coefficients(coeffs, k)
     return ev.even_branch if parity == "2p" else ev.odd_branch
 
@@ -581,8 +585,6 @@ def verify_eigen(
     k_values: Iterable[int] = (0, 1, 2),
     j_values: Iterable[int] = (0, 1),
     sign: str = "plus",
-    scheme: QuadratureScheme | None = None,
-    n_samples: int = 20,
     method: str | None = None,
 ) -> list[EigenvalueRecord]:
     """Numeric eigenvalues on psi_{j,k,1} against the closed forms.
@@ -595,16 +597,15 @@ def verify_eigen(
     i_list = list(i_values) if i_values is not None else list(range(m - 1))
     j_list = list(j_values)
     k_list = list(k_values)
-    ys = sample_points(m, n_samples, 2.2, seed=101 + m)
+    ys = sample_points(m, 20, 2.2, seed=101 + m)
     records: list[EigenvalueRecord] = []
 
     if method == "grid":
-        scheme = scheme or default_scheme(m)
         fs = [psi(j, k, 1, m) for k in k_list for j in j_list]
         for i in i_list:
             kid = KernelId(m, i, sign)
             coeffs = series_coefficients(kid)
-            transformed = apply_transform_batch(kid, fs, ys, scheme)
+            transformed = apply_transform_batch(kid, fs, ys)
             for fi, bf in enumerate(fs):
                 ref_vals = bf.values(ys)
                 lam = _rayleigh(m, ref_vals, transformed[fi])
@@ -681,7 +682,7 @@ def _composition_radial(m: int, i: int) -> float:
     coeffs = series_coefficients(kid)
     inv = inverse_coefficients(coeffs)
     lam2 = m - 2
-    rule = radial_rule(14.0, min(1.0, math.pi / 14.0), 16)
+    rule = radial_rule(min(1.0, math.pi / _R_MAX))
     xs = np.linspace(0.35, 2.4, 9)
     gaussian = np.exp(-0.5 * rule.nodes**2)
     z = rule.nodes[:, None] * xs[None, :]
@@ -693,7 +694,7 @@ def _composition_radial(m: int, i: int) -> float:
         rule, gaussian, m - 1, 0, lam2, rule.nodes
     )
     h_vals = evi.even_branch * (
-        (rule.weights * rule.nodes ** (m - 1) * g_nodes) @ bessel_jtilde(BesselOrder(lam2), z)
+        (rule.weights * rule.nodes ** (m - 1) * g_nodes) @ bessel_jtilde(lam2, z)
     )
     even_err = np.abs(h_vals - np.exp(-0.5 * xs * xs))
 
@@ -704,7 +705,7 @@ def _composition_radial(m: int, i: int) -> float:
     q_nodes = ev.odd_branch * int_fwd / rule.nodes
     h_vals = evi.odd_branch * (
         (rule.weights * rule.nodes**m * q_nodes)
-        @ (z * bessel_jtilde(BesselOrder(lam2 + 2), z))
+        @ (z * bessel_jtilde(lam2 + 2, z))
     )
     return worst(even_err, np.abs(h_vals - xs * np.exp(-0.5 * xs * xs)))
 
@@ -715,7 +716,6 @@ def _composition_grid_m2(i: int) -> float:
     through its series kernel, {0: A, e12: B (x wedge y)} by blade_product."""
     m = 2
     kid = KernelId(m, i)
-    scheme = default_scheme(m)
     u, w = np.polynomial.legendre.leggauss(80)
     half = 8.0
     ax = half * u
@@ -730,7 +730,7 @@ def _composition_grid_m2(i: int) -> float:
     norm = complex(transform_normalization(m))
 
     fs = [psi(j, 0, 1, m) for j in (0, 1)]
-    g_batch = apply_transform_batch(kid, fs, mid, scheme)
+    g_batch = apply_transform_batch(kid, fs, mid)
     # inverse kernel at every (sample, mid-grid point) pair, samples as rows
     zz = np.linalg.norm(xs, axis=1)[:, None] * np.linalg.norm(mid, axis=1)[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -759,33 +759,27 @@ def inversion_composition_residual(m: int, i: int = 0) -> float:
 # differential relations
 
 
-def verify_diff_relations(
-    kernel_id: KernelId,
-    bf: BasisFunction,
-    n_samples: int = 6,
-    scheme: QuadratureScheme | None = None,
-    h: float = 1e-4,
-) -> float:
+def verify_diff_relations(kernel_id: KernelId, bf: BasisFunction) -> float:
     """Residuals of the two relations coupling the sign pair:
 
         F_+[x f] = -(-I)^m d_y[F_-[f]],
         F_+[d f] = -(-I)^m y F_-[f].
 
-    d_x on the Gaussian class is exact; d_y uses central differences.  Both
-    sides are BladeValues over all samples, multiplied by blade_product.
+    d_x on the Gaussian class is exact; d_y uses central differences with
+    step h = 1e-4, at 6 sample points.  Both sides are BladeValues over all
+    samples, multiplied by blade_product.
     """
-    m = kernel_id.m
-    scheme = scheme or default_scheme(m)
+    m, h = kernel_id.m, 1e-4
     plus = replace(kernel_id, sign="plus")
     minus = replace(kernel_id, sign="minus")
     gp = GaussianPolynomial(bf.poly)
-    ys = sample_points(m, n_samples, 1.8, seed=31 + m)
+    ys = sample_points(m, 6, 1.8, seed=31 + m)
     # rows of shifts: 0, +h e_1, -h e_1, +h e_2, ...
     shifts = np.concatenate([np.zeros((1, m)), np.kron(h * np.eye(m), [[1.0], [-1.0]])])
     ys_ext = (shifts[:, None, :] + ys).reshape(-1, m)
 
-    plus_vals = apply_transform_batch(plus, [gp.times_x(), gp.dirac()], ys, scheme)
-    minus_vals = apply_transform_batch(minus, [gp], ys_ext, scheme)[0]
+    plus_vals = apply_transform_batch(plus, [gp.times_x(), gp.dirac()], ys)
+    minus_vals = apply_transform_batch(minus, [gp], ys_ext)[0]
 
     # F_-[f] as (2m + 1, r) arrays, one row per shift
     rows = {blade: v.reshape(len(shifts), -1) for blade, v in minus_vals.items()}
@@ -843,16 +837,14 @@ def l2_bound_scan(m: int, i: int, k_max: int) -> L2ScanReport:
     )
 
 
-def hankel_laguerre_residual(
-    m: int, k: int, j: int, s_values: Sequence[float], rule: RadialRule | None = None
-) -> float:
+def hankel_laguerre_residual(m: int, k: int, j: int, s_values: Sequence[float]) -> float:
     """Residual of the Hankel-Laguerre eigenrelation: the integral over r
     of r^(m+k-1) L_j^(k+lam)(r^2) e^(-r^2/2) (r s)^k jtilde_(k+lam)(r s)
     equals (-1)^j s^k L_j^(k+lam)(s^2) e^(-s^2/2), lam = (m-2)/2."""
     s_arr = np.asarray(list(s_values), dtype=float)
     if np.any(s_arr <= 0):
         raise ValueError("s values must be positive")
-    rule = rule or _rule_for(s_arr)
+    rule = _rule_for(s_arr)
     lam = (m - 2) / 2.0
     f0 = laguerre(j, k + lam, rule.nodes**2) * np.exp(-0.5 * rule.nodes**2)
     lhs = _radial_bessel_integral(rule, f0, m + k - 1, k, 2 * k + m - 2, s_arr)

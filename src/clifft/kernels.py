@@ -7,8 +7,9 @@ Every kernel here is a parabivector function of two vector variables,
 where s = <x, y> and t = |x wedge y|.  The profiles A and B are finite
 sums of terms  c * s^a * jtilde_alpha(t)  with exact coefficients c (see
 :mod:`clifft.exact`), integer powers a >= 0 and half-integer or integer
-Bessel orders alpha.  Working at this symbolic level makes the recursion
-and structural identities checkable exactly, coefficient by coefficient.
+Bessel orders alpha, each stored as the int 2 alpha.  Working at this
+symbolic level makes the recursion and structural identities checkable
+exactly, coefficient by coefficient.
 
 The scalar profile of a kernel splits into three families, called ftilde,
 fhat and g below; the builders produce each family as a term tuple and
@@ -34,7 +35,7 @@ import numpy as np
 from .algebra import Multivector, ParaBivector, invariants_of
 from .checks import Check, worst
 from .exact import Exact
-from .special import BesselOrder, bessel_jtilde
+from .special import bessel_jtilde, check_twice_order
 
 __all__ = [
     "KernelTerm",
@@ -65,17 +66,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelTerm:
-    """One summand  coeff * s^s_power * jtilde_order(t)."""
+    """One summand  coeff * s^s_power * jtilde_(twice_order/2)(t)."""
 
     coeff: Exact
     s_power: int
-    order: BesselOrder
+    twice_order: int
 
     def __post_init__(self):
         if self.s_power < 0:
             raise ValueError(f"negative power of s in a kernel term: {self.s_power}")
-        if self.order.twice_order < -1:
-            raise ValueError(f"unsupported Bessel order {self.order}")
+        check_twice_order(self.twice_order)
 
     @cached_property
     def coeff_complex(self) -> complex:
@@ -86,17 +86,17 @@ class KernelTerm:
 def _canonical(terms: Iterable[KernelTerm]) -> tuple[KernelTerm, ...]:
     merged: dict[tuple[int, int], Exact] = {}
     for term in terms:
-        key = (term.s_power, term.order.twice_order)
+        key = (term.s_power, term.twice_order)
         if key in merged:
             merged[key] = merged[key] + term.coeff
         else:
             merged[key] = term.coeff
     out = [
-        KernelTerm(c, p, BesselOrder(two))
+        KernelTerm(c, p, two)
         for (p, two), c in merged.items()
         if not c.is_zero
     ]
-    out.sort(key=lambda t: (t.s_power, t.order.twice_order))
+    out.sort(key=lambda t: (t.s_power, t.twice_order))
     return tuple(out)
 
 
@@ -166,7 +166,7 @@ def ftilde_terms(m: int, i: int) -> tuple[KernelTerm, ...]:
     for ell in range((i - 1) // 2 + 1):
         ratio = Fraction(factorial(i), factorial(i - 2 * ell - 1))
         coeff = Exact(-ratio * _inv_pow2_fact(ell), 0, upow)
-        terms.append(KernelTerm(coeff, i - 1 - 2 * ell, BesselOrder(m - 2 * ell - 3)))
+        terms.append(KernelTerm(coeff, i - 1 - 2 * ell, m - 2 * ell - 3))
     return _canonical(terms)
 
 
@@ -184,7 +184,7 @@ def fhat_terms(m: int, i: int) -> tuple[KernelTerm, ...]:
     for ell in range(i // 2 + 1):
         ratio = Fraction(factorial(i), factorial(i - 2 * ell))
         coeff = Exact(sgn * ratio * _inv_pow2_fact(ell), 0, upow)
-        terms.append(KernelTerm(coeff, i - 2 * ell, BesselOrder(m - 2 * ell - 3)))
+        terms.append(KernelTerm(coeff, i - 2 * ell, m - 2 * ell - 3))
     return _canonical(terms)
 
 
@@ -197,7 +197,7 @@ def g_terms(m: int, i: int) -> tuple[KernelTerm, ...]:
     for ell in range(i // 2 + 1):
         ratio = Fraction(factorial(i), factorial(i - 2 * ell))
         coeff = Exact(ratio * _inv_pow2_fact(ell), 0, upow)
-        terms.append(KernelTerm(coeff, i - 2 * ell, BesselOrder(m - 2 * ell - 1)))
+        terms.append(KernelTerm(coeff, i - 2 * ell, m - 2 * ell - 1))
     return _canonical(terms)
 
 
@@ -242,12 +242,12 @@ def build_cf_kernel(m: int) -> KernelExpr:
     for ell in range((m - 3) // 4 + 1):
         ratio = Fraction(factorial(half - 1), factorial(half - 2 * ell - 2))
         coeff = Exact(ratio * _inv_pow2_fact(ell), 0, 1)
-        scalar.append(KernelTerm(coeff, half - 2 - 2 * ell, BesselOrder(m - 2 * ell - 3)))
+        scalar.append(KernelTerm(coeff, half - 2 - 2 * ell, m - 2 * ell - 3))
     for ell in range((m - 2) // 4 + 1):
         ratio = Fraction(factorial(half - 1), factorial(half - 2 * ell - 1))
         coeff = Exact(ratio * _inv_pow2_fact(ell), 0, 1)
-        scalar.append(KernelTerm(coeff, half - 1 - 2 * ell, BesselOrder(m - 2 * ell - 3)))
-        bivector.append(KernelTerm(-coeff, half - 1 - 2 * ell, BesselOrder(m - 2 * ell - 1)))
+        scalar.append(KernelTerm(coeff, half - 1 - 2 * ell, m - 2 * ell - 3))
+        bivector.append(KernelTerm(-coeff, half - 1 - 2 * ell, m - 2 * ell - 1))
     return KernelExpr(m, scalar, bivector)
 
 
@@ -274,7 +274,7 @@ def minus_counterpart(expr: KernelExpr) -> KernelExpr:
         out = []
         for term in terms:
             sign = extra * (-1 if term.s_power % 2 else 1)
-            out.append(KernelTerm(term.coeff.conjugate() * sign, term.s_power, term.order))
+            out.append(KernelTerm(term.coeff.conjugate() * sign, term.s_power, term.twice_order))
         return out
 
     return KernelExpr(expr.m, flip(expr.scalar_terms, 1), flip(expr.bivector_terms, -1))
@@ -292,7 +292,7 @@ def add_terms(*term_lists: Sequence[KernelTerm]) -> tuple[KernelTerm, ...]:
 
 
 def scale_terms(terms: Sequence[KernelTerm], factor) -> tuple[KernelTerm, ...]:
-    return _canonical(KernelTerm(t.coeff * factor, t.s_power, t.order) for t in terms)
+    return _canonical(KernelTerm(t.coeff * factor, t.s_power, t.twice_order) for t in terms)
 
 
 def shift_s(terms: Sequence[KernelTerm], delta: int) -> tuple[KernelTerm, ...]:
@@ -302,7 +302,7 @@ def shift_s(terms: Sequence[KernelTerm], delta: int) -> tuple[KernelTerm, ...]:
             raise ValueError(
                 f"cannot multiply by s^{delta}: a term has s power {t.s_power}"
             )
-    return _canonical(KernelTerm(t.coeff, t.s_power + delta, t.order) for t in terms)
+    return _canonical(KernelTerm(t.coeff, t.s_power + delta, t.twice_order) for t in terms)
 
 
 def apply_zinv_dw(terms: Sequence[KernelTerm]) -> tuple[KernelTerm, ...]:
@@ -315,8 +315,8 @@ def apply_zinv_dw(terms: Sequence[KernelTerm]) -> tuple[KernelTerm, ...]:
     out: list[KernelTerm] = []
     for t in terms:
         if t.s_power >= 1:
-            out.append(KernelTerm(t.coeff * t.s_power, t.s_power - 1, t.order))
-        out.append(KernelTerm(t.coeff, t.s_power + 1, t.order.shifted(1)))
+            out.append(KernelTerm(t.coeff * t.s_power, t.s_power - 1, t.twice_order))
+        out.append(KernelTerm(t.coeff, t.s_power + 1, t.twice_order + 2))
     return _canonical(out)
 
 
@@ -325,8 +325,8 @@ def terms_equal(
 ) -> tuple[int, int, Exact, Exact] | None:
     """None when equal; otherwise the first mismatching (s_power,
     twice_order, got_coeff, want_coeff)."""
-    a = {(t.s_power, t.order.twice_order): t.coeff for t in _canonical(got)}
-    b = {(t.s_power, t.order.twice_order): t.coeff for t in _canonical(want)}
+    a = {(t.s_power, t.twice_order): t.coeff for t in _canonical(got)}
+    b = {(t.s_power, t.twice_order): t.coeff for t in _canonical(want)}
     zero = Exact(0)
     for key in sorted(set(a) | set(b)):
         ca = a.get(key, zero)
@@ -448,10 +448,10 @@ class _Grouping:
         self.real = not any(c.imag for c in coeffs)
         by_order: dict[int, list[tuple[float | complex, int]]] = {}
         for term, c in zip(terms, coeffs):
-            by_order.setdefault(term.order.twice_order, []).append((c.real if self.real else c, term.s_power))
+            by_order.setdefault(term.twice_order, []).append((c.real if self.real else c, term.s_power))
         self.orders = [
             (
-                BesselOrder(two),
+                two,
                 group,
                 [(c, a) for c, a in group if a % 2 == 0],
                 [(c, a) for c, a in group if a % 2],
@@ -490,13 +490,11 @@ def eval_terms(terms: Sequence[KernelTerm], s, t):
     grouping = _grouping(terms)
     if isinstance(s, (int, float)) and isinstance(t, (int, float)):
         total = 0.0 if grouping.real else 0j
-        for order, group, _, _ in grouping.orders:
-            total += _poly(group, s) * bessel_jtilde(order, t)
-        return total
-    s_arr, t_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    total = np.zeros(s_arr.shape, dtype=float if grouping.real else complex)
-    for order, group, _, _ in grouping.orders:
-        total += _poly(group, s_arr) * bessel_jtilde(order, t_arr)
+    else:
+        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+        total = np.zeros(s.shape, dtype=float if grouping.real else complex)
+    for two, group, _, _ in grouping.orders:
+        total += _poly(group, s) * bessel_jtilde(two, t)
     return total
 
 
@@ -509,8 +507,8 @@ def eval_terms_by_parity(terms: Sequence[KernelTerm], s, t) -> tuple[np.ndarray,
     s_arr, t_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     dtype = float if grouping.real else complex
     even, odd = np.zeros(s_arr.shape, dtype=dtype), np.zeros(s_arr.shape, dtype=dtype)
-    for order, _, even_group, odd_group in grouping.orders:
-        jt = bessel_jtilde(order, t_arr)
+    for two, _, even_group, odd_group in grouping.orders:
+        jt = bessel_jtilde(two, t_arr)
         for part, group in ((even, even_group), (odd, odd_group)):
             if group:
                 part += _poly(group, s_arr) * jt
@@ -530,13 +528,17 @@ def eval_kernel(kernel, x, y) -> ParaBivector:
 # differential system residuals
 
 
+# central-difference step of both residuals
+_H = 1e-4
+
+
 def _system_factor(m: int) -> complex:
     if m % 2 == 0:
         return -1.0 if (m // 2) % 2 else 1.0
     return -1j if ((m + 1) // 2) % 2 else 1j
 
 
-def pde_residual(kernel_id: KernelId, x, y, h: float = 1e-4) -> float:
+def pde_residual(kernel_id: KernelId, x, y) -> float:
     """Relative residual of the first-order system linking K+ and K-.
 
     With a = (-1)^(m/2) for even m (times I for odd m, with conjugation
@@ -544,7 +546,7 @@ def pde_residual(kernel_id: KernelId, x, y, h: float = 1e-4) -> float:
 
         d_y[K+](x, y) = a K-(x, y) x,      [K+](x, y) d_x = a y K-(x, y).
 
-    Derivatives are central differences with step h; the residual is
+    Derivatives are central differences with step 1e-4; the residual is
     scaled by the larger of 1 and the magnitudes of both sides.
     """
     plus = build_kernel(replace(kernel_id, sign="plus"))
@@ -565,10 +567,10 @@ def pde_residual(kernel_id: KernelId, x, y, h: float = 1e-4) -> float:
     dx = Multivector(m)
     for j in range(m):
         step = np.zeros(m)
-        step[j] = h
+        step[j] = _H
         ej = Multivector.basis_blade(m, j + 1)
-        dy = dy + ej * ((K(plus, xv, yv + step) - K(plus, xv, yv - step)) * (0.5 / h))
-        dx = dx + ((K(plus, xv + step, yv) - K(plus, xv - step, yv)) * (0.5 / h)) * ej
+        dy = dy + ej * ((K(plus, xv, yv + step) - K(plus, xv, yv - step)) * (0.5 / _H))
+        dx = dx + ((K(plus, xv + step, yv) - K(plus, xv - step, yv)) * (0.5 / _H)) * ej
 
     rhs1 = (kminus * x_mv) * a
     rhs2 = (y_mv * kminus) * a
@@ -577,7 +579,7 @@ def pde_residual(kernel_id: KernelId, x, y, h: float = 1e-4) -> float:
     return worst(r1, r2)
 
 
-def fg_system_residual(kernel_id: KernelId, s, t, h: float = 1e-4) -> float:
+def fg_system_residual(kernel_id: KernelId, s, t) -> float:
     """Relative residual of the scalar-profile form of the same system,
     the worst over arrays s and t (broadcast together).
 
@@ -587,22 +589,23 @@ def fg_system_residual(kernel_id: KernelId, s, t, h: float = 1e-4) -> float:
         d_s G - (1/t) d_t F       = rhs(G),
 
     where rhs(P) = a P(-s, t) for even m and I a conj(P(-s, t)) for odd m.
-    Requires t > h so central differences in t stay in range.
+    Requires t > 1e-4, the central-difference step, so that differences
+    in t stay in range.
     """
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    if not np.all(t > h):
-        raise ValueError(f"need t > h for central differences, got min t={np.min(t)}, h={h}")
+    if not np.all(t > _H):
+        raise ValueError(f"need t > {_H} for central differences, got min t={np.min(t)}")
     plus = build_kernel(replace(kernel_id, sign="plus"))
     m = kernel_id.m
     a = _system_factor(m)
     # rows: s + h, s - h, t + h, t - h, the point itself, and -s
-    ss = np.stack([s + h, s - h, s, s, s, -s])
-    tt = np.stack([t, t, t + h, t - h, t, t])
+    ss = np.stack([s + _H, s - _H, s, s, s, -s])
+    tt = np.stack([t, t, t + _H, t - _H, t, t])
     F = eval_terms(plus.scalar_terms, ss, tt)
     G = eval_terms(plus.bivector_terms, ss, tt)
 
     def diff(P: np.ndarray, row: int) -> np.ndarray:
-        return (P[row] - P[row + 1]) / (2 * h)
+        return (P[row] - P[row + 1]) / (2 * _H)
 
     def rhs(P: np.ndarray) -> np.ndarray:
         return a * (np.conj(P[5]) if m % 2 else P[5])

@@ -45,8 +45,8 @@ from .checks import Check, worst
 from .exact import Exact, ONE
 from .kernels import KernelId
 from .special import (
-    BesselOrder,
     bessel_jtilde,
+    check_twice_order,
     double_factorial,
     gegenbauer_all,
     log_gamma,
@@ -481,7 +481,7 @@ def _jtilde_block(twice_order_min: int, t: np.ndarray, out: np.ndarray) -> None:
     if small.any():
         ts = t[small]
         for j in range(n + 1):
-            out[j, small] = bessel_jtilde(BesselOrder(twice_order_min + 2 * j), ts)
+            out[j, small] = bessel_jtilde(twice_order_min + 2 * j, ts)
     big = ~small
     tb = t[big]
     if not tb.size:
@@ -526,9 +526,7 @@ def jtilde_stack(twice_order_min: int, n: int, t) -> np.ndarray:
     taken in blocks of a fixed size, so the memory beyond the result
     stays bounded.
     """
-    twice_order_min, n = int(twice_order_min), int(n)
-    if twice_order_min < -1:
-        raise ValueError(f"unsupported order {twice_order_min}/2: need order >= -1/2")
+    twice_order_min, n = check_twice_order(twice_order_min), int(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     arr = np.asarray(t, dtype=float)

@@ -1,8 +1,8 @@
 """Special functions: Bessel, normalized Bessel, Gegenbauer, Laguerre.
 
-Orders of Bessel functions are half-integers or integers; they are carried
-around as twice the order (an int) so that exact bookkeeping never touches
-floating point.  The normalized function
+Orders of Bessel functions are half-integers or integers; every order is
+passed as twice its value, an int (see :func:`check_twice_order`), so that
+exact bookkeeping never touches floating point.  The normalized function
 
     jtilde_alpha(t) = t^(-alpha) * J_alpha(t)
 
@@ -17,7 +17,7 @@ for every other order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +27,7 @@ from scipy.special import j1 as _j1
 from scipy.special import jv as _jv
 
 __all__ = [
-    "BesselOrder",
+    "check_twice_order",
     "bessel_jtilde",
     "gegenbauer",
     "gegenbauer_all",
@@ -40,40 +40,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class BesselOrder:
-    """Half-integer or integer order, stored as twice its value."""
-
-    twice_order: int
-
-    @property
-    def value(self) -> float:
-        return self.twice_order / 2.0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_order % 2 == 0
-
-    def shifted(self, by: int = 1) -> BesselOrder:
-        return BesselOrder(self.twice_order + 2 * by)
-
-    def __repr__(self) -> str:
-        if self.is_integer:
-            return f"BesselOrder({self.twice_order // 2})"
-        return f"BesselOrder({self.twice_order}/2)"
-
-
-def _twice(order) -> int:
-    if isinstance(order, BesselOrder):
-        return order.twice_order
-    if isinstance(order, int):
-        return 2 * order
-    two = 2 * order
-    if isinstance(two, float):
-        if not two.is_integer():
-            raise ValueError(f"order must be integer or half-integer, got {order!r}")
-        return int(two)
-    raise TypeError(f"unsupported order type: {order!r}")
+def check_twice_order(twice_order) -> int:
+    """twice_order as an int >= -1 (an order >= -1/2): TypeError for a
+    value that is not an integer, ValueError below -1."""
+    two = operator.index(twice_order)
+    if two < -1:
+        raise ValueError(f"unsupported order {two}/2: need order >= -1/2")
+    return two
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +61,7 @@ def _jtilde_series_coeffs(twice_order: int) -> tuple[float, ...]:
     else:
         scale, den = 1.0, 2 ** (twice_order // 2) * math.factorial(twice_order // 2)
     coeffs = []
-    for k in range(_LONG_SERIES_TERMS if twice_order in _SERIES_UP_TO else 14):
+    for k in range(24 if twice_order in _SERIES_UP_TO else 14):
         coeffs.append(scale * ((-1) ** k / den))
         den *= 2 * (k + 1) * (twice_order + 2 * k + 2)  # 4j(alpha + j), j = k + 1
     return tuple(reversed(coeffs))
@@ -127,75 +100,58 @@ def _jtilde_trig(twice_order: int, t):
 # series, with 24 terms, up to t = 4; it stays within 6.5e-16 relative of
 # a 40-digit mpmath reference on [1, 4).
 _SERIES_UP_TO = {5: 4.0, 7: 4.0, 9: 4.0}
-_LONG_SERIES_TERMS = 24
 
 
-def bessel_jtilde(order, t):
-    """jtilde_alpha(t) = t^(-alpha) J_alpha(t), alpha >= -1/2, t >= 0.
+def bessel_jtilde(twice_order: int, t):
+    """jtilde_alpha(t) = t^(-alpha) J_alpha(t), alpha = twice_order/2 >= -1/2,
+    t >= 0.
 
     Power series below t = 1 (no cancellation), and up to t = 4 for the
     orders 5/2, 7/2 and 9/2; closed trigonometric forms for half-integer
     orders above that; J_0(t) and J_1(t)/t by scipy's j0 and j1 for the
     orders 0 and 1; the generic Bessel function jv for every other order.
     A 0-d t picks its branch once and returns a float; an array t is
-    split into those branches by masks.
+    split into those branches by masks.  Both run the same formulas.
     """
-    two = _twice(order)
-    if two < -1:
-        raise ValueError(f"unsupported order {two}/2: need order >= -1/2")
+    two = check_twice_order(twice_order)
+    cutoff = _SERIES_UP_TO.get(two, 1.0)
     if not isinstance(t, (int, float)):
         arr = np.asarray(t, dtype=float)
         if arr.ndim:
-            return _jtilde_array(two, arr)
-    return _jtilde_point(two, float(t))
-
-
-def _jtilde_point(two: int, t: float) -> float:
-    """One point: the branches of _jtilde_array, on a Python float."""
+            if np.any(arr < 0):
+                raise ValueError("bessel_jtilde requires t >= 0")
+            out = np.empty_like(arr)
+            small = arr < cutoff
+            for mask, branch in ((small, _jtilde_series), (~small, _jtilde_large)):
+                if np.any(mask):
+                    out[mask] = branch(two, arr[mask])
+            return out
+    t = float(t)
     if t < 0:
         raise ValueError("bessel_jtilde requires t >= 0")
-    if t < _SERIES_UP_TO.get(two, 1.0):
-        t2 = t * t
-        acc, *rest = _jtilde_series_coeffs(two)
-        for c in rest:
-            acc = acc * t2 + c
-        return acc
+    return _jtilde_series(two, t) if t < cutoff else float(_jtilde_large(two, t))
+
+
+def _jtilde_series(two: int, t):
+    """The power series by Horner's rule in t^2, on a float or an array."""
+    t2 = t * t
+    acc, *rest = _jtilde_series_coeffs(two)
+    for c in rest:
+        acc = acc * t2 + c
+    return acc
+
+
+def _jtilde_large(two: int, t):
+    """jtilde on t at or above the series cutoff, on a float or an array."""
     if two == 0:
-        return float(_j0(t))
+        return _j0(t)
     if two == 2:
-        return float(_j1(t)) / t
+        return _j1(t) / t
     val = _jtilde_trig(two, t)
     if val is None:
         alpha = two / 2.0
         val = _jv(alpha, t) * np.power(t, -alpha)
-    return float(val)
-
-
-def _jtilde_array(two: int, arr: np.ndarray) -> np.ndarray:
-    if np.any(arr < 0):
-        raise ValueError("bessel_jtilde requires t >= 0")
-    out = np.empty_like(arr)
-    small = arr < _SERIES_UP_TO.get(two, 1.0)
-    if np.any(small):
-        t2 = arr[small] ** 2
-        acc, *rest = _jtilde_series_coeffs(two)
-        for c in rest:
-            acc = acc * t2 + c
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        tb = arr[big]
-        if two == 0:
-            out[big] = _j0(tb)
-        elif two == 2:
-            out[big] = _j1(tb) / tb
-        else:
-            trig = _jtilde_trig(two, tb)
-            if trig is None:
-                alpha = two / 2.0
-                trig = _jv(alpha, tb) * np.power(tb, -alpha)
-            out[big] = trig
-    return out
+    return val
 
 
 def gegenbauer_all(n: int, lam: float, w):

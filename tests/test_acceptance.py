@@ -34,7 +34,7 @@ from clifft.series import (
     series_coefficients,
     truncation_bound,
 )
-from clifft.special import BesselOrder, bessel_jtilde, gegenbauer_all
+from clifft.special import bessel_jtilde, gegenbauer_all
 
 
 def _gate(num: int, name: str, checks: list[Check], t0: float, cap: float):
@@ -187,11 +187,10 @@ def test_criterion_09_special_function_suite():
     for two in (1, 2, 3, 5, 8):
         # J_(nu-1) + J_(nu+1) = (2 nu / z) J_nu in the normalised form
         # z^2 J~_(nu+1) + J~_(nu-1) = 2 nu J~_nu
-        nu = BesselOrder(two)
         res = (
-            z * z * bessel_jtilde(nu.shifted(1), z)
-            + bessel_jtilde(nu.shifted(-1), z)
-            - 2 * nu.value * bessel_jtilde(nu, z)
+            z * z * bessel_jtilde(two + 2, z)
+            + bessel_jtilde(two - 2, z)
+            - 2 * (two / 2) * bessel_jtilde(two, z)
         )
         checks.append(Check.within("bessel recurrence", {"twice_order": two}, worst(np.abs(res)), 1e-10))
     for m in (2, 3, 4, 5, 6):

@@ -265,7 +265,7 @@ def _nan_odd_composition_chain(monkeypatch):
 
     def bessel_jtilde(order, z):
         out = real(order, z)
-        if order.twice_order == 4:  # the odd chain at m = 4, after the even one
+        if order == 4:  # the odd chain at m = 4, after the even one
             out = out.copy()
             out.flat[1] = np.nan
         return out
@@ -274,7 +274,7 @@ def _nan_odd_composition_chain(monkeypatch):
 
 
 def _nan_second_diff_relation(monkeypatch):
-    def batch(kid, fs, ys, scheme):
+    def batch(kid, fs, ys, scheme=None):
         out = [{0: np.zeros(len(ys))} for _ in fs]
         if len(fs) == 2:  # the plus side, F_+[x f] and F_+[d f]; not F_-[f]
             out[1][0][1] = np.nan

@@ -105,12 +105,12 @@ def test_scheme_integrates_polynomial_gaussian():
 
 
 def test_radial_rule_covers_oscillation():
-    rule = radial_rule(14.0, 0.5, 16)
+    rule = radial_rule(0.5)
     vals = rule.nodes**3 * np.exp(-0.5 * rule.nodes**2) * np.cos(5 * rule.nodes)
     import scipy.integrate as si
 
     want, _ = si.quad(lambda r: r**3 * math.exp(-0.5 * r * r) * math.cos(5 * r), 0, 14, limit=400)
-    assert rule.integrate(vals).real == pytest.approx(want, abs=1e-12)
+    assert np.sum(rule.weights * vals) == pytest.approx(want, abs=1e-12)
 
 
 def test_closed_form_matches_series_functionals_exactly():
@@ -356,8 +356,8 @@ def test_bochner_batch_equals_single_sources(m, parity):
 @pytest.mark.parametrize(
     "rule",
     [
-        radial_rule(14.0, math.pi / 14.0, 16),  # the composition's rule, 1,008 nodes
-        radial_rule(14.0, 0.25, 15),  # 840 nodes: strips of 19 rows and up
+        radial_rule(math.pi / 14.0),  # the composition's rule, 1,008 nodes
+        radial_rule(0.25),  # 896 nodes: strips of 18 rows and up, the last partial
     ],
 )
 def test_radial_integral_triangle_matches_dense_table(rule, twice_order, z_power):
@@ -377,7 +377,7 @@ def test_radial_integral_triangle_matches_dense_table(rule, twice_order, z_power
 
 
 def test_radial_integral_never_stores_the_table():
-    rule = radial_rule(14.0, math.pi / 14.0, 16)
+    rule = radial_rule(math.pi / 14.0)
     f0 = np.exp(-0.5 * rule.nodes**2)
     table_bytes = 8 * len(rule.nodes) ** 2
     tracemalloc.start()

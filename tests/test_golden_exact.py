@@ -2,9 +2,10 @@
 
 Each file in ``tests/golden/exact/`` is the standard output of one
 ``clifft`` command: ``verify --suite recursion|structural|constraint|l2``
-at the default dimensions, and ``coeffs`` for every m <= 6, i and sign,
-with and without ``--inverse --k-max 30``.  None of these integrate
-numerically, so their text does not depend on the BLAS thread count.
+at the default dimensions, ``coeffs`` for every m <= 6, i and sign,
+with and without ``--inverse --k-max 30``, and ``eigentable`` for every
+m <= 6.  None of these integrate numerically, so their text does not
+depend on the BLAS thread count.
 
 Regenerate the files after a deliberate change of output with
 
@@ -30,6 +31,7 @@ def _commands() -> dict[str, list[str]]:
         for suite in ("recursion", "structural", "constraint", "l2")
     }
     for m in range(2, 7):
+        out[f"eigentable_m{m}.csv"] = ["eigentable", "--m", str(m)]
         for i in range(m - 1):
             for sign in ("plus", "minus"):
                 argv = ["coeffs", "--m", str(m), "--i", str(i), "--sign", sign]

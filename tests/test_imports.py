@@ -90,3 +90,123 @@ def test_every_reexported_name_has_a_library_caller():
     assert not UNREFERENCED_EXPORTS & referenced, "an allowlisted name now has a caller"
     unreferenced = sorted(exported - referenced - UNREFERENCED_EXPORTS)
     assert not unreferenced, f"re-exported names no library code refers to: {unreferenced}"
+
+
+# Parameters with a default that no library or benchmark call sets, each
+# kept for a stated reason, as (callable, parameter).
+UNSET_DEFAULTS = {
+    # the paper's free unit parameter of the odd-dimension kernels
+    ("KernelId", "e_i"),
+    # the tests' small oracle grids
+    ("QuadratureScheme", "nodes_per_axis"),
+    # criterion 08 and the series tests
+    ("check_cf_constraint", "k_max"),
+    ("check_cf_constraint", "tol"),
+    # tests pick kernels and basis functions with them
+    ("verify_eigen", "i_values"),
+    ("verify_eigen", "k_values"),
+    ("verify_eigen", "j_values"),
+    ("verify_eigen", "sign"),
+    # test oracles
+    ("Multivector.isclose", "tol"),
+    # criterion 05 checks the sign (-1)^p of the psi_{2p,k,l} eigenvalues
+    ("closed_form_eigenvalue", "p"),
+    # the tests compose the transform and its inverse at every kernel index
+    ("inversion_composition_residual", "i"),
+}
+
+CALLERS = MODULES + sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+
+
+def _defaulted(fn: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | None, ast.expr]]:
+    """(name, position or None when keyword-only, default) of each
+    parameter with a default; a method's position leaves out self."""
+    positional = fn.args.posonlyargs + fn.args.args
+    if is_method:
+        positional = positional[1:]
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i, d) for i, (a, d) in enumerate(zip(positional[first:], fn.args.defaults), first)]
+    out += [(a.arg, None, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _dataclass_fields(cls: ast.ClassDef) -> list[tuple[str, int | None, ast.expr]]:
+    fields = [s for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return [(f.target.id, i, f.value) for i, f in enumerate(fields) if f.value is not None]
+
+
+def _public_defaults() -> dict[tuple[str, str], tuple[str, int | None, ast.expr]]:
+    """(label, parameter) -> (name a call uses, position, default) over the
+    functions in a module's __all__, and each listed class's __init__ (or
+    dataclass fields) and public methods."""
+    out = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        exported = next(
+            (ast.literal_eval(s.value) for s in tree.body if isinstance(s, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in s.targets)),
+            [],
+        )
+        for node in tree.body:
+            if getattr(node, "name", None) not in exported:
+                continue
+            if isinstance(node, ast.FunctionDef):
+                for name, pos, default in _defaulted(node, False):
+                    out[node.name, name] = (node.name, pos, default)
+                continue
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = {s.name: s for s in node.body if isinstance(s, ast.FunctionDef)}
+            init = (_defaulted(methods["__init__"], True) if "__init__" in methods
+                    else _dataclass_fields(node))
+            for name, pos, default in init:
+                out[node.name, name] = (node.name, pos, default)
+            for mname, method in methods.items():
+                if mname.startswith("_"):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in method.decorator_list)
+                for name, pos, default in _defaulted(method, not static):
+                    out[f"{node.name}.{mname}", name] = (mname, pos, default)
+    return out
+
+
+def _sets(call: ast.Call, pos: int | None, name: str, default: ast.expr) -> bool:
+    """Whether the call passes the parameter a value other than a literal
+    equal to its default."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    passed = [k.value for k in call.keywords if k.arg == name]
+    if pos is not None and pos < len(call.args):
+        passed.append(call.args[pos])
+    for value in passed:
+        try:
+            if ast.literal_eval(value) == ast.literal_eval(default):
+                continue
+        except ValueError:
+            pass
+        return True
+    return False
+
+
+def test_every_defaulted_public_parameter_is_set_by_a_caller():
+    calls: dict[str, list[ast.Call]] = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    params = _public_defaults()
+    assert UNSET_DEFAULTS <= set(params)
+    unset = sorted(
+        key for key, (name, pos, default) in params.items()
+        if key not in UNSET_DEFAULTS
+        and not any(_sets(c, pos, key[1], default) for c in calls.get(name, []))
+    )
+    assert not unset, f"parameters with defaults no library or benchmark call sets: {unset}"
+    still = sorted(
+        key for key in UNSET_DEFAULTS
+        if any(_sets(c, params[key][1], key[1], params[key][2]) for c in calls.get(params[key][0], []))
+    )
+    assert not still, f"an allowlisted parameter now has a caller: {still}"

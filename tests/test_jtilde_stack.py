@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from clifft import series
 from clifft.series import jtilde_stack
-from clifft.special import BesselOrder, bessel_jtilde
+from clifft.special import bessel_jtilde
 
 ORACLE_BOUND = 1e-13
 
@@ -59,7 +59,7 @@ def test_jtilde_stack_against_mpmath_oracle():
         for j in range(n + 1):
             twice = twice_min + 2 * j
             nu = twice / 2.0
-            ref_rows = bessel_jtilde(BesselOrder(twice), np.array(ts))
+            ref_rows = bessel_jtilde(twice, np.array(ts))
             for t, got, old in zip(ts, rows[j], ref_rows):
                 err = _oracle_error(float(got), nu, t)
                 assert err <= ORACLE_BOUND, (twice, t, err)
@@ -116,7 +116,7 @@ def test_single_row():
     for twice in (-1, 2, 9, 30):
         row = jtilde_stack(twice, 0, t)
         assert row.shape == (1, 5)
-        assert np.array_equal(row[0, :2], bessel_jtilde(BesselOrder(twice), t[:2]))
+        assert np.array_equal(row[0, :2], bessel_jtilde(twice, t[:2]))
         for _, want, scale in _scipy_rows(twice, 0, t[2:]):
             assert np.all(np.abs(row[0, 2:] - want) <= 1e-12 * scale)
 
@@ -128,7 +128,7 @@ def test_one_call_mixes_every_region():
     rows = jtilde_stack(twice_min, n, t)
     for j in range(n + 1):
         twice = twice_min + 2 * j
-        want = bessel_jtilde(BesselOrder(twice), t[:3])
+        want = bessel_jtilde(twice, t[:3])
         assert np.array_equal(rows[j, :3], want)
         assert rows[j, 0] == pytest.approx(2.0 ** (-twice / 2) / sp.gamma(twice / 2 + 1), rel=1e-14)
     for j, want, scale in _scipy_rows(twice_min, n, t[3:]):
@@ -142,6 +142,12 @@ def test_one_call_mixes_every_region():
 def test_rejects_bad_input(args):
     with pytest.raises(ValueError):
         jtilde_stack(*args)
+
+
+def test_rejects_a_non_integer_twice_order():
+    # 1.5 is no twice-order: int() would quietly read it as 1
+    with pytest.raises(TypeError):
+        jtilde_stack(1.5, 3, [1.0])
 
 
 def test_memory_stays_within_three_outputs():

@@ -34,11 +34,6 @@ from clifft.kernels import (
     verify_recursion,
     verify_structural_identities,
 )
-from clifft.special import BesselOrder
-
-
-def term(coeff, s_power, twice_order):
-    return KernelTerm(coeff, s_power, BesselOrder(twice_order))
 
 
 def test_kernel_id_validation():
@@ -58,8 +53,8 @@ def test_kernel_id_validation():
 def test_plane_kernel_is_cosine_and_sinc():
     # the two-dimensional kernel reduces to -cos t + (x^y) sin(t)/t
     expr = build_kernel(KernelId(2, 0))
-    assert expr.scalar_terms == (term(-U, 0, -1),)
-    assert expr.bivector_terms == (term(U, 0, 1),)
+    assert expr.scalar_terms == (KernelTerm(-U, 0, -1),)
+    assert expr.bivector_terms == (KernelTerm(U, 0, 1),)
     s, t = 0.7, 1.3
     scalar, g = expr.profiles(s, t)
     assert complex(scalar) == pytest.approx(-math.cos(t))
@@ -68,19 +63,19 @@ def test_plane_kernel_is_cosine_and_sinc():
 
 def test_family_terms_match_hand_expansion_dim4():
     # index 1 in dimension 4: single ell = 0 summand in each family
-    assert ftilde_terms(4, 1) == (term(-U, 0, 1),)
-    assert fhat_terms(4, 1) == (term(-U, 1, 1),)
-    assert g_terms(4, 1) == (term(U, 1, 3),)
+    assert ftilde_terms(4, 1) == (KernelTerm(-U, 0, 1),)
+    assert fhat_terms(4, 1) == (KernelTerm(-U, 1, 1),)
+    assert g_terms(4, 1) == (KernelTerm(U, 1, 3),)
     expr = build_kernel_even(4, 1)
-    assert expr.scalar_terms == (term(-U, 0, 1), term(-U, 1, 1))
-    assert expr.bivector_terms == (term(U, 1, 3),)
+    assert expr.scalar_terms == (KernelTerm(-U, 0, 1), KernelTerm(-U, 1, 1))
+    assert expr.bivector_terms == (KernelTerm(U, 1, 3),)
 
 
 def test_family_terms_match_hand_expansion_dim6():
     # index 2 in dimension 6 exercises the ell = 1 tail; prefactor
     # (-1)^(m/2+i) = -1, ell = 0 gives s^2 jt_{3/2}, ell = 1 gives
     # (1/2)(2!/0!) jt_{1/2}
-    assert fhat_terms(6, 2) == (term(-U, 0, 1), term(-U, 2, 3))
+    assert fhat_terms(6, 2) == (KernelTerm(-U, 0, 1), KernelTerm(-U, 2, 3))
 
 
 def test_odd_dimension_scalar_mixes_both_routes():
@@ -109,24 +104,24 @@ def test_cf_kernel_is_negated_middle_index():
 
 def test_zinv_dw_product_rule():
     # c s^a jt_alpha -> a c s^(a-1) jt_alpha + c s^(a+1) jt_(alpha+1)
-    got = apply_zinv_dw([term(Exact(3), 2, 1)])
-    assert got == (term(Exact(6), 1, 1), term(Exact(3), 3, 3))
+    got = apply_zinv_dw([KernelTerm(Exact(3), 2, 1)])
+    assert got == (KernelTerm(Exact(6), 1, 1), KernelTerm(Exact(3), 3, 3))
     # a = 0 kills the descending term instead of making s^(-1)
-    got = apply_zinv_dw([term(Exact(1), 0, 1)])
-    assert got == (term(Exact(1), 1, 3),)
+    got = apply_zinv_dw([KernelTerm(Exact(1), 0, 1)])
+    assert got == (KernelTerm(Exact(1), 1, 3),)
 
 
 def test_shift_s_guards_negative_powers():
-    assert shift_s([term(Exact(1), 2, 1)], -1) == (term(Exact(1), 1, 1),)
+    assert shift_s([KernelTerm(Exact(1), 2, 1)], -1) == (KernelTerm(Exact(1), 1, 1),)
     with pytest.raises(ValueError):
-        shift_s([term(Exact(1), 0, 1)], -1)
+        shift_s([KernelTerm(Exact(1), 0, 1)], -1)
 
 
 def test_terms_equal_reports_first_mismatch():
-    a = [term(Exact(1), 1, 1), term(Exact(2), 2, 3)]
-    b = [term(Exact(1), 1, 1), term(Exact(2), 2, 3)]
+    a = [KernelTerm(Exact(1), 1, 1), KernelTerm(Exact(2), 2, 3)]
+    b = [KernelTerm(Exact(1), 1, 1), KernelTerm(Exact(2), 2, 3)]
     assert terms_equal(a, b) is None
-    b[1] = term(Exact(Fraction(2000001, 1000000)), 2, 3)  # perturbed coefficient
+    b[1] = KernelTerm(Exact(Fraction(2000001, 1000000)), 2, 3)  # perturbed coefficient
     mismatch = terms_equal(a, b)
     assert mismatch is not None
     assert mismatch[0] == 2 and mismatch[1] == 3
@@ -193,10 +188,18 @@ def test_profile_system_residual():
         assert fg_system_residual(kid, s, t) == max(pointwise) < 1e-6
 
 
+def test_kernel_term_takes_twice_the_order_as_an_int():
+    # 1.5 is no twice-order; below -1 (order -1/2) is outside the calculus
+    with pytest.raises(TypeError):
+        KernelTerm(Exact(1), 0, 1.5)
+    with pytest.raises(ValueError):
+        KernelTerm(Exact(1), 0, -3)
+
+
 def test_kernel_expr_canonicalizes():
-    e = KernelExpr(4, (term(Exact(1), 0, 1), term(Exact(2), 0, 1)), ())
-    assert e.scalar_terms == (term(Exact(3), 0, 1),)
-    e = KernelExpr(4, (term(Exact(1), 0, 1), term(Exact(-1), 0, 1)), ())
+    e = KernelExpr(4, (KernelTerm(Exact(1), 0, 1), KernelTerm(Exact(2), 0, 1)), ())
+    assert e.scalar_terms == (KernelTerm(Exact(3), 0, 1),)
+    e = KernelExpr(4, (KernelTerm(Exact(1), 0, 1), KernelTerm(Exact(-1), 0, 1)), ())
     assert e.scalar_terms == ()
 
 
@@ -248,7 +251,7 @@ def test_parity_split_gives_the_profile_at_plus_and_minus_s():
                     assert even.dtype == odd.dtype == eval_terms(terms, s_pts, t_pts).dtype
                     majorant = sum(
                         abs(complex(tm.coeff)) * np.abs(s_pts) ** tm.s_power
-                        * eval_terms((KernelTerm(Exact(1), 0, tm.order),), 0.0, 0.0)
+                        * eval_terms((KernelTerm(Exact(1), 0, tm.twice_order),), 0.0, 0.0)
                         for tm in terms
                     )
                     for sgn in (1, -1):
@@ -265,13 +268,13 @@ def test_parity_split_takes_one_bessel_call_per_order(monkeypatch):
     calls = []
     jtilde = kernels_module.bessel_jtilde
 
-    def counted(order, t):
-        calls.append(order)
-        return jtilde(order, t)
+    def counted(two, t):
+        calls.append(two)
+        return jtilde(two, t)
 
     monkeypatch.setattr(kernels_module, "bessel_jtilde", counted)
     even, odd = eval_terms_by_parity(terms, np.array([0.4, -1.0]), np.array([0.2, 3.0]))
-    assert sorted(calls) == sorted({tm.order for tm in terms})
+    assert sorted(calls) == sorted({tm.twice_order for tm in terms})
     assert not np.iscomplexobj(even) and not np.iscomplexobj(odd)
 
 
@@ -315,7 +318,7 @@ def test_eval_terms_against_mpmath():
                             ref = 0
                             majorant = 0
                             for tm, c in zip(terms, coeffs):
-                                two = tm.order.twice_order
+                                two = tm.twice_order
                                 for key in ((two, t), (two, 0.0)):
                                     if key not in jt_ref:
                                         jt_ref[key] = _jtilde_reference(*key)

@@ -9,7 +9,6 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
 from clifft.special import (
-    BesselOrder,
     bessel_jtilde,
     chebyshev_t,
     chebyshev_t_all,
@@ -21,43 +20,34 @@ from clifft.special import (
 )
 
 
-def test_bessel_order_wrapper():
-    assert BesselOrder(3).value == 1.5
-    assert not BesselOrder(3).is_integer
-    assert BesselOrder(4).is_integer
-    assert BesselOrder(3).shifted(1).twice_order == 5
-
-
-def both_paths(order, ts: np.ndarray) -> np.ndarray:
+def both_paths(two: int, ts: np.ndarray) -> np.ndarray:
     """bessel_jtilde on the array ts and on each of its points as a float:
     two rows, so that every oracle below holds both paths."""
-    points = [bessel_jtilde(order, t) for t in ts.tolist()]
+    points = [bessel_jtilde(two, t) for t in ts.tolist()]
     assert all(type(p) is float for p in points)
-    return np.stack([bessel_jtilde(order, ts), np.array(points)])
+    return np.stack([bessel_jtilde(two, ts), np.array(points)])
 
 
 def test_jtilde_point_path_equals_array_path_bit_for_bit():
     # twice-orders -1..21 on [0, 60], with points on and next to every cutoff
     # (t = 1, and t = 4 for the orders that keep the series that far): the
-    # 0-d path takes the array path's branch, coefficients and operations
+    # 0-d path runs the array path's series and large-t functions
     cuts = np.array([1.0, 4.0])
     ts = np.unique(np.concatenate([
         np.linspace(0.0, 60.0, 3001), cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 9.0),
     ]))
     for two in range(-1, 22):
-        order = BesselOrder(two)
-        array, point = both_paths(order, ts)
+        array, point = both_paths(two, ts)
         assert np.array_equal(point, array), two
-        zero_d = [bessel_jtilde(order, np.asarray(t)) for t in ts[::50]]
+        zero_d = [bessel_jtilde(two, np.asarray(t)) for t in ts[::50]]
         assert np.array_equal(zero_d, array[::50]), two
 
 
 def test_jtilde_matches_direct_quotient_above_one():
     t = np.linspace(1.0, 9.0, 40)
     for two in (-1, 1, 3, 4, 5, 8):
-        order = BesselOrder(two)
-        want = sp.jv(order.value, t) / t**order.value
-        for got in both_paths(order, t):
+        want = sp.jv(two / 2, t) / t ** (two / 2)
+        for got in both_paths(two, t):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
@@ -65,15 +55,15 @@ def test_jtilde_series_continuous_across_switch():
     # the power series (t < 1) and closed forms (t >= 1) must agree
     # to near machine precision at the seam
     for two in (-1, 1, 3, 5, 7):
-        below = bessel_jtilde(BesselOrder(two), 1.0 - 1e-9)
-        above = bessel_jtilde(BesselOrder(two), 1.0 + 1e-9)
+        below = bessel_jtilde(two, 1.0 - 1e-9)
+        above = bessel_jtilde(two, 1.0 + 1e-9)
         assert below == pytest.approx(above, rel=1e-7)
 
 
 def test_jtilde_small_argument_is_stable():
     # naive jv/t^alpha is 0/0 at the origin; the series value is finite
     # (jtilde_alpha(0) = 2^(-alpha)/Gamma(alpha + 1) at alpha = 5/2)
-    val = bessel_jtilde(BesselOrder(5), np.array([0.0, 1e-8]))
+    val = bessel_jtilde(5, np.array([0.0, 1e-8]))
     limit = 1.0 / (2**2.5 * math.gamma(3.5))
     assert val[0] == pytest.approx(limit, rel=1e-14)
     assert val[1] == pytest.approx(limit, rel=1e-10)
@@ -87,7 +77,7 @@ def test_jtilde_power_series_against_mpmath_below_one():
     with mpmath.workdps(60):
         for two in range(-1, 201):
             nu = mpmath.mpf(two) / 2
-            got = both_paths(BesselOrder(two), ts)
+            got = both_paths(two, ts)
             for t, values in zip(ts, got.T):
                 tm = mpmath.mpf(t)
                 ref = mpmath.besselj(nu, tm) * tm ** (-nu) if t else 1 / (2**nu * mpmath.gamma(nu + 1))
@@ -103,7 +93,7 @@ def test_jtilde_integer_orders_zero_and_one_against_mpmath():
     worst = {}
     with mpmath.workdps(60):
         for two in (0, 2):
-            got = both_paths(BesselOrder(two), ts)
+            got = both_paths(two, ts)
             err = 0.0
             for t, values in zip(ts, got.T):
                 tm = mpmath.mpf(t)
@@ -117,28 +107,31 @@ def test_jtilde_integer_orders_zero_and_one_against_mpmath():
 def test_half_integer_closed_forms():
     t = 1.7
     root = math.sqrt(2.0 / math.pi)
-    assert bessel_jtilde(BesselOrder(-1), t) == pytest.approx(root * math.cos(t))
-    assert bessel_jtilde(BesselOrder(1), t) == pytest.approx(root * math.sin(t) / t)
+    assert bessel_jtilde(-1, t) == pytest.approx(root * math.cos(t))
+    assert bessel_jtilde(1, t) == pytest.approx(root * math.sin(t) / t)
 
 
 def test_orders_minus_and_plus_half_are_one_trig_function_bit_for_bit():
     # order -1/2 takes only the cosine and order 1/2 only the sine
     t = np.concatenate([[1.0], np.linspace(1.0, 60.0, 5001)[1:], [1e3, 1e6]])
     root = math.sqrt(2.0 / math.pi)
-    assert np.array_equal(bessel_jtilde(BesselOrder(-1), t), root * np.cos(t))
-    assert np.array_equal(bessel_jtilde(BesselOrder(1), t), root * (np.sin(t) / t))
+    assert np.array_equal(bessel_jtilde(-1, t), root * np.cos(t))
+    assert np.array_equal(bessel_jtilde(1, t), root * (np.sin(t) / t))
 
 
 def test_bessel_j_guards():
-    # orders below -1/2 are outside the kernel calculus, and so is t < 0,
-    # on either path; NaN propagates through every branch
+    # an order is twice its value as an int: 1.5 is no order; orders below
+    # -1/2 are outside the kernel calculus, and so is t < 0, on either
+    # path; NaN propagates through every branch
     for t, negative in ((1.0, -0.5), (np.array([1.0, 2.0]), np.array([1.0, -0.5]))):
+        with pytest.raises(TypeError):
+            bessel_jtilde(1.5, t)
         with pytest.raises(ValueError):
-            bessel_jtilde(BesselOrder(-3), t)
+            bessel_jtilde(-3, t)
         with pytest.raises(ValueError):
-            bessel_jtilde(BesselOrder(1), negative)
+            bessel_jtilde(1, negative)
         for two in (-1, 0, 1, 2, 3, 4, 5, 9, 11):
-            assert np.all(np.isnan(bessel_jtilde(BesselOrder(two), np.nan * t)))
+            assert np.all(np.isnan(bessel_jtilde(two, np.nan * t)))
 
 
 @settings(max_examples=40)
