@@ -1,9 +1,11 @@
 """Clifford algebra Cl(0,m): multivectors, involutions, geometric invariants.
 
 Generators satisfy e_i e_j + e_j e_i = -2 delta_ij.  Blades are encoded as
-bitmasks (bit j set means e_{j+1} participates); a multivector stores a
-dense array of 2**m complex coefficients.  All values are immutable after
-construction and safe to share between threads.
+bitmasks (bit j set means e_{j+1} participates), and every Clifford value
+here is a map from blade mask to coefficient, multiplied by
+:func:`blade_product`; a multivector keeps only its nonzero coefficients.
+All values are immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -44,60 +47,33 @@ def _blade_sign(a: int, b: int) -> int:
     return -1 if total & 1 else 1
 
 
-def _check_dimension(m: int) -> int:
+@lru_cache(maxsize=None, typed=True)
+def _blade_masks(m: int) -> frozenset[int]:
+    """The blade masks 0..2**m - 1 of Cl(0, m), after checking m."""
     if not isinstance(m, int) or m < 1 or m > MAX_DIMENSION:
         raise ValueError(f"dimension must be an integer in 1..{MAX_DIMENSION}, got {m!r}")
-    return m
-
-
-def _blade_key_to_mask(key, m: int) -> int:
-    """Accept an int bitmask or an iterable of 1-based generator indices."""
-    if isinstance(key, int):
-        if key < 0 or key >= (1 << m):
-            raise ValueError(f"blade mask {key} out of range for dimension {m}")
-        return key
-    mask = 0
-    for idx in key:
-        if not 1 <= idx <= m:
-            raise ValueError(f"blade index {idx} out of range 1..{m}")
-        bit = 1 << (idx - 1)
-        if mask & bit:
-            raise ValueError(f"repeated blade index {idx}")
-        mask |= bit
-    return mask
-
-
-def _mask_to_indices(mask: int) -> tuple[int, ...]:
-    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+    return frozenset(range(1 << m))
 
 
 class Multivector:
-    """Element of Cl(0,m) with complex coefficients, dense storage."""
+    """Element of Cl(0,m) with complex coefficients: a read-only map
+    ``blades`` from blade mask to nonzero coefficient."""
 
-    __slots__ = ("m", "_data")
+    __slots__ = ("m", "blades")
 
-    def __init__(self, m: int, coefficients: Mapping | None = None):
-        self.m = _check_dimension(m)
-        data = np.zeros(1 << m, dtype=complex)
-        if coefficients:
-            for key, value in coefficients.items():
-                data[_blade_key_to_mask(key, m)] += complex(value)
-        self._data = data
-
-    @classmethod
-    def _from_data(cls, m: int, data: np.ndarray) -> Multivector:
-        out = object.__new__(cls)
-        out.m = m
-        out._data = data
-        return out
+    def __init__(self, m: int, blades: Mapping[int, object] | None = None):
+        blades = blades or {}
+        if not (_blade_masks(m).issuperset(blades) and set(map(type, blades)) <= {int}):
+            keys = ", ".join(map(repr, blades))
+            raise ValueError(f"blade masks must be ints in 0..{(1 << m) - 1}, got {keys}")
+        self.blades = MappingProxyType({
+            mask: c if c.__class__ is complex else complex(c) for mask, c in blades.items() if c
+        })
+        self.m = m
 
     @classmethod
     def scalar(cls, m: int, value) -> Multivector:
         return cls(m, {0: value})
-
-    @classmethod
-    def basis_blade(cls, m: int, *indices: int) -> Multivector:
-        return cls(m, {tuple(indices): 1.0})
 
     @classmethod
     def from_vector(cls, m: int, components) -> Multivector:
@@ -106,47 +82,35 @@ class Multivector:
             raise ValueError(f"expected {m} components, got {len(comps)}")
         return cls(m, {1 << j: comps[j] for j in range(m)})
 
-    # -- views -------------------------------------------------------------
-
-    @property
-    def coefficients(self) -> dict[tuple[int, ...], complex]:
-        """Nonzero coefficients keyed by strictly increasing index tuples."""
-        return {
-            _mask_to_indices(int(mask)): complex(self._data[mask])
-            for mask in np.flatnonzero(self._data)
-        }
-
-    def coefficient(self, key) -> complex:
-        return complex(self._data[_blade_key_to_mask(key, self.m)])
-
     # -- linear structure ----------------------------------------------------
 
     def _check_same(self, other: Multivector) -> None:
         if self.m != other.m:
             raise ValueError(f"dimension mismatch: {self.m} vs {other.m}")
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         if isinstance(other, Multivector):
             self._check_same(other)
-            return Multivector._from_data(self.m, self._data + other._data)
-        if isinstance(other, (int, float, complex)):
-            data = self._data.copy()
-            data[0] += other
-            return Multivector._from_data(self.m, data)
-        return NotImplemented
+            terms = other.blades
+        elif isinstance(other, (int, float, complex)):
+            terms = {0: other}
+        else:
+            return NotImplemented
+        out = self.blades.copy()
+        for mask, c in terms.items():
+            out[mask] = out.get(mask, 0) + sign * c
+        return Multivector(self.m, out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Multivector._from_data(self.m, -self._data)
+        return Multivector(self.m, {mask: -c for mask, c in self.blades.items()})
 
     def __sub__(self, other):
-        if isinstance(other, Multivector):
-            self._check_same(other)
-            return Multivector._from_data(self.m, self._data - other._data)
-        if isinstance(other, (int, float, complex)):
-            return self + (-other)
-        return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -154,43 +118,41 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return geometric_product(self, other)
-        if isinstance(other, (int, float, complex)):
-            return Multivector._from_data(self.m, self._data * other)
-        return NotImplemented
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return Multivector._from_data(self.m, self._data * other)
+            return Multivector(self.m, {mask: c * other for mask, c in self.blades.items()})
         return NotImplemented
 
     # -- involutions and parts -------------------------------------------------
 
     def complex_conjugate(self) -> Multivector:
-        return Multivector._from_data(self.m, np.conj(self._data))
+        return Multivector(self.m, {mask: c.conjugate() for mask, c in self.blades.items()})
 
     def scalar_part(self) -> complex:
-        return complex(self._data[0])
+        return self.blades.get(0, 0j)
 
     def norm(self) -> float:
         """Hermitian norm sqrt(sum |coefficient|^2)."""
-        return float(np.linalg.norm(self._data))
+        return math.hypot(*map(abs, self.blades.values()))
 
     # -- comparison -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.m == other.m and bool(np.array_equal(self._data, other._data))
+        return self.m == other.m and self.blades == other.blades
 
     def isclose(self, other: Multivector, tol: float = 1e-12) -> bool:
         self._check_same(other)
-        return bool(np.all(np.abs(self._data - other._data) <= tol))
+        a, b = self.blades, other.blades
+        return all(abs(a.get(mask, 0) - b.get(mask, 0)) <= tol for mask in a.keys() | b.keys())
 
     def __repr__(self) -> str:
         terms = []
-        for mask in np.flatnonzero(self._data):
-            c = complex(self._data[mask])
-            name = "1" if mask == 0 else "e" + "".join(str(i) for i in _mask_to_indices(int(mask)))
+        for mask, c in sorted(self.blades.items()):
+            name = "e" + "".join(str(j + 1) for j in range(self.m) if mask >> j & 1) if mask else "1"
             terms.append(f"({c.real:g}{c.imag:+g}j)*{name}" if c.imag else f"({c.real:g})*{name}")
         return f"Multivector(m={self.m}: " + (" + ".join(terms) or "0") + ")"
 
@@ -217,13 +179,13 @@ class GeometricInvariants:
 class ParaBivector:
     """Scalar plus bivector; the value type of every kernel here.
 
-    The bivector coefficients are stored for index pairs (j, k) with
-    1 <= j < k <= m; entry (j, k) multiplies the blade e_j e_k.
+    The bivector coefficients are keyed by blade mask: the entry at
+    (1 << j) | (1 << k), j < k, multiplies e_{j+1} e_{k+1}.
     """
 
     m: int
     scalar: complex
-    bivector: dict[tuple[int, int], complex]
+    bivector: dict[int, complex]
 
     @classmethod
     def from_geometry(cls, m: int, scalar, g, x, y) -> ParaBivector:
@@ -232,25 +194,21 @@ class ParaBivector:
         yv = _vector_components(y).tolist()
         if len(xv) != m or len(yv) != m:
             raise ValueError("vector dimension mismatch")
-        biv: dict[tuple[int, int], complex] = {}
+        biv: dict[int, complex] = {}
         g = complex(g)
         if g:
             for j in range(m):
                 for k in range(j + 1, m):
                     c = g * (xv[j] * yv[k] - xv[k] * yv[j])
                     if c:
-                        biv[(j + 1, k + 1)] = c
+                        biv[(1 << j) | (1 << k)] = c
         return cls(m, complex(scalar), biv)
 
     def to_multivector(self) -> Multivector:
-        m = _check_dimension(self.m)
-        data = np.zeros(1 << m, dtype=complex)
-        data[0] = 0j + self.scalar  # a sum from zero, as Multivector builds: no negative zeros
-        for (j, k), c in self.bivector.items():
-            if not 1 <= j < k <= m:
-                raise ValueError(f"bivector index pair ({j}, {k}) needs 1 <= j < k <= {m}")
-            data[(1 << (j - 1)) | (1 << (k - 1))] = 0j + c
-        return Multivector._from_data(m, data)
+        for mask in self.bivector:
+            if not isinstance(mask, int) or mask.bit_count() != 2:
+                raise ValueError(f"bivector key {mask!r} is not the mask of two generators")
+        return Multivector(self.m, {0: self.scalar, **self.bivector})
 
 
 def blade_product(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
@@ -265,19 +223,12 @@ def blade_product(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
     return out
 
 
-def _nonzero(x: Multivector) -> dict[int, complex]:
-    return {mask: c for mask, c in enumerate(x._data.tolist()) if c}
-
-
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     """Bilinear associative product with e_i e_j + e_j e_i = -2 delta_ij (blade_product)."""
     if not isinstance(a, Multivector) or not isinstance(b, Multivector):
         raise TypeError("geometric_product expects two multivectors")
     a._check_same(b)
-    out = [0j] * len(a._data)
-    for mask, c in blade_product(_nonzero(a), _nonzero(b)).items():
-        out[mask] = 0j + c  # a dense sum from zero: no negative zeros
-    return Multivector._from_data(a.m, np.array(out))
+    return Multivector(a.m, blade_product(a.blades, b.blades))
 
 
 def wedge(x, y) -> Multivector:

@@ -573,10 +573,6 @@ class BasisFunction:
         """Blade coefficient arrays at (n, m) points, Gaussian included."""
         return _gaussian_values(self.poly, points)
 
-    def __call__(self, point: Sequence[float]) -> Multivector:
-        pt = np.asarray(point, dtype=float)
-        return self.poly.evaluate(pt) * float(np.exp(-0.5 * np.dot(pt, pt)))
-
 
 def psi(j: int, k: int, ell: int, m: int) -> BasisFunction:
     """Basis function of radial index j, degree k, and 1-based label ell."""

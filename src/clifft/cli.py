@@ -216,8 +216,12 @@ def _check_pde(unit) -> list[Check]:
 
 
 def _check_eigen(m: int) -> list[Check]:
-    errors = [r.abs_error for r in verify_eigen(m)]
-    return [Check.within("eigenvalue error", {"m": m}, worst(*errors), 1e-6 if m <= 4 else 1e-8)]
+    records = verify_eigen(m)
+    tol = 1e-6 if m <= 4 else 1e-8
+    return [
+        Check.within("eigenvalue error", {"m": m}, worst(*(r.abs_error for r in records)), tol),
+        Check.within("eigen residual", {"m": m}, worst(*(r.residual for r in records)), tol),
+    ]
 
 
 def _check_inversion(m: int) -> list[Check]:

@@ -445,7 +445,7 @@ def _minus(a: BladeValues, b: BladeValues) -> BladeValues:
     return {blade: a.get(blade, 0) - b.get(blade, 0) for blade in a.keys() | b.keys()}
 
 
-def _rayleigh(m: int, f_vals: BladeValues, g_vals: BladeValues) -> complex:
+def _rayleigh(f_vals: BladeValues, g_vals: BladeValues) -> complex:
     num = 0.0 + 0.0j
     den = 0.0
     for blade, fv in f_vals.items():
@@ -561,6 +561,12 @@ def bochner_reduce(
 
 @dataclass(frozen=True)
 class EigenvalueRecord:
+    """One eigenvalue check.  ``numeric`` is the Rayleigh quotient over
+    the sample points and ``residual`` the relative distance of the whole
+    transform from closed_form * psi there,
+    sqrt(sum_B ||(F psi)_B - lambda psi_B||^2) / (|lambda| ||psi||),
+    which also sees blades that psi lacks."""
+
     m: int
     i: int
     k: int
@@ -568,6 +574,19 @@ class EigenvalueRecord:
     closed_form: complex
     numeric: complex
     abs_error: float
+    residual: float
+
+
+def _eigen_record(m: int, i: int, k: int, parity: str, want: complex,
+                  f_vals: BladeValues, g_vals: BladeValues) -> EigenvalueRecord:
+    """The record of transform g_vals of psi values f_vals against want."""
+    lam = _rayleigh(f_vals, g_vals)
+    blades = f_vals.keys() | g_vals.keys()
+    zero = np.zeros(len(next(iter(f_vals.values()))))
+    f = np.array([f_vals.get(blade, zero) for blade in blades])
+    g = np.array([g_vals.get(blade, zero) for blade in blades])
+    residual = np.linalg.norm(g - want * f) / (abs(want) * np.linalg.norm(f))
+    return EigenvalueRecord(m, i, k, parity, want, lam, abs(lam - want), float(residual))
 
 
 def _reference_eigenvalue(coeffs: SeriesCoefficients, k: int, parity: str) -> complex:
@@ -607,12 +626,10 @@ def verify_eigen(
             coeffs = series_coefficients(kid)
             transformed = apply_transform_batch(kid, fs, ys)
             for fi, bf in enumerate(fs):
-                ref_vals = bf.values(ys)
-                lam = _rayleigh(m, ref_vals, transformed[fi])
                 parity = _PARITIES[bf.j % 2]
                 want = _reference_eigenvalue(coeffs, bf.k, parity) * (-1) ** (bf.j // 2)
                 records.append(
-                    EigenvalueRecord(m, i, bf.k, parity, want, lam, abs(lam - want))
+                    _eigen_record(m, i, bf.k, parity, want, bf.values(ys), transformed[fi])
                 )
         return records
 
@@ -636,9 +653,8 @@ def verify_eigen(
             ref_vals = psi(j, k, 1, m).values(ys)
             got = bochner_reduce(streams, mono, f0, parity, ys, rule)
             for kid, coeffs, rows, vals in zip(kids, streams, per_i, got):
-                lam = _rayleigh(m, ref_vals, vals)
                 want = _reference_eigenvalue(coeffs, k, parity) * (-1) ** a
-                rows.append(EigenvalueRecord(m, kid.i, k, parity, want, lam, abs(lam - want)))
+                rows.append(_eigen_record(m, kid.i, k, parity, want, ref_vals, vals))
     return [rec for rows in per_i for rec in rows]
 
 
@@ -693,8 +709,10 @@ def _composition_radial(m: int, i: int) -> float:
     g_nodes = ev.even_branch * _radial_bessel_integral(
         rule, gaussian, m - 1, 0, lam2, rule.nodes
     )
-    h_vals = evi.even_branch * (
-        (rule.weights * rule.nodes ** (m - 1) * g_nodes) @ bessel_jtilde(lam2, z)
+    # einsum, not @: a BLAS product sums in an order that depends on its
+    # thread count, and this residual is golden-tested bit for bit
+    h_vals = evi.even_branch * np.einsum(
+        "i,ij->j", rule.weights * rule.nodes ** (m - 1) * g_nodes, bessel_jtilde(lam2, z)
     )
     even_err = np.abs(h_vals - np.exp(-0.5 * xs * xs))
 
@@ -703,9 +721,8 @@ def _composition_radial(m: int, i: int) -> float:
     # profiles of H and psi along any ray.
     int_fwd = _radial_bessel_integral(rule, gaussian, m, 1, lam2 + 2, rule.nodes)
     q_nodes = ev.odd_branch * int_fwd / rule.nodes
-    h_vals = evi.odd_branch * (
-        (rule.weights * rule.nodes**m * q_nodes)
-        @ (z * bessel_jtilde(lam2 + 2, z))
+    h_vals = evi.odd_branch * np.einsum(
+        "i,ij->j", rule.weights * rule.nodes**m * q_nodes, z * bessel_jtilde(lam2 + 2, z)
     )
     return worst(even_err, np.abs(h_vals - xs * np.exp(-0.5 * xs * xs)))
 

@@ -31,6 +31,7 @@ series.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -526,7 +527,7 @@ def jtilde_stack(twice_order_min: int, n: int, t) -> np.ndarray:
     taken in blocks of a fixed size, so the memory beyond the result
     stays bounded.
     """
-    twice_order_min, n = check_twice_order(twice_order_min), int(n)
+    twice_order_min, n = check_twice_order(twice_order_min), operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
     arr = np.asarray(t, dtype=float)
@@ -552,7 +553,7 @@ def eval_series(
     z_arr = np.asarray(z, dtype=float)
     w_arr = np.asarray(w, dtype=float)
     z_arr, w_arr = np.broadcast_arrays(z_arr, w_arr)
-    n = int(n_terms)
+    n = operator.index(n_terms)
     if n < 0:
         raise ValueError("n_terms must be >= 0")
     a_total = np.zeros(z_arr.shape, dtype=complex)

@@ -115,8 +115,12 @@ def test_criterion_05_eigenvalues():
     checks = []
     for m in (2, 3, 4, 5, 6, 7, 8, 9):
         route, tol = ("grid", 1e-6) if m <= 4 else ("radial", 1e-8)
-        errors = [r.abs_error for r in verify_eigen(m)]
+        records = verify_eigen(m)
+        errors = [r.abs_error for r in records]
         checks.append(Check.within(f"{route} eigenvalues", {"m": m}, worst(*errors), tol))
+        # the whole transform against lambda psi, blades psi lacks included
+        residuals = [r.residual for r in records]
+        checks.append(Check.within(f"{route} eigen residual", {"m": m}, worst(*residuals), tol))
     # closed-form spot values, both radial parities p = 0, 1
     for p in (0, 1):
         sgn = (-1) ** p

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -36,10 +37,10 @@ def vectors(m: int):
 def test_generator_relations():
     m = 3
     for i in range(1, m + 1):
-        e_i = Multivector.basis_blade(m, i)
+        e_i = Multivector(m, {1 << (i - 1): 1})
         assert e_i * e_i == Multivector.scalar(m, -1)
         for j in range(i + 1, m + 1):
-            e_j = Multivector.basis_blade(m, j)
+            e_j = Multivector(m, {1 << (j - 1): 1})
             assert e_i * e_j + e_j * e_i == Multivector(m)
 
 
@@ -96,20 +97,28 @@ def test_parabivector_matches_multivector_assembly():
     pb = ParaBivector.from_geometry(3, 2.0 - 1.0j, 0.75 + 0.5j, x, y)
     direct = Multivector.scalar(3, 2.0 - 1.0j) + wedge(x, y) * (0.75 + 0.5j)
     assert pb.to_multivector().isclose(direct)
-    for bad in ({(2, 1): 1.0}, {(1, 4): 1.0}, {(0, 2): 1.0}):
+    # one generator, a mask past e_3, three generators, an index pair
+    for bad in ({0b001: 1.0}, {0b1001: 1.0}, {0b111: 1.0}, {(1, 2): 1.0}):
         with pytest.raises(ValueError):
             ParaBivector(3, 1.0, bad).to_multivector()
 
 
 def test_vector_wrapper_and_coefficients():
     mv = Multivector.from_vector(2, [1.0, 2.0])
-    assert mv.coefficients == {(1,): 1.0, (2,): 2.0}
+    assert mv.blades == {0b01: 1.0, 0b10: 2.0}
+    # zero coefficients are not stored, and the map is read-only
+    assert Multivector(2, {0: 0.0, 0b11: -0.0}).blades == {} == (mv - mv).blades
+    with pytest.raises(TypeError):
+        mv.blades[0] = 1.0
+    for bad in (-1, 0b100, (1,), 1.0):
+        with pytest.raises(ValueError):
+            Multivector(2, {bad: 1.0})
 
 
 def test_pseudoscalar_square():
     # (e_1...e_m)^2 = (-1)^(m(m+1)/2) with the negative-definite metric
     for m, square in ((2, -1.0), (3, 1.0)):
-        pseudoscalar = Multivector.basis_blade(m, *range(1, m + 1))
+        pseudoscalar = Multivector(m, {(1 << m) - 1: 1})
         assert pseudoscalar * pseudoscalar == Multivector.scalar(m, square)
 
 
@@ -129,21 +138,67 @@ def test_blade_product_bivector_rules():
     assert blade_product({0b11: 1}, {0b11: 1}) == {0: -1}
 
 
-def test_blade_product_over_point_arrays_matches_multivector_product():
-    m, n = 3, 7
-    rng = np.random.default_rng(5)
+def _clifford_matrices(m: int) -> dict[int, np.ndarray]:
+    """Complex matrices of the 2**m blades of Cl(0, m), built without the
+    library's sign rule.  e_j = i G_j, where the G_j are Hermitian,
+    anticommuting and square to one: Jordan-Wigner strings Z..Z X 1..1 and
+    Z..Z Y 1..1 of Pauli matrices on ceil(m/2) qubits.  With m rounded up
+    to even the strings generate every matrix of that size, so the
+    representation is faithful; the blade of a mask is the product of its
+    generators in increasing order."""
+    pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
+    pauli_y = np.array([[0, -1j], [1j, 0]])
+    pauli_z = np.diag([1.0 + 0j, -1.0])
+    qubits = (m + 1) // 2
+    gens = [
+        1j * reduce(np.kron, [pauli_z] * q + [p] + [np.eye(2)] * (qubits - q - 1))
+        for q in range(qubits)
+        for p in (pauli_x, pauli_y)
+    ][:m]
+    blades = {}
+    for mask in range(1 << m):
+        mat = np.eye(1 << qubits, dtype=complex)
+        for j in range(m):
+            if mask >> j & 1:
+                mat = mat @ gens[j]
+        blades[mask] = mat
+    return blades
+
+
+def _as_matrix(blades: dict[int, np.ndarray], values: dict) -> np.ndarray:
+    """sum_A values[A] E_A; array coefficients give one matrix per point."""
+    return sum((np.multiply.outer(c, blades[mask]) for mask, c in values.items()), 0 * blades[0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_blade_product_matches_clifford_matrices(m):
+    blades = _clifford_matrices(m)
+    one = blades[0]
+    for j in range(m):
+        e_j = blades[1 << j]
+        assert np.allclose(e_j @ e_j, -one)
+        for k in range(j + 1, m):
+            e_k = blades[1 << k]
+            assert np.allclose(e_j @ e_k + e_k @ e_j, 0 * one)
+    # independent blade matrices: equal matrices mean equal coefficients
+    flat = np.array([mat.ravel() for mat in blades.values()])
+    assert np.linalg.matrix_rank(flat) == 1 << m
+
+    rng = np.random.default_rng(40 + m)
+
+    def numbers():
+        return {
+            mask: complex(rng.normal(), rng.normal())
+            for mask in range(1 << m) if rng.random() < 0.7
+        }
 
     def arrays():
-        return {b: rng.normal(size=n) + 1j * rng.normal(size=n) for b in range(1 << m)}
+        return {mask: rng.normal(size=7) + 1j * rng.normal(size=7) for mask in range(1 << m)}
 
-    a, b = arrays(), arrays()
-    prod = blade_product(a, b)
-    for idx in range(n):
-        want = Multivector(m, {k: v[idx] for k, v in a.items()}) * Multivector(
-            m, {k: v[idx] for k, v in b.items()}
-        )
-        got = Multivector(m, {k: v[idx] for k, v in prod.items()})
-        assert got.isclose(want, 1e-12)
+    for a, b in ((numbers(), numbers()), (arrays(), arrays()), (numbers(), arrays())):
+        got = _as_matrix(blades, blade_product(a, b))
+        want = _as_matrix(blades, a) @ _as_matrix(blades, b)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_blade_product_keeps_fractions_exact():

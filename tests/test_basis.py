@@ -180,7 +180,7 @@ def test_gaussian_polynomial_dirac_product_rule():
     h = 1e-5
     acc = Multivector(m)
     for jj in range(m):
-        e = Multivector.basis_blade(m, jj + 1)
+        e = Multivector(m, {1 << jj: 1})
         xp, xm = x.copy(), x.copy()
         xp[jj] += h
         xm[jj] -= h
@@ -213,13 +213,14 @@ def test_orthogonality_of_monogenic_sectors():
     assert sphere_inner_exact(h1, h2) == 0
 
 
-def test_basis_function_call_matches_values():
+def test_gaussian_evaluate_matches_values():
     bf = psi(1, 1, 1, 3)
     pt = np.array([0.4, -0.7, 0.2])
-    mv = bf(pt)
+    mv = GaussianPolynomial(bf.poly).evaluate(pt)
     vals = bf.values(pt[None, :])
+    assert set(mv.blades) == set(vals)
     for blade, arr in vals.items():
-        assert mv._data[blade] == pytest.approx(arr[0])
+        assert mv.blades[blade] == pytest.approx(arr[0])
 
 
 def _majorant(p: CliffordPolynomial, pts: np.ndarray) -> dict[int, np.ndarray]:
@@ -252,9 +253,9 @@ def test_evaluate_batch_matches_pointwise_evaluate():
                 assert set(batch) == set(scale)
                 for n, pt in enumerate(pts):
                     single = p.evaluate(pt)
-                    assert set(np.flatnonzero(single._data)) <= set(batch)
+                    assert set(single.blades) <= set(batch)
                     for blade, vals in batch.items():
-                        err = abs(vals[n] - single._data[blade])
+                        err = abs(vals[n] - single.blades.get(blade, 0))
                         assert err <= 1e-15 * max(1.0, scale[blade][n]), (m, p, blade, err)
     assert CliffordPolynomial(3).evaluate_batch(pts[:, :3]) == {}
     with pytest.raises(ValueError):
@@ -296,10 +297,11 @@ def test_polynomial_table_puts_even_rows_first_and_adds_split_rows():
     assert 0 < table.n_even < len(table.rows)
     # the split rows of a blade add up to its value, against the pointwise route
     for p, got in zip(polys, table.split(vals)):
-        want = np.array([p.evaluate(pt)._data for pt in cols.T])
-        assert set(got) == set(np.flatnonzero(np.any(want, axis=0)))
+        pointwise = [p.evaluate(pt).blades for pt in cols.T]
+        assert set(got) == set().union(*pointwise)
         for blade, v in got.items():
-            assert np.allclose(v, want[:, blade], rtol=1e-14, atol=1e-14)
+            want = np.array([blades.get(blade, 0) for blades in pointwise])
+            assert np.allclose(v, want, rtol=1e-14, atol=1e-14)
 
 
 def _reference_vector_times(p: CliffordPolynomial, step: int) -> CliffordPolynomial:

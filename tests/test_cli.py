@@ -254,7 +254,7 @@ def _nan_fg_sample(monkeypatch):
 
 
 def _nan_eigen_record(monkeypatch):
-    records = [SimpleNamespace(abs_error=e) for e in (1e-9, np.nan, 1e-9)]
+    records = [SimpleNamespace(abs_error=e, residual=1e-12) for e in (1e-9, np.nan, 1e-9)]
     monkeypatch.setattr(cli, "verify_eigen", lambda m: records)
 
 
@@ -281,6 +281,37 @@ def _nan_second_diff_relation(monkeypatch):
         return out
 
     monkeypatch.setattr(engine, "apply_transform_batch", batch)
+
+
+def _add_on_pseudoscalar(real, ys_arg: int):
+    """real, with 0.5 added on the pseudoscalar blade of every output."""
+
+    def faulty(*args):
+        ys = np.atleast_2d(args[ys_arg])
+        pseudoscalar = (1 << ys.shape[1]) - 1
+        out = real(*args)
+        for vals in out:
+            vals[pseudoscalar] = vals.get(pseudoscalar, 0) + np.full(len(ys), 0.5)
+        return out
+
+    return faulty
+
+
+@pytest.mark.parametrize("m, rayleigh_sees_it", [(2, True), (3, False), (5, False)])
+def test_eigen_residual_sees_a_pseudoscalar_fault(monkeypatch, tmp_path, m, rayleigh_sees_it):
+    # m = 2, 3 take the grid route, m = 5 the radial one.  Only at m = 2
+    # does some psi (psi_{0,1,1} and psi_{0,2,1}) carry the pseudoscalar,
+    # so elsewhere the Rayleigh quotient cannot see the fault and the
+    # residual over every blade must
+    monkeypatch.setattr(engine, "apply_transform_batch",
+                        _add_on_pseudoscalar(engine.apply_transform_batch, 2))
+    monkeypatch.setattr(engine, "bochner_reduce", _add_on_pseudoscalar(engine.bochner_reduce, 4))
+    target = tmp_path / "eigen.json"
+    assert main(["verify", "--suite", "eigen", "--m", str(m), "--output", str(target)]) == 1
+    rows = {row["check"]: row for row in json.loads(target.read_text())["checks"]}
+    assert rows["eigenvalue error"]["passed"] is not rayleigh_sees_it
+    assert not rows["eigen residual"]["passed"]
+    assert rows["eigen residual"]["value"] > 0.1
 
 
 def _reject_constant(name):
@@ -315,7 +346,7 @@ _ROW_DIMENSIONS = {
 
 @pytest.mark.parametrize("suite", sorted(cli._SUITES))
 def test_every_suite_emits_one_row_schema(capsys, monkeypatch, suite):
-    monkeypatch.setattr(cli, "verify_eigen", lambda m: [SimpleNamespace(abs_error=1e-12)])
+    monkeypatch.setattr(cli, "verify_eigen", lambda m: [SimpleNamespace(abs_error=1e-12, residual=1e-12)])
     monkeypatch.setattr(cli, "verify_diff_relations", lambda kid, bf: 1e-9)
     assert set(_ROW_DIMENSIONS) == set(cli._SUITES)
     code, out = run_cli(capsys, "verify", "--suite", suite, "--m", str(_ROW_DIMENSIONS[suite]))

@@ -145,9 +145,12 @@ def test_rejects_bad_input(args):
 
 
 def test_rejects_a_non_integer_twice_order():
-    # 1.5 is no twice-order: int() would quietly read it as 1
+    # 1.5 is no twice-order, and 2.5 no row count: int() would quietly
+    # read them as 1 and 2
     with pytest.raises(TypeError):
         jtilde_stack(1.5, 3, [1.0])
+    with pytest.raises(TypeError):
+        jtilde_stack(1, 2.5, [1.0])
 
 
 def test_memory_stays_within_three_outputs():

@@ -232,6 +232,14 @@ def test_truncation_bound_rejects_ranges_it_cannot_bound(z_max, eps):
         truncation_bound(series_coefficients(KernelId(3, 0)), z_max, eps)
 
 
+def test_eval_series_rejects_bad_term_counts():
+    coeffs = series_coefficients(KernelId(3, 0))
+    with pytest.raises(ValueError):
+        eval_series(coeffs, [1.0], [0.5], -1)
+    with pytest.raises(TypeError):
+        eval_series(coeffs, [1.0], [0.5], 2.5)
+
+
 def test_coefficient_rows_products():
     rows = coefficient_rows(series_coefficients(KernelId(4, 0)), 6, include_inverse=True)
     assert [r["k"] for r in rows] == list(range(7))
