@@ -180,12 +180,19 @@ class ParaBivector:
     """Scalar plus bivector; the value type of every kernel here.
 
     The bivector coefficients are keyed by blade mask: the entry at
-    (1 << j) | (1 << k), j < k, multiplies e_{j+1} e_{k+1}.
+    (1 << j) | (1 << k), j < k, multiplies e_{j+1} e_{k+1}.  They are
+    kept as a read-only copy of the map given, so the value is hashable.
     """
 
     m: int
     scalar: complex
-    bivector: dict[int, complex]
+    bivector: Mapping[int, complex]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bivector", MappingProxyType(dict(self.bivector)))
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.scalar, frozenset(self.bivector.items())))
 
     @classmethod
     def from_geometry(cls, m: int, scalar, g, x, y) -> ParaBivector:

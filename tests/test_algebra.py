@@ -103,6 +103,23 @@ def test_parabivector_matches_multivector_assembly():
             ParaBivector(3, 1.0, bad).to_multivector()
 
 
+def test_parabivector_is_read_only_and_hashable():
+    x = np.array([0.3, -1.2, 0.5])
+    y = np.array([1.1, 0.4, -0.2])
+    pb = ParaBivector.from_geometry(3, 2.0, 0.75, x, y)
+    with pytest.raises(TypeError):
+        pb.bivector[0b011] = 99.0
+    # the value keeps a copy of the map it was given
+    source = {0b011: 1.0}
+    kept = ParaBivector(3, 2.0, source)
+    source[0b011] = 5.0
+    assert kept.bivector == {0b011: 1.0}
+    # equal values hash alike, with any numeric type
+    twin = ParaBivector(3, 2 + 0j, {0b011: 1 + 0j})
+    assert kept == twin and hash(kept) == hash(twin)
+    assert len({kept, twin, pb}) == 2
+
+
 def test_vector_wrapper_and_coefficients():
     mv = Multivector.from_vector(2, [1.0, 2.0])
     assert mv.blades == {0b01: 1.0, 0b10: 2.0}

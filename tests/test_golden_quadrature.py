@@ -13,6 +13,12 @@ file is rendered in process with no thread pin.  (The inversion suite's
 radial composition sums its Bessel tables with einsum rather than a BLAS
 product, whose summation order follows the thread count.)
 
+The files do follow numpy's SIMD dispatch of float64 ``tan`` and ``exp``:
+the Bessel closed forms take sin and cos from ``tan``, the quadrature
+weights and Gaussians take ``exp``, and numpy picks both kernels by CPU.
+The committed files were rendered on an AVX-512 (X86_V4) CPU; on another
+CPU they may differ in the last digits.
+
 Regenerate the files after a deliberate change of output with
 
     PYTHONPATH=src python tests/test_golden_quadrature.py

@@ -8,6 +8,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
+from clifft import special
 from clifft.special import (
     bessel_jtilde,
     chebyshev_t,
@@ -41,6 +42,20 @@ def test_jtilde_point_path_equals_array_path_bit_for_bit():
         assert np.array_equal(point, array), two
         zero_d = [bessel_jtilde(two, np.asarray(t)) for t in ts[::50]]
         assert np.array_equal(zero_d, array[::50]), two
+
+
+def test_jtilde_blocks_of_a_large_array_equal_the_point_path():
+    # an array of several blocks, in two dimensions: one block below every
+    # cutoff, one above, one split by the cutoff and a short last one
+    rng = np.random.default_rng(7)
+    n = special._BLOCK
+    ts = np.concatenate([
+        rng.uniform(0.0, 1.0, n), rng.uniform(4.0, 60.0, n), rng.uniform(0.0, 8.0, n), rng.uniform(0.0, 60.0, 100),
+    ])
+    for two in (1, 2, 9):
+        array = bessel_jtilde(two, ts.reshape(2, -1))
+        assert array.shape == (2, ts.size // 2)
+        assert np.array_equal(array.ravel(), [bessel_jtilde(two, t) for t in ts.tolist()]), two
 
 
 def test_jtilde_matches_direct_quotient_above_one():
@@ -111,12 +126,26 @@ def test_half_integer_closed_forms():
     assert bessel_jtilde(1, t) == pytest.approx(root * math.sin(t) / t)
 
 
-def test_orders_minus_and_plus_half_are_one_trig_function_bit_for_bit():
-    # order -1/2 takes only the cosine and order 1/2 only the sine
-    t = np.concatenate([[1.0], np.linspace(1.0, 60.0, 5001)[1:], [1e3, 1e6]])
-    root = math.sqrt(2.0 / math.pi)
-    assert np.array_equal(bessel_jtilde(-1, t), root * np.cos(t))
-    assert np.array_equal(bessel_jtilde(1, t), root * (np.sin(t) / t))
+def test_half_integer_closed_forms_against_mpmath():
+    # twice-orders -1..9 from each order's cutoff to 60, at every zero of
+    # sin and cos up to 60 (where the half-angle cosine is weakest), and
+    # far out; each error is scaled by the envelope t^(-alpha - 1/2) of
+    # jtilde_alpha, against a 60-digit reference
+    zeros = np.arange(1, 39) * (math.pi / 2)
+    worst = {}
+    with mpmath.workdps(60):
+        for two in (-1, 1, 3, 5, 7, 9):
+            cut = 4.0 if two >= 5 else 1.0
+            ts = np.unique(np.concatenate([np.linspace(cut, 60.0, 241), zeros[zeros >= cut], [1e3, 1e6]]))
+            nu = mpmath.mpf(two) / 2
+            err = 0.0
+            for t, values in zip(ts, both_paths(two, ts).T):
+                tm = mpmath.mpf(t)
+                ref = mpmath.besselj(nu, tm) * tm ** (-nu)
+                for value in values:
+                    err = max(err, float(abs(value - ref) * tm ** (nu + 0.5)))
+            worst[two] = err
+    assert max(worst.values()) < 1e-15, worst
 
 
 def test_bessel_j_guards():
@@ -160,6 +189,44 @@ def test_chebyshev_values():
     assert np.allclose(t[5], np.cos(5 * theta), atol=1e-12)
     assert np.allclose(u[3] * np.sin(theta), np.sin(4 * theta), atol=1e-12)
     assert chebyshev_t(3, 0.4) == pytest.approx(math.cos(3 * math.acos(0.4)))
+
+
+def _explicit_sums(n: int, lam, w, x, alpha):
+    """C_k^lam(w), T_k(w), U_k(w) for k <= n and L_n^alpha(x), each with the
+    scale its error is held to, from the explicit sums (Abramowitz &
+    Stegun 22.3) in the current mpmath precision."""
+    rows = []
+    for k in range(n + 1):
+        gegen = sum(
+            (-1) ** j * mpmath.rf(lam, k - j) / (mpmath.factorial(j) * mpmath.factorial(k - 2 * j)) * (2 * w) ** (k - 2 * j)
+            for j in range(k // 2 + 1)
+        )
+        cheb_u = sum((-1) ** j * mpmath.binomial(k - j, j) * (2 * w) ** (k - 2 * j) for j in range(k // 2 + 1))
+        # max(1, C_k(1)) bounds C_k on [-1, 1]; |T_k| <= 1 and |U_k| <= k + 1
+        rows.append(((gegen, max(1, mpmath.rf(2 * lam, k) / mpmath.factorial(k))),
+                     (mpmath.cos(k * mpmath.acos(w)), 1), (cheb_u, k + 1)))
+    terms = [(-1) ** j * mpmath.binomial(n + alpha, n - j) * x**j / mpmath.factorial(j) for j in range(n + 1)]
+    return rows, (sum(terms), sum(map(abs, terms)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=20),
+    st.floats(0.05, 8.0),
+    st.floats(-1.0, 1.0),
+    st.floats(0.0, 30.0),
+    st.floats(0.0, 8.0),
+)
+def test_orthogonal_polynomials_against_mpmath(n, lam, w, x, alpha):
+    # 60-digit references; the error of degree k is held to (k + 1) * 1e-15
+    # of its scale (for Laguerre the sum of the magnitudes of its terms)
+    got = zip(gegenbauer_all(n, lam, w), chebyshev_t_all(n, w), chebyshev_u_all(n, w))
+    with mpmath.workdps(60):
+        rows, (lag, lag_scale) = _explicit_sums(n, mpmath.mpf(lam), mpmath.mpf(w), mpmath.mpf(x), mpmath.mpf(alpha))
+        for k, (values, refs) in enumerate(zip(got, rows)):
+            for value, (ref, scale) in zip(values, refs):
+                assert abs(value - ref) <= (k + 1) * 1e-15 * scale, k
+        assert abs(laguerre(n, alpha, x) - lag) <= (n + 1) * 1e-15 * lag_scale
 
 
 def test_laguerre_against_scipy():
