@@ -157,8 +157,21 @@ class Multivector:
         return f"Multivector(m={self.m}: " + (" + ".join(terms) or "0") + ")"
 
 
+_FLOAT64 = np.dtype(float)
+
+
+@lru_cache(maxsize=None)
+def _bivector_pairs(m: int) -> tuple[tuple[int, int, int], ...]:
+    """(j, k, mask of e_{j+1} e_{k+1}) for 0 <= j < k < m, j-major, after checking m."""
+    _blade_masks(m)
+    return tuple((j, k, (1 << j) | (1 << k)) for j in range(m) for k in range(j + 1, m))
+
+
 def _vector_components(x) -> np.ndarray:
-    """Components of a vector of R^m (or C^m) as a one-dimensional array."""
+    """Components of a vector of R^m (or C^m) as a one-dimensional array;
+    a one-dimensional, nonempty float64 array is returned as it is."""
+    if x.__class__ is np.ndarray and x.dtype is _FLOAT64 and len(x.shape) == 1 and x.size:
+        return x
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("a vector needs a one-dimensional, nonempty component list")
@@ -204,11 +217,10 @@ class ParaBivector:
         biv: dict[int, complex] = {}
         g = complex(g)
         if g:
-            for j in range(m):
-                for k in range(j + 1, m):
-                    c = g * (xv[j] * yv[k] - xv[k] * yv[j])
-                    if c:
-                        biv[(1 << j) | (1 << k)] = c
+            for j, k, mask in _bivector_pairs(m):
+                c = g * (xv[j] * yv[k] - xv[k] * yv[j])
+                if c:
+                    biv[mask] = c
         return cls(m, complex(scalar), biv)
 
     def to_multivector(self) -> Multivector:
@@ -246,11 +258,10 @@ def wedge(x, y) -> Multivector:
         raise ValueError(f"dimension mismatch: {xv.size} vs {yv.size}")
     m = xv.size
     coeffs = {}
-    for j in range(m):
-        for k in range(j + 1, m):
-            c = xv[j] * yv[k] - xv[k] * yv[j]
-            if c:
-                coeffs[(1 << j) | (1 << k)] = c
+    for j, k, mask in _bivector_pairs(m):
+        c = xv[j] * yv[k] - xv[k] * yv[j]
+        if c:
+            coeffs[mask] = c
     return Multivector(m, coeffs)
 
 

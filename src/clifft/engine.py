@@ -477,34 +477,36 @@ def _radial_bessel_integral(
     z_power: int,
     twice_order: int,
     rho: np.ndarray,
+    chains: int = 1,
 ) -> np.ndarray:
-    """integral over r of r^r_power f0(r) (r rho)^z_power
-    jtilde_(twice_order/2)(r rho), for each target rho.
+    """integral over r of r^(r_power+c) f0(r) (r rho)^(z_power+c)
+    jtilde_(twice_order/2+c)(r rho), for each chain c < chains (the rows
+    of the result) and each target rho.
 
     The nodes x targets table of Bessel factors is never stored: it is
     taken in strips of consecutive nodes, at most _CHUNK_ROWS entries
     each, and every strip is summed into the result before the next one
-    is built.  When the targets are the rule's own nodes the table is
-    symmetric, and only its upper triangle is evaluated: a strip covers
-    the columns from its first node on, adds its weighted rows to those
-    columns and, mirrored, the columns right of its diagonal block to its
-    own rows.
+    is built; one jtilde_stack per strip gives every chain's order.  When
+    the targets are the rule's own nodes the table is symmetric, and only
+    its upper triangle is evaluated: a strip covers the columns from its
+    first node on, adds its weighted rows to those columns and, mirrored,
+    the columns right of its diagonal block to its own rows.
     """
     nodes = rule.nodes
     symmetric = np.array_equal(rho, nodes)
-    wf = rule.weights * nodes**r_power * f0_vals
-    out = np.zeros(len(rho))
+    wfs = [rule.weights * nodes ** (r_power + c) * f0_vals for c in range(chains)]
+    out = np.zeros((chains, len(rho)))
     lo = 0
     while lo < len(nodes):
         first = lo if symmetric else 0
         hi = min(len(nodes), lo + max(1, _CHUNK_ROWS // max(1, len(rho) - first)))
         z = nodes[lo:hi, None] * rho[None, first:]
-        vals = jtilde_stack(twice_order, 0, z)[0]
-        if z_power:
-            vals = vals * z**z_power
-        out[first:] += wf[lo:hi] @ vals
-        if symmetric:
-            out[lo:hi] += vals[:, hi - lo:] @ wf[hi:]
+        for c, (wf, vals) in enumerate(zip(wfs, jtilde_stack(twice_order, chains - 1, z))):
+            if z_power + c:
+                vals = vals * z ** (z_power + c)
+            out[c, first:] += wf[lo:hi] @ vals
+            if symmetric:
+                out[c, lo:hi] += vals[:, hi - lo:] @ wf[hi:]
         lo = hi
     return out
 
@@ -542,10 +544,10 @@ def bochner_reduce(
     eta = ys / rho[:, None]
     f0 = np.asarray(radial_profile(rule.nodes), dtype=float)
     if parity == "2p":
-        integral = _radial_bessel_integral(rule, f0, m + k - 1, k, 2 * k + m - 2, rho)
+        integral = _radial_bessel_integral(rule, f0, m + k - 1, k, 2 * k + m - 2, rho)[0]
         angular = monogenic.poly.evaluate_batch(eta)
     else:
-        integral = _radial_bessel_integral(rule, f0, m + k, k + 1, 2 * k + m, rho)
+        integral = _radial_bessel_integral(rule, f0, m + k, k + 1, 2 * k + m, rho)[0]
         angular = x_times(monogenic.poly).evaluate_batch(eta)
     out = []
     for c in coeffs:
@@ -703,12 +705,14 @@ def _composition_radial(m: int, i: int) -> float:
     gaussian = np.exp(-0.5 * rule.nodes**2)
     z = rule.nodes[:, None] * xs[None, :]
 
+    # forward integrals of both chains from one two-row Bessel stack:
+    # orders lam2/2 (even) and lam2/2 + 1 (odd)
+    int_even, int_odd = _radial_bessel_integral(rule, gaussian, m - 1, 0, lam2, rule.nodes, 2)
+
     # even chain: psi_{0,0,1} -> G(y) = g(|y|) -> H(x), compare with psi
     ev = eigenvalues_from_coefficients(coeffs, 0)
     evi = eigenvalues_from_coefficients(inv, 0)
-    g_nodes = ev.even_branch * _radial_bessel_integral(
-        rule, gaussian, m - 1, 0, lam2, rule.nodes
-    )
+    g_nodes = ev.even_branch * int_even
     # einsum, not @: a BLAS product sums in an order that depends on its
     # thread count, and this residual is golden-tested bit for bit
     h_vals = evi.even_branch * np.einsum(
@@ -719,8 +723,7 @@ def _composition_radial(m: int, i: int) -> float:
     # odd chain: psi_{1,0,1} = x exp(-r^2/2) -> G(y) = y q(|y|), with
     # q(rho) = E_1 Int(rho)/rho finite at the origin; compare radial
     # profiles of H and psi along any ray.
-    int_fwd = _radial_bessel_integral(rule, gaussian, m, 1, lam2 + 2, rule.nodes)
-    q_nodes = ev.odd_branch * int_fwd / rule.nodes
+    q_nodes = ev.odd_branch * int_odd / rule.nodes
     h_vals = evi.odd_branch * np.einsum(
         "i,ij->j", rule.weights * rule.nodes**m * q_nodes, z * bessel_jtilde(lam2 + 2, z)
     )
@@ -864,7 +867,7 @@ def hankel_laguerre_residual(m: int, k: int, j: int, s_values: Sequence[float]) 
     rule = _rule_for(s_arr)
     lam = (m - 2) / 2.0
     f0 = laguerre(j, k + lam, rule.nodes**2) * np.exp(-0.5 * rule.nodes**2)
-    lhs = _radial_bessel_integral(rule, f0, m + k - 1, k, 2 * k + m - 2, s_arr)
+    lhs = _radial_bessel_integral(rule, f0, m + k - 1, k, 2 * k + m - 2, s_arr)[0]
     rhs = (-1.0) ** j * s_arr**k * laguerre(j, k + lam, s_arr**2) * np.exp(-0.5 * s_arr**2)
     scale = np.maximum(1.0, np.abs(rhs))
     return float(np.max(np.abs(lhs - rhs) / scale))

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, ParaBivector, invariants_of
+from .algebra import Multivector, ParaBivector, blade_product, invariants_of
 from .checks import Check, worst
 from .exact import Exact
 from .special import bessel_jtilde, check_twice_order
@@ -546,8 +546,12 @@ def pde_residual(kernel_id: KernelId, x, y) -> float:
 
         d_y[K+](x, y) = a K-(x, y) x,      [K+](x, y) d_x = a y K-(x, y).
 
-    Derivatives are central differences with step 1e-4; the residual is
-    scaled by the larger of 1 and the magnitudes of both sides.
+    Derivatives are central differences with step 1e-4, formed on blade
+    maps: per generator e_j the two kernel values {0: scalar, **bivector}
+    are subtracted and multiplied by e_j/(2h) with one blade_product, e_j
+    on the left for d_y and on the right for d_x.  The right-hand sides
+    and the norms are Multivector arithmetic.  The residual is scaled by
+    the larger of 1 and the magnitudes of both sides.
     """
     plus = build_kernel(replace(kernel_id, sign="plus"))
     minus = build_kernel(replace(kernel_id, sign="minus"))
@@ -556,24 +560,30 @@ def pde_residual(kernel_id: KernelId, x, y) -> float:
     yv = np.asarray(y, dtype=float)
     a = _system_factor(m)
 
-    def K(expr: KernelExpr, xx, yy) -> Multivector:
-        return eval_kernel(expr, xx, yy).to_multivector()
+    def central(x_hi, y_hi, x_lo, y_lo) -> dict:
+        """K+(x_hi, y_hi) - K+(x_lo, y_lo), blades in Multivector subtraction's order."""
+        hi, lo = eval_kernel(plus, x_hi, y_hi), eval_kernel(plus, x_lo, y_lo)
+        diff = {0: hi.scalar - lo.scalar, **hi.bivector}
+        for mask, c in lo.bivector.items():
+            diff[mask] = diff[mask] - c if mask in diff else -c
+        return diff
 
-    kminus = K(minus, xv, yv)
-    x_mv = Multivector.from_vector(m, xv)
-    y_mv = Multivector.from_vector(m, yv)
+    def add_into(total: dict, terms: dict) -> None:
+        for mask, c in terms.items():
+            if c:
+                total[mask] = total[mask] + c if mask in total else c
 
-    dy = Multivector(m)
-    dx = Multivector(m)
-    for j in range(m):
-        step = np.zeros(m)
-        step[j] = _H
-        ej = Multivector(m, {1 << j: 0.5 / _H})  # e_j over the central difference's 2h
-        dy = dy + ej * (K(plus, xv, yv + step) - K(plus, xv, yv - step))
-        dx = dx + (K(plus, xv + step, yv) - K(plus, xv - step, yv)) * ej
+    dy: dict = {}
+    dx: dict = {}
+    for j, step in enumerate(np.eye(m) * _H):
+        ej = {1 << j: 0.5 / _H}  # e_j over the central difference's 2h
+        add_into(dy, blade_product(ej, central(xv, yv + step, xv, yv - step)))
+        add_into(dx, blade_product(central(xv + step, yv, xv - step, yv), ej))
+    dy, dx = Multivector(m, dy), Multivector(m, dx)
 
-    rhs1 = (kminus * x_mv) * a
-    rhs2 = (y_mv * kminus) * a
+    kminus = eval_kernel(minus, xv, yv).to_multivector()
+    rhs1 = (kminus * Multivector.from_vector(m, xv)) * a
+    rhs2 = (Multivector.from_vector(m, yv) * kminus) * a
     r1 = (dy - rhs1).norm() / max(1.0, dy.norm(), rhs1.norm())
     r2 = (dx - rhs2).norm() / max(1.0, dx.norm(), rhs2.norm())
     return worst(r1, r2)

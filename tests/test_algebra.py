@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clifft.algebra import (
+    GeometricInvariants,
     Multivector,
     ParaBivector,
+    _vector_components,
     blade_product,
     geometric_product,
     invariants_of,
@@ -147,6 +149,52 @@ def test_vectors_must_be_one_dimensional_and_nonempty(bad):
         wedge(bad, bad)
     with pytest.raises(ValueError):
         pde_residual(KernelId(2, 0), bad, bad)
+
+
+def _bits(value) -> tuple:
+    """Every float of an invariants record, parabivector or multivector as hex."""
+    if isinstance(value, GeometricInvariants):
+        return tuple(None if v is None else float(v).hex() for v in vars(value).values())
+    if isinstance(value, ParaBivector):
+        value = value.to_multivector()
+    return tuple((mask, c.real.hex(), c.imag.hex()) for mask, c in value.blades.items())
+
+
+def test_vector_forms_give_the_same_bits():
+    x, y = [3, -7, 1, 5], [2, 9, -4, 6]
+    f64 = np.array(x, dtype=float), np.array(y, dtype=float)
+    # a one-dimensional float64 array passes through as it is
+    assert _vector_components(f64[0]) is f64[0]
+    forms = [
+        f64,
+        ([float(v) for v in x], [float(v) for v in y]),
+        (x, y),
+        (np.array(x, dtype=np.float32), np.array(y, dtype=np.float32)),
+    ]
+    want = None
+    for xs, ys in forms:
+        got = (
+            _bits(invariants_of(xs, ys)),
+            _bits(ParaBivector.from_geometry(4, 0.5, 1.25 - 0.5j, xs, ys)),
+            _bits(wedge(xs, ys)),
+        )
+        want = want or got
+        assert got == want
+    # complex components keep the complex path
+    xc, yc = f64[0] * (1 + 1j), f64[1] * (1 - 2j)
+    assert np.iscomplexobj(_vector_components(xc))
+    inv = invariants_of(xc, yc)
+    assert inv.s == float(np.real(np.dot(xc, yc)))
+    assert inv.z == float(np.linalg.norm(xc) * np.linalg.norm(yc))
+    assert wedge(xc, yc).blades[0b11] == xc[0] * yc[1] - xc[1] * yc[0]
+    # float64 arrays that are 0-d, 2-D or empty are still refused
+    for bad in (np.array(3.0), np.ones((1, 4)), np.zeros(0)):
+        with pytest.raises(ValueError):
+            invariants_of(bad, bad)
+        with pytest.raises(ValueError):
+            wedge(bad, bad)
+        with pytest.raises(ValueError):
+            ParaBivector.from_geometry(4, 1.0, 1.0, bad, bad)
 
 
 def test_blade_product_bivector_rules():

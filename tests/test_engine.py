@@ -364,16 +364,22 @@ def test_radial_integral_triangle_matches_dense_table(rule, twice_order, z_power
     nodes = rule.nodes
     f0 = np.exp(-0.5 * nodes**2) * (1.0 + np.sin(3.0 * nodes))
     r_power = 3
-    got = engine._radial_bessel_integral(rule, f0, r_power, z_power, twice_order, nodes)
-    z = nodes[:, None] * nodes[None, :]
-    dense = (rule.weights * nodes**r_power * f0) @ (jtilde_stack(twice_order, 0, z)[0] * z**z_power)
-    assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
-    # general targets take the same strips over all columns
-    rho = np.linspace(0.05, 3.0, 97)
-    got = engine._radial_bessel_integral(rule, f0, r_power, z_power, twice_order, rho)
-    z = nodes[:, None] * rho[None, :]
-    dense = (rule.weights * nodes**r_power * f0) @ (jtilde_stack(twice_order, 0, z)[0] * z**z_power)
-    assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    def dense(rho, c):
+        z = nodes[:, None] * rho[None, :]
+        table = jtilde_stack(twice_order + 2 * c, 0, z)[0] * z ** (z_power + c)
+        return (rule.weights * nodes ** (r_power + c) * f0) @ table
+
+    # the rule's own nodes take the upper triangle; general targets take
+    # the same strips over all columns; chain c of a two-chain call adds
+    # c to both powers and to the order
+    for rho in (nodes, np.linspace(0.05, 3.0, 97)):
+        for chains in (1, 2):
+            got = engine._radial_bessel_integral(rule, f0, r_power, z_power, twice_order, rho, chains)
+            assert got.shape == (chains, len(rho))
+            for c in range(chains):
+                want = dense(rho, c)
+                assert np.max(np.abs(got[c] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_radial_integral_never_stores_the_table():

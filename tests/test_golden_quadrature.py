@@ -19,6 +19,10 @@ weights and Gaussians take ``exp``, and numpy picks both kernels by CPU.
 The committed files were rendered on an AVX-512 (X86_V4) CPU; on another
 CPU they may differ in the last digits.
 
+A file that differs fails with the rows that moved, one line each: the
+check, its params, and every field that changed, old -> new.  Only the
+message reads the JSON; the comparison is of the text, bit for bit.
+
 Regenerate the files after a deliberate change of output with
 
     PYTHONPATH=src python tests/test_golden_quadrature.py
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -52,6 +57,51 @@ def _render(name: str) -> str:
     return buf.getvalue()
 
 
+def _text(value) -> str:
+    # NaN is unequal to itself; its JSON text is not
+    return json.dumps(value, sort_keys=True)
+
+
+def _moved_rows(want: str, got: str) -> str:
+    """The rows of two suite reports that differ, one line each: check,
+    params and each changed field as old -> new; then any other top-level
+    field that changed."""
+    old, new = json.loads(want), json.loads(got)
+    old_rows, new_rows = old.pop("checks", []), new.pop("checks", [])
+    lines = []
+    for k in range(max(len(old_rows), len(new_rows))):
+        a = old_rows[k] if k < len(old_rows) else {}
+        b = new_rows[k] if k < len(new_rows) else {}
+        if _text(a) == _text(b):
+            continue
+        row = b or a
+        changed = ", ".join(
+            f"{field} {a.get(field)!r} -> {b.get(field)!r}"
+            for field in sorted(a.keys() | b.keys())
+            if _text(a.get(field)) != _text(b.get(field))
+        )
+        lines.append(f"{row.get('check')} {_text(row.get('params'))}: {changed}")
+    lines += [
+        f"{field}: {old.get(field)!r} -> {new.get(field)!r}"
+        for field in sorted(old.keys() | new.keys())
+        if _text(old.get(field)) != _text(new.get(field))
+    ]
+    return "\n".join(["moved rows (old -> new):", *lines] if lines else ["same rows, other text"])
+
+
+def test_moved_rows_name_check_params_and_both_values():
+    with open(GOLDEN / "verify_inversion.json", newline="") as fh:
+        want = fh.read()
+    report = json.loads(want)
+    row = next(r for r in report["checks"] if r["value"] is not None)
+    old_value, row["value"] = row["value"], row["value"] * 2
+    message = _moved_rows(want, json.dumps(report, indent=2))
+    assert message.splitlines() == [
+        "moved rows (old -> new):",
+        f"{row['check']} {_text(row['params'])}: value {old_value!r} -> {row['value']!r}",
+    ]
+
+
 def test_golden_files_are_the_command_set():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(COMMANDS)
 
@@ -60,7 +110,8 @@ def test_golden_files_are_the_command_set():
 def test_output_matches_golden_text(name):
     with open(GOLDEN / name, newline="") as fh:
         want = fh.read()
-    assert _render(name) == want
+    got = _render(name)
+    assert got == want, _moved_rows(want, got)
 
 
 def main() -> None:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from clifft import kernels as kernels_module
+from clifft.algebra import Multivector
+from clifft.checks import worst
 from clifft.exact import Exact, U
 from clifft.kernels import (
     KernelExpr,
@@ -171,6 +173,83 @@ def test_pde_residual_small_on_random_points():
             x = rng.uniform(-1.2, 1.2, kid.m)
             y = rng.uniform(-1.2, 1.2, kid.m)
             assert pde_residual(kid, x, y) < 1e-6
+
+
+def _pde_residual_on_multivectors(kid, x, y):
+    """pde_residual with every step in Multivector arithmetic: the reference
+    for the blade-map quotients."""
+    plus = build_kernel(replace(kid, sign="plus"))
+    minus = build_kernel(replace(kid, sign="minus"))
+    m, h = kid.m, 1e-4
+
+    def K(expr, xx, yy):
+        return eval_kernel(expr, xx, yy).to_multivector()
+
+    dy, dx = Multivector(m), Multivector(m)
+    for j in range(m):
+        step = np.zeros(m)
+        step[j] = h
+        ej = Multivector(m, {1 << j: 0.5 / h})
+        dy = dy + ej * (K(plus, x, y + step) - K(plus, x, y - step))
+        dx = dx + (K(plus, x + step, y) - K(plus, x - step, y)) * ej
+    kminus = K(minus, x, y)
+    a = kernels_module._system_factor(m)
+    rhs1 = (kminus * Multivector.from_vector(m, x)) * a
+    rhs2 = (Multivector.from_vector(m, y) * kminus) * a
+    r1 = (dy - rhs1).norm() / max(1.0, dy.norm(), rhs1.norm())
+    r2 = (dx - rhs2).norm() / max(1.0, dx.norm(), rhs2.norm())
+    return worst(r1, r2)
+
+
+def test_pde_residual_equals_the_multivector_reference_bit_for_bit():
+    rng = np.random.default_rng(44)
+    kids = [KernelId(m, i) for m in range(2, 7) for i in (0, m - 2)]
+    kids.append(KernelId(5, 2, e_i=np.exp(0.7j)))
+    for kid in kids:
+        e = np.eye(kid.m)
+        points = [(rng.uniform(-1.6, 1.6, kid.m), rng.uniform(-1.6, 1.6, kid.m)) for _ in range(3)]
+        points += [(e[0], 2.0 * e[0]), (np.zeros(kid.m), e[-1])]
+        for x, y in points:
+            assert pde_residual(kid, x, y) == _pde_residual_on_multivectors(kid, x, y), (kid, x, y)
+
+
+def test_pde_residual_sees_faults_in_quotients_and_kernel(monkeypatch):
+    """Fault matrix of the pointwise system: e_j on the wrong side of the
+    difference quotient (blade_product with its arguments swapped) at
+    every m = 2..6 and i, and one negated closed-form term of the plus
+    kernel at m = 4 and 6; every sample that passes clean must fail."""
+    rng = np.random.default_rng(2021)
+    samples = {
+        KernelId(m, i): [(rng.uniform(-1.6, 1.6, m), rng.uniform(-1.6, 1.6, m)) for _ in range(3)]
+        for m in range(2, 7)
+        for i in range(m - 1)
+    }
+
+    def residuals(kid):
+        return [pde_residual(kid, x, y) for x, y in samples[kid]]
+
+    for kid in samples:
+        assert max(residuals(kid)) < 1e-6, kid
+
+    blade_product = kernels_module.blade_product
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels_module, "blade_product", lambda a, b: blade_product(b, a))
+        for kid in samples:
+            assert min(residuals(kid)) > 1e-6, kid
+
+    build = kernels_module.build_kernel
+
+    def negated_first_scalar_term(kid):
+        expr = build(kid)
+        if kid.sign != "plus":
+            return expr
+        first, *rest = expr.scalar_terms
+        return replace(expr, scalar_terms=(replace(first, coeff=-first.coeff), *rest))
+
+    monkeypatch.setattr(kernels_module, "build_kernel", negated_first_scalar_term)
+    for kid in samples:
+        if kid.m in (4, 6):
+            assert min(residuals(kid)) > 1e-6, kid
 
 
 def test_profile_system_residual():
