@@ -31,32 +31,11 @@ import traceback
 
 import numpy as np
 
-from .basis import psi
-from .checks import Check, worst
-from .engine import (
-    inversion_composition_residual,
-    l2_bound_scan,
-    closed_form_eigenvalue,
-    verify_diff_relations,
-    verify_eigen,
-    verify_inversion,
-)
-from .kernels import (
-    KernelId,
-    build_kernel,
-    fg_system_residual,
-    pde_residual,
-    verify_recursion,
-    verify_structural_identities,
-)
-from .series import (
-    check_cf_constraint,
-    classical_coefficients,
-    coefficient_rows,
-    eval_series,
-    series_coefficients,
-    truncation_bound,
-)
+from .checks import Check
+from .engine import closed_form_eigenvalue
+from .kernels import KernelId, build_kernel
+from .series import coefficient_rows, eval_series, series_coefficients, truncation_bound
+from .suites import SUITES, run
 
 __all__ = ["main"]
 
@@ -139,11 +118,8 @@ def _cmd_kernel_eval(args: argparse.Namespace) -> int:
         writer = csv.writer(fh)
         writer.writerow(header)
         for idx, (s, t) in enumerate(pairs):
-            row = [
-                _fmt(s), _fmt(t),
-                _fmt(scalar[idx].real), _fmt(scalar[idx].imag),
-                _fmt(biv[idx].real), _fmt(biv[idx].imag),
-            ]
+            row = [_fmt(x) for x in (s, t, scalar[idx].real, scalar[idx].imag,
+                                     biv[idx].real, biv[idx].imag)]
             if extra is not None:
                 row += [_fmt(extra[0][idx]), _fmt(extra[1][idx])]
             writer.writerow(row)
@@ -151,124 +127,7 @@ def _cmd_kernel_eval(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-#
-# A suite is one row of _SUITES: its default dimensions, the units of work
-# for a list of dimensions (``list`` when the unit is the dimension itself),
-# the check of one unit, and the dimensions it accepts.  Each check returns
-# a list of Check records; each becomes one JSON row (see _row).
-
-
-def _kernel_units(ms: list[int]) -> list[tuple[int, int]]:
-    return [(m, i) for m in ms for i in range(m - 1)]
-
-
-def _signed_units(ms: list[int]) -> list[tuple[int, int, str]]:
-    return [(m, i, sign) for m, i in _kernel_units(ms) for sign in ("plus", "minus")]
-
-
-def _diff_units(ms: list[int]) -> list[tuple[int, int, int]]:
-    return [(m, i, k) for m, i in _kernel_units(ms) for k in (0, 1)]
-
-
-def _check_recursion(unit) -> list[Check]:
-    return verify_recursion(*unit)
-
-
-def _check_structural(m: int) -> list[Check]:
-    return verify_structural_identities(m)
-
-
-def _check_series(unit) -> list[Check]:
-    m, i, sign = unit
-    kid = KernelId(m, i, sign)
-    expr = build_kernel(kid)
-    coeffs = series_coefficients(kid)
-    rng = np.random.default_rng(97)
-    z = rng.uniform(0.0, 9.0, 160)
-    w = rng.uniform(-1.0, 1.0, 160)
-    s = z * w
-    t = z * np.sqrt(1.0 - w * w)
-    scalar, biv = expr.profiles(s, t)
-    a_ser, b_ser = eval_series(coeffs, z, w, truncation_bound(coeffs, 9.0, 1e-9))
-    delta = worst(np.abs(scalar - a_ser), np.abs(biv - b_ser))
-    return [Check.within("series vs closed form", {"m": m, "i": i, "sign": sign}, delta, 1e-8)]
-
-
-def _check_pde(unit) -> list[Check]:
-    m, i = unit
-    kid = KernelId(m, i)
-    rng = np.random.default_rng(53 + 7 * m + i)
-    residuals = []
-    for _ in range(50):
-        x = rng.uniform(-1.6, 1.6, m)
-        y = rng.uniform(-1.6, 1.6, m)
-        residuals.append(pde_residual(kid, x, y))
-    # the profile form at (s, t) pairs of its own generator, so that the
-    # pde residual rows do not depend on it
-    fg_rng = np.random.default_rng((59, m, i))
-    s = fg_rng.uniform(-2.5, 2.5, 50)
-    t = fg_rng.uniform(0.1, 2.5, 50)
-    return [
-        Check.within("pde residual", {"m": m, "i": i}, worst(*residuals), 1e-6),
-        Check.within("fg system residual", {"m": m, "i": i}, fg_system_residual(kid, s, t), 1e-6),
-    ]
-
-
-def _check_eigen(m: int) -> list[Check]:
-    records = verify_eigen(m)
-    tol = 1e-6 if m <= 4 else 1e-8
-    return [
-        Check.within("eigenvalue error", {"m": m}, worst(*(r.abs_error for r in records)), tol),
-        Check.within("eigen residual", {"m": m}, worst(*(r.residual for r in records)), tol),
-    ]
-
-
-def _check_inversion(m: int) -> list[Check]:
-    rep = verify_inversion(m, k_max=100)
-    failure = None if rep.first_failure is None else "i={} k={} {}".format(*rep.first_failure)
-    checks = [Check("eigenvalue products are 1", {"m": m, "k_max": 100}, failure, None, rep.exact_ok)]
-    if m >= 3:
-        residual = inversion_composition_residual(m, 0)
-        checks.append(Check.within("composition residual", {"m": m}, residual, 1e-5))
-    return checks
-
-
-def _check_diff(unit) -> list[Check]:
-    m, i, k = unit
-    res = verify_diff_relations(KernelId(m, i), psi(0, k, 1, m))
-    return [Check.within("diff relations", {"m": m, "i": i, "k": k}, res, 1e-5)]
-
-
-def _check_l2(unit) -> list[Check]:
-    m, i = unit
-    rep = l2_bound_scan(m, i, 200)
-    params = {"m": m, "i": i}
-    checks = [Check("bounded iff 2i <= m-2", params, rep.first_exceed_k, None,
-                    rep.bounded == (2 * i <= m - 2))]
-    if m % 2 == 0 and 2 * i == m - 2:
-        sup = rep.sup_magnitude
-        checks.append(Check("unimodular at 2i = m-2", params, float(sup), None, sup == 1))
-    return checks
-
-
-def _constraint_units(ms: list[int]) -> list[tuple[int, int | None, str]]:
-    # The relation is stated for the minus streams, to which a plus kernel's
-    # streams are converted, so each (m, i) is one minus unit.  The
-    # classical stream of odd m >= 3 satisfies it exactly when m = 1 mod 4;
-    # its rows follow the kernel rows.
-    classical = [(m, None, "classical") for m in ms if m >= 3 and m % 2]
-    return [(m, i, "minus") for m, i in _kernel_units(ms)] + classical
-
-
-def _check_constraint(unit) -> list[Check]:
-    m, i, stream = unit
-    if stream == "classical":
-        check = check_cf_constraint(classical_coefficients(m))
-        return [Check("classical stream satisfies iff m = 1 mod 4",
-                      {"m": m, "stream": "classical"}, check.value, None,
-                      check.passed == (m % 4 == 1))]
-    return [check_cf_constraint(series_coefficients(KernelId(m, i, stream)))]
+# verify
 
 
 def _strict(x):
@@ -283,37 +142,12 @@ def _row(check: Check) -> dict:
             "passed": check.passed}
 
 
-# suite: (default dimensions, units, check, (m_min, m_max or None, even only))
-_SUITES = {
-    "recursion": ((2, 3, 4, 5, 6, 7, 8, 9), _kernel_units, _check_recursion, (2, 10, False)),
-    "structural": ((4, 6, 8), list, _check_structural, (4, None, True)),
-    "series": ((2, 3, 4, 5), _signed_units, _check_series, (2, None, False)),
-    "pde": ((2, 3, 4, 5, 6), _kernel_units, _check_pde, (2, 6, False)),
-    "eigen": ((2, 3, 5, 6, 7), list, _check_eigen, (2, None, False)),
-    "inversion": ((2, 4, 6, 8), list, _check_inversion, (2, None, True)),
-    "diff": ((2, 3), _diff_units, _check_diff, (2, 3, False)),
-    "l2": ((2, 3, 4, 5, 6, 7, 8, 9), _kernel_units, _check_l2, (2, None, False)),
-    "constraint": ((2, 3, 4, 5, 6, 7, 8, 9), _constraint_units, _check_constraint, (2, None, False)),
-}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    defaults, units, check, (m_min, m_max, even_only) = _SUITES[args.suite]
-    ms = sorted(set(args.m)) if args.m else list(defaults)
-    outside = [m for m in ms if m < m_min or (m_max is not None and m > m_max)
-               or (even_only and m % 2)]
-    if outside:
-        bounds = f"m >= {m_min}" if m_max is None else f"{m_min} <= m <= {m_max}"
-        parity = "even " if even_only else ""
-        raise ValueError(f"suite {args.suite} accepts {parity}{bounds}, got m = {outside}")
-    checks = [c for unit in units(ms) for c in check(unit)]
+    ms = sorted(set(args.m)) if args.m else list(SUITES[args.suite].defaults)
+    checks = run(args.suite, ms)
     passed = bool(checks) and all(c.passed for c in checks)
-    report = {
-        "suite": args.suite,
-        "dimensions": ms,
-        "passed": passed,
-        "checks": [_row(c) for c in checks],
-    }
+    report = {"suite": args.suite, "dimensions": ms, "passed": passed,
+              "checks": [_row(c) for c in checks]}
     with _open_out(args.output) as fh:
         json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
@@ -345,9 +179,7 @@ def _cmd_eigentable(args: argparse.Namespace) -> int:
             for k in range(args.k_max + 1):
                 for parity in ("2p", "2p+1"):
                     val = closed_form_eigenvalue(m, i, k, parity)
-                    writer.writerow(
-                        [m, i, k, parity, _fmt(val.real), _fmt(val.imag), "(-1)^p"]
-                    )
+                    writer.writerow([m, i, k, parity, _fmt(val.real), _fmt(val.imag), "(-1)^p"])
     return 0
 
 
@@ -355,27 +187,15 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
     kid = KernelId(args.m, args.i, args.sign)
     _check_k_max(args.k_max)
     rows = coefficient_rows(series_coefficients(kid), args.k_max, args.inverse)
-    header = ["k", "alpha_re", "alpha_im", "beta_re", "beta_im"]
+    columns = ["alpha", "beta"]
     if args.inverse:
-        header += [
-            "inv_alpha_re", "inv_alpha_im", "inv_beta_re", "inv_beta_im",
-            "prod_even_re", "prod_even_im", "prod_odd_re", "prod_odd_im",
-        ]
+        columns += ["inv_alpha", "inv_beta", "prod_even", "prod_odd"]
     with _open_out(args.output) as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["k"] + [f"{c}_{part}" for c in columns for part in ("re", "im")])
         for row in rows:
-            out = [row["k"],
-                   _fmt(row["alpha"].real), _fmt(row["alpha"].imag),
-                   _fmt(row["beta"].real), _fmt(row["beta"].imag)]
-            if args.inverse:
-                out += [
-                    _fmt(row["inv_alpha"].real), _fmt(row["inv_alpha"].imag),
-                    _fmt(row["inv_beta"].real), _fmt(row["inv_beta"].imag),
-                    _fmt(row["prod_even"].real), _fmt(row["prod_even"].imag),
-                    _fmt(row["prod_odd"].real), _fmt(row["prod_odd"].imag),
-                ]
-            writer.writerow(out)
+            values = [x for c in columns for x in (row[c].real, row[c].imag)]
+            writer.writerow([row["k"]] + [_fmt(x) for x in values])
     return 0
 
 
@@ -404,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kernel_eval)
 
     p = sub.add_parser("verify", help="run a verification suite, emit a JSON report")
-    p.add_argument("--suite", required=True, choices=sorted(_SUITES))
+    p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--m", type=int, action="append",
                    help="restrict to this dimension (repeatable)")
     p.add_argument("--output", default="-", help="output file, - for stdout")

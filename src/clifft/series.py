@@ -336,10 +336,12 @@ def inverse_coefficients(coeffs: SeriesCoefficients) -> SeriesCoefficients:
 # ---------------------------------------------------------------------------
 # consistency constraint
 
+# The largest relative residual that passes; a stream that satisfies the
+# relation reads exactly 0.
+_CONSTRAINT_TOL = 1e-10
 
-def check_cf_constraint(
-    coeffs: SeriesCoefficients, k_max: int = 50, tol: float = 1e-10
-) -> Check:
+
+def check_cf_constraint(coeffs: SeriesCoefficients, k_max: int = 50) -> Check:
     """Check the coupling between consecutive coefficients that holds for
     every kernel of the family.
 
@@ -379,7 +381,8 @@ def check_cf_constraint(
     value = worst(residuals)
     worst_k = int(np.argmax(residuals)) if value != 0 else None
     params = {"m": m} if prov is None else {"m": m, "i": prov.i, "sign": prov.sign}
-    return Check.within("cf constraint", {**params, "k_max": k_max, "worst_k": worst_k}, value, tol)
+    return Check.within("cf constraint", {**params, "k_max": k_max, "worst_k": worst_k}, value,
+                        _CONSTRAINT_TOL)
 
 
 def classical_coefficients(m: int) -> SeriesCoefficients:

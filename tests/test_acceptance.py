@@ -1,48 +1,43 @@
 """Acceptance gate: one test per published criterion, each printing a
 single PASS/FAIL line with its runtime and its worst check.  Tolerances
 and time caps are part of the criteria and are written here literally,
-never read from the code under test, and never loosened."""
+never read from the code under test, and never loosened.  Criteria 01-08
+run the suites of ``clifft verify`` and re-gate their checks: a float check
+passes only when its tolerance is the criterion's literal and its value is
+below it, an exact check by its own verdict."""
 
 from __future__ import annotations
 
 import time
 
 import numpy as np
+import pytest
 
 from clifft.basis import PolynomialTable, harmonic_dimension, monogenic_basis, psi
 from clifft.basis import dirac as dirac_op
 from clifft.checks import Check, worst
-from clifft.engine import (
-    closed_form_eigenvalue,
-    default_scheme,
-    hankel_laguerre_residual,
-    inversion_composition_residual,
-    l2_bound_scan,
-    verify_eigen,
-    verify_inversion,
-)
-from clifft.kernels import (
-    KernelId,
-    build_kernel,
-    pde_residual,
-    verify_recursion,
-    verify_structural_identities,
-)
-from clifft.series import (
-    check_cf_constraint,
-    eval_series,
-    series_coefficients,
-    truncation_bound,
-)
+from clifft.engine import closed_form_eigenvalue, default_scheme, hankel_laguerre_residual
 from clifft.special import bessel_jtilde, gegenbauer_all
+from clifft.suites import run
 
 
-def _gate(num: int, name: str, checks: list[Check], t0: float, cap: float):
-    """Print the criterion's PASS/FAIL line with its worst check (the
-    first failed one, else the float check nearest its tolerance), then
-    assert that every check passed within the time cap."""
-    elapsed = time.time() - t0
-    failed = [c for c in checks if not c.passed]
+def _passes(check: Check, tol) -> bool:
+    if check.tolerance is None:
+        return check.passed
+    literal = tol(check.params) if callable(tol) else tol
+    return check.tolerance == literal and check.value < literal
+
+
+def _gate(num: int, name: str, compute, cap: float, tol=None):
+    """Run ``compute()`` for the checks, timed, and print the criterion's PASS/FAIL line with
+    its worst check (the first failed one, else the float check nearest its
+    tolerance); then assert that every check passed within the time cap.
+    ``tol`` is the criterion's literal tolerance, or a function of a
+    check's params to it; None admits no float check."""
+    t0 = time.perf_counter()
+    checks = compute()
+    elapsed = time.perf_counter() - t0
+    failed = [c for c in checks if not _passes(c, tol)]
     floats = [c for c in checks if c.tolerance is not None]
     shown = failed or sorted(floats, key=lambda c: c.margin_digits)
     ok = bool(checks) and not failed
@@ -59,119 +54,65 @@ def _gate(num: int, name: str, checks: list[Check], t0: float, cap: float):
     assert elapsed < cap, f"criterion {num:02d} over time budget: {elapsed:.2f}s >= {cap}s"
 
 
+def test_gate_refuses_a_check_passed_at_a_looser_tolerance(capsys):
+    loose = Check("pde residual", {"m": 2, "i": 0}, 5e-6, 1e-5, True)
+    with pytest.raises(AssertionError, match="criterion 04 failed"):
+        _gate(4, "pde system", lambda: [loose], 60.0, 1e-6)
+    assert "): FAIL (" in capsys.readouterr().out
+
+
 def test_criterion_01_recursion_exactness():
-    t0 = time.time()
-    checks = [
-        c for m in (2, 4, 6, 8, 3, 5, 7, 9) for i in range(m - 1) for c in verify_recursion(m, i)
-    ]
-    _gate(1, "recursion exactness", checks, t0, 1.0)
+    _gate(1, "recursion exactness", lambda: run("recursion", range(2, 10)), 1.0)
 
 
 def test_criterion_02_structural_identities():
-    t0 = time.time()
-    checks = [c for m in (4, 6, 8) for c in verify_structural_identities(m)]
-    _gate(2, "structural identities", checks, t0, 1.0)
+    _gate(2, "structural identities", lambda: run("structural", (4, 6, 8)), 1.0)
 
 
 def test_criterion_03_series_agreement():
-    t0 = time.time()
-    rng = np.random.default_rng(77)
-    checks = []
-    for m in range(2, 7):
-        for i in range(m - 1):
-            for sign in ("plus", "minus"):
-                kid = KernelId(m, i, sign)
-                expr = build_kernel(kid)
-                coeffs = series_coefficients(kid)
-                # 500 sample pairs with |x|, |y| <= 3, i.e. z <= 9
-                z = rng.uniform(0.0, 9.0, 500)
-                w = rng.uniform(-1.0, 1.0, 500)
-                n = truncation_bound(coeffs, 9.0, 1e-9)
-                a_ser, b_ser = eval_series(coeffs, z, w, n)
-                scalar, biv = expr.profiles(z * w, z * np.sqrt(1.0 - w * w))
-                delta = worst(np.abs(scalar - a_ser), np.abs(biv - b_ser))
-                checks.append(Check.within("series delta", {"m": m, "i": i, "sign": sign}, delta, 1e-8))
-    _gate(3, "series agreement", checks, t0, 30.0)
+    # 500 sample pairs per kernel with |x|, |y| <= 3, i.e. z <= 9
+    _gate(3, "series agreement", lambda: run("series", range(2, 7)), 30.0, 1e-8)
 
 
 def test_criterion_04_pde_system():
-    t0 = time.time()
-    checks = []
-    for m in range(2, 7):
-        for i in range(m - 1):
-            kid = KernelId(m, i)
-            rng = np.random.default_rng(5 * m + i)
-            residuals = []
-            for _ in range(200):
-                x = rng.uniform(-1.6, 1.6, m)
-                y = rng.uniform(-1.6, 1.6, m)
-                residuals.append(pde_residual(kid, x, y))
-            checks.append(Check.within("pde residual", {"m": m, "i": i}, worst(*residuals), 1e-6))
-    _gate(4, "pde system", checks, t0, 60.0)
+    # 200 vector pairs per kernel, and the same system in profile form
+    _gate(4, "pde system", lambda: run("pde", range(2, 7)), 60.0, 1e-6)
 
 
 def test_criterion_05_eigenvalues():
-    t0 = time.time()
-    checks = []
-    for m in (2, 3, 4, 5, 6, 7, 8, 9):
-        route, tol = ("grid", 1e-6) if m <= 4 else ("radial", 1e-8)
-        records = verify_eigen(m)
-        errors = [r.abs_error for r in records]
-        checks.append(Check.within(f"{route} eigenvalues", {"m": m}, worst(*errors), tol))
-        # the whole transform against lambda psi, blades psi lacks included
-        residuals = [r.residual for r in records]
-        checks.append(Check.within(f"{route} eigen residual", {"m": m}, worst(*residuals), tol))
-    # closed-form spot values, both radial parities p = 0, 1
-    for p in (0, 1):
-        sgn = (-1) ** p
-        for m, k, want in ((4, 2, sgn * (1 / 3)), (2, 0, -sgn), (3, 0, sgn * 1j)):
-            got = closed_form_eigenvalue(m, 0, k, "2p", p)
-            checks.append(Check("closed-form spot", {"m": m, "k": k, "p": p}, got, None, got == want))
-    _gate(5, "eigenvalues", checks, t0, 300.0)
+    def checks():
+        # grid route at m <= 4, radial route above: the Rayleigh quotient,
+        # and the whole transform against lambda psi, blades psi lacks included
+        out = run("eigen", range(2, 10))
+        # closed-form spot values, both radial parities p = 0, 1
+        for p in (0, 1):
+            sgn = (-1) ** p
+            for m, k, want in ((4, 2, sgn * (1 / 3)), (2, 0, -sgn), (3, 0, sgn * 1j)):
+                got = closed_form_eigenvalue(m, 0, k, "2p", p)
+                out.append(Check("closed-form spot", {"m": m, "k": k, "p": p}, got, None, got == want))
+        return out
+
+    _gate(5, "eigenvalues", checks, 300.0, lambda params: 1e-6 if params["m"] <= 4 else 1e-8)
 
 
 def test_criterion_06_inversion():
-    t0 = time.time()
-    checks = []
-    for m in (2, 4, 6, 8):
-        rep = verify_inversion(m, k_max=100)
-        checks.append(Check("exact inversion", {"m": m}, rep.first_failure, None, rep.exact_ok))
-    for m in (2, 4):
-        residual = inversion_composition_residual(m, 0)
-        checks.append(Check.within("composition residual", {"m": m}, residual, 1e-5))
-    _gate(6, "inversion", checks, t0, 120.0)
+    # exact eigenvalue products, and the composition of the transforms
+    _gate(6, "inversion", lambda: run("inversion", (2, 4, 6, 8)), 120.0, 1e-5)
 
 
 def test_criterion_07_l2_pattern():
     # bounded is first_exceed_k is None, so the pattern check also catches
     # an unbounded kernel without a counterexample k
-    t0 = time.time()
-    checks = []
-    for m in range(2, 10):
-        for i in range(m - 1):
-            rep = l2_bound_scan(m, i, 200)
-            expect = 2 * i <= m - 2
-            params = {"m": m, "i": i}
-            checks.append(Check("pattern", params, rep.first_exceed_k, None, rep.bounded == expect))
-            if m % 2 == 0 and 2 * i == m - 2:
-                sup = rep.sup_magnitude
-                checks.append(Check("unimodular", params, sup, None, sup == 1))
-    _gate(7, "boundedness pattern", checks, t0, 1.0)
+    _gate(7, "boundedness pattern", lambda: run("l2", range(2, 10)), 1.0)
 
 
 def test_criterion_08_constraint():
-    t0 = time.time()
-    checks = [
-        check_cf_constraint(series_coefficients(KernelId(m, i, sign)), k_max=50, tol=1e-10)
-        for m in range(2, 10)
-        for i in range(m - 1)
-        for sign in ("plus", "minus")
-    ]
-    _gate(8, "series constraint", checks, t0, 1.0)
+    # the minus streams, to which the plus streams convert exactly, k <= 50,
+    # and the classical stream of odd m
+    _gate(8, "series constraint", lambda: run("constraint", range(2, 10)), 1.0, 1e-10)
 
 
-def test_criterion_09_special_function_suite():
-    t0 = time.time()
+def _special_function_checks() -> list[Check]:
     w = np.linspace(-0.95, 0.95, 31)
     checks = []
     for lam in (0.5, 1.0, 2.0, 3.5):
@@ -204,11 +145,14 @@ def test_criterion_09_special_function_suite():
             for j in (0, 1, 3)
         ))
         checks.append(Check.within("hankel-laguerre", {"m": m}, hl, 1e-10))
-    _gate(9, "special function suite", checks, t0, 5.0)
+    return checks
 
 
-def test_criterion_10_monogenic_basis():
-    t0 = time.time()
+def test_criterion_09_special_function_suite():
+    _gate(9, "special function suite", _special_function_checks, 5.0, 1e-10)
+
+
+def _monogenic_basis_checks() -> list[Check]:
     checks = []
     for m in range(2, 7):
         for k in range(0, 5):
@@ -243,4 +187,8 @@ def test_criterion_10_monogenic_basis():
             for b in range(a)
         ))
         checks.append(Check.within("gram cross term", {"m": m}, cross, 1e-8))
-    _gate(10, "monogenic basis", checks, t0, 60.0)
+    return checks
+
+
+def test_criterion_10_monogenic_basis():
+    _gate(10, "monogenic basis", _monogenic_basis_checks, 60.0, 1e-8)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from clifft import cli, engine
+from clifft import engine, suites
 from clifft.cli import main
 from clifft.engine import closed_form_eigenvalue
 from clifft.kernels import KernelId, build_kernel
@@ -100,6 +100,15 @@ def test_verify_constraint_suite(capsys):
     assert classical[0]["value"] == 0.0 and "satisfied" not in classical[0]
 
 
+def test_verify_inversion_composes_at_m_2(capsys, monkeypatch):
+    # the golden files run the composition itself; here only its row counts
+    monkeypatch.setattr(suites, "inversion_composition_residual", lambda m, i: 1e-15)
+    code, out = run_cli(capsys, "verify", "--suite", "inversion", "--m", "2")
+    assert code == 0
+    rows = [r for r in json.loads(out)["checks"] if r["check"] == "composition residual"]
+    assert [r["params"] for r in rows] == [{"m": 2}]
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
@@ -131,10 +140,10 @@ def test_output_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "suite, m",
     [
-        ("recursion", 1), ("recursion", 11),
+        ("recursion", 1),
         ("structural", 2), ("structural", 5),
         ("series", 1),
-        ("pde", 1), ("pde", 8),
+        ("pde", 1), ("pde", 13),
         ("eigen", 1),
         ("inversion", 0), ("inversion", 3),
         ("diff", 1), ("diff", 4),
@@ -187,16 +196,15 @@ def test_internal_error_exits_three(capsys, monkeypatch):
 
 
 def _raising_suite(monkeypatch, suite: str) -> list:
-    """Replace the suite's per-unit check with one that records its calls
-    and raises."""
+    """Replace the suite's function with one that records its calls and
+    raises."""
     calls = []
 
-    def broken(unit):
-        calls.append(unit)
-        raise RuntimeError("unit ran")
+    def broken(ms):
+        calls.append(ms)
+        raise RuntimeError("suite ran")
 
-    defaults, units, _, domain = cli._SUITES[suite]
-    monkeypatch.setitem(cli._SUITES, suite, (defaults, units, broken, domain))
+    monkeypatch.setitem(suites.SUITES, suite, suites.SUITES[suite]._replace(checks=broken))
     return calls
 
 
@@ -224,7 +232,7 @@ def test_failed_verify_leaves_no_report_file(capsys, monkeypatch, tmp_path):
 
 
 def _nan_bivector_series(monkeypatch):
-    real = cli.eval_series
+    real = suites.eval_series
 
     def eval_series(*args):
         a, b = real(*args)
@@ -232,34 +240,34 @@ def _nan_bivector_series(monkeypatch):
         b[1] = np.nan
         return a, b
 
-    monkeypatch.setattr(cli, "eval_series", eval_series)
+    monkeypatch.setattr(suites, "eval_series", eval_series)
 
 
 def _nan_pde_sample(monkeypatch):
     residuals = itertools.chain([1e-9, np.nan], itertools.repeat(1e-9))
-    monkeypatch.setattr(cli, "pde_residual", lambda kid, x, y: next(residuals))
+    monkeypatch.setattr(suites, "pde_residual", lambda kid, x, y: next(residuals))
 
 
 def _nan_fg_sample(monkeypatch):
     # the pde rows pass; one (s, t) sample of the profile form is NaN
-    monkeypatch.setattr(cli, "pde_residual", lambda kid, x, y: 1e-9)
-    real = cli.fg_system_residual
+    monkeypatch.setattr(suites, "pde_residual", lambda kid, x, y: 1e-9)
+    real = suites.fg_system_residual
 
     def fg_system_residual(kid, s, t):
         s = s.copy()
         s[1] = np.nan
         return real(kid, s, t)
 
-    monkeypatch.setattr(cli, "fg_system_residual", fg_system_residual)
+    monkeypatch.setattr(suites, "fg_system_residual", fg_system_residual)
 
 
 def _nan_eigen_record(monkeypatch):
     records = [SimpleNamespace(abs_error=e, residual=1e-12) for e in (1e-9, np.nan, 1e-9)]
-    monkeypatch.setattr(cli, "verify_eigen", lambda m: records)
+    monkeypatch.setattr(suites, "verify_eigen", lambda m: records)
 
 
 def _nan_odd_composition_chain(monkeypatch):
-    monkeypatch.setattr(cli, "verify_inversion", lambda m, k_max: SimpleNamespace(
+    monkeypatch.setattr(suites, "verify_inversion", lambda m, k_max: SimpleNamespace(
         exact_ok=True, first_failure=None))
     real = engine.bessel_jtilde
 
@@ -344,11 +352,11 @@ _ROW_DIMENSIONS = {
 }
 
 
-@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
 def test_every_suite_emits_one_row_schema(capsys, monkeypatch, suite):
-    monkeypatch.setattr(cli, "verify_eigen", lambda m: [SimpleNamespace(abs_error=1e-12, residual=1e-12)])
-    monkeypatch.setattr(cli, "verify_diff_relations", lambda kid, bf: 1e-9)
-    assert set(_ROW_DIMENSIONS) == set(cli._SUITES)
+    monkeypatch.setattr(suites, "verify_eigen", lambda m: [SimpleNamespace(abs_error=1e-12, residual=1e-12)])
+    monkeypatch.setattr(suites, "verify_diff_relations", lambda kid, bf: 1e-9)
+    assert set(_ROW_DIMENSIONS) == set(suites.SUITES)
     code, out = run_cli(capsys, "verify", "--suite", suite, "--m", str(_ROW_DIMENSIONS[suite]))
     assert code == 0
     rows = json.loads(out)["checks"]

@@ -1,12 +1,12 @@
 """Golden outputs of the floating-point suites, compared as text.
 
-Each file in ``tests/golden/quadrature/`` is the standard output of
-``clifft verify --suite eigen|diff|series|pde|inversion`` at the default
-dimensions.  The eigen and diff suites integrate numerically on the
-Gauss-Hermite grid, the inversion suite on the radial rule, and the
-series and pde suites evaluate the closed forms in floating point.  A
-change that moves a digit regenerates the files, and the diff of the
-committed files lists every digit that moved.
+Each golden file is the standard output of ``clifft verify --suite
+eigen|diff|series|pde|inversion`` at the default dimensions.  The eigen and
+diff suites integrate numerically on the Gauss-Hermite grid, the inversion
+suite on the radial rule, and the series and pde suites evaluate the
+closed forms in floating point.  A change that moves a digit regenerates
+the files, and the diff of the committed files lists every digit that
+moved.
 
 Every suite reads the same with one, two and four BLAS threads, so every
 file is rendered in process with no thread pin.  (The inversion suite's
@@ -16,14 +16,20 @@ product, whose summation order follows the thread count.)
 The files do follow numpy's SIMD dispatch of float64 ``tan`` and ``exp``:
 the Bessel closed forms take sin and cos from ``tan``, the quadrature
 weights and Gaussians take ``exp``, and numpy picks both kernels by CPU.
-The committed files were rendered on an AVX-512 (X86_V4) CPU; on another
-CPU they may differ in the last digits.
+On x86-64 this gives two sets of files: ``tests/golden/quadrature/`` for a
+CPU with AVX-512 (numpy's X86_V4), and ``tests/golden/quadrature_no_x86_v4/``
+for one without, rendered with
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` (the X86_V2
+baseline renders the same files as X86_V3).  The test compares the set of
+the running dispatch in process, and renders the other set in a subprocess
+with that variable set or cleared, so an AVX-512 CPU checks both; a CPU
+without AVX-512 cannot render the first set and skips it.
 
 A file that differs fails with the rows that moved, one line each: the
 check, its params, and every field that changed, old -> new.  Only the
 message reads the JSON; the comparison is of the text, bit for bit.
 
-Regenerate the files after a deliberate change of output with
+Regenerate both sets after a deliberate change of output with
 
     PYTHONPATH=src python tests/test_golden_quadrature.py
 """
@@ -33,13 +39,28 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import clifft
 from clifft import cli
 
-GOLDEN = Path(__file__).parent / "golden" / "quadrature"
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
+X86_V4 = bool(__cpu_features__.get("X86_V4"))
+NARROWED = "X86_V4 AVX512_ICL AVX512_SPR"
+SETS = {
+    True: Path(__file__).parent / "golden" / "quadrature",
+    False: Path(__file__).parent / "golden" / "quadrature_no_x86_v4",
+}
+GOLDEN = SETS[X86_V4]
 
 COMMANDS = {
     f"verify_{suite}.json": ["verify", "--suite", suite]
@@ -55,6 +76,20 @@ def _render(name: str) -> str:
     if code != 0:
         raise RuntimeError(f"clifft {' '.join(argv)} exited with {code}")
     return buf.getvalue()
+
+
+def _render_in_subprocess(x86_v4: bool) -> tuple[bool, dict[str, str]]:
+    """Every file, rendered in a fresh process whose dispatch is narrowed
+    (x86_v4 False) or left whole, with the X86_V4 flag that it ran with."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    if not x86_v4:
+        env["NPY_DISABLE_CPU_FEATURES"] = NARROWED
+    src = str(Path(clifft.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, __file__, "--print"], env=env, check=True,
+                         capture_output=True, text=True)
+    rendered = json.loads(out.stdout)
+    return rendered["x86_v4"], rendered["files"]
 
 
 def _text(value) -> str:
@@ -103,7 +138,8 @@ def test_moved_rows_name_check_params_and_both_values():
 
 
 def test_golden_files_are_the_command_set():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(COMMANDS)
+    for directory in SETS.values():
+        assert sorted(p.name for p in directory.iterdir()) == sorted(COMMANDS)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -114,12 +150,34 @@ def test_output_matches_golden_text(name):
     assert got == want, _moved_rows(want, got)
 
 
-def main() -> None:
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name in COMMANDS:
-        with open(GOLDEN / name, "w", newline="") as fh:
-            fh.write(_render(name))
+def test_other_dispatch_matches_its_golden_text():
+    x86_v4, files = _render_in_subprocess(not X86_V4)
+    if x86_v4 == X86_V4:
+        pytest.skip(f"this CPU cannot dispatch to the set of {SETS[not X86_V4].name}")
+    moved = []
+    for name, got in sorted(files.items()):
+        with open(SETS[x86_v4] / name, newline="") as fh:
+            want = fh.read()
+        if got != want:
+            moved.append(f"{SETS[x86_v4].name}/{name}: {_moved_rows(want, got)}")
+    assert not moved, "\n".join(moved)
+
+
+def main(argv: list[str]) -> None:
+    if argv == ["--print"]:
+        print(json.dumps({"x86_v4": X86_V4, "files": {name: _render(name) for name in COMMANDS}}))
+        return
+    rendered = dict([(X86_V4, {name: _render(name) for name in COMMANDS}),
+                     _render_in_subprocess(not X86_V4)])
+    for x86_v4, files in rendered.items():
+        SETS[x86_v4].mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            with open(SETS[x86_v4] / name, "w", newline="") as fh:
+                fh.write(text)
+    if len(rendered) == 1:
+        print(f"this CPU cannot dispatch to the set of {SETS[not X86_V4].name}; "
+              "it was left as it is", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

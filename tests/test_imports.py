@@ -99,9 +99,8 @@ UNSET_DEFAULTS = {
     ("KernelId", "e_i"),
     # the tests' small oracle grids
     ("QuadratureScheme", "nodes_per_axis"),
-    # criterion 08 and the series tests
+    # the series tests
     ("check_cf_constraint", "k_max"),
-    ("check_cf_constraint", "tol"),
     # tests pick kernels and basis functions with them
     ("verify_eigen", "i_values"),
     ("verify_eigen", "k_values"),
