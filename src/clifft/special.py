@@ -200,11 +200,19 @@ def gegenbauer_all(n: int, lam: float, w):
         raise ValueError("degree must be >= 0")
     arr = np.asarray(w, dtype=float)
     vals = np.empty((n + 1,) + arr.shape)
-    vals[0] = 1.0
+    # rows of a 2-D view, so that the recurrence runs in place for 0-d w too
+    rows = vals.reshape(n + 1, -1)
+    rows[0] = 1.0
     if n >= 1:
-        vals[1] = 2.0 * lam * arr
+        rows[1] = 2.0 * lam * arr.reshape(-1)
+    two_w = 2.0 * arr.reshape(-1)
+    prev2 = np.empty_like(two_w)
     for j in range(2, n + 1):
-        vals[j] = (2.0 * arr * (j + lam - 1.0) * vals[j - 1] - (j + 2.0 * lam - 2.0) * vals[j - 2]) / j
+        np.multiply(rows[j - 2], j + 2.0 * lam - 2.0, out=prev2)
+        cur = np.multiply(two_w, j + lam - 1.0, out=rows[j])
+        cur *= rows[j - 1]
+        cur -= prev2
+        cur /= j
     return vals
 
 

@@ -53,6 +53,10 @@ def test_jtilde_stack_against_mpmath_oracle():
     @example(5, 2, [1.0, 1.5, 2.0, 3.0, 3.999, 4.0])
     @example(40, 4, [0.0, 0.5, 1.0, 7.0, 21.5, 30.0])  # every region in one call
     @example(195, 2, [0.99, 1.0, 39.0, 40.0])
+    # below t = 1 all but the two top rows come from the downward
+    # recurrence; row 0 near t = 0 is its worst case
+    @example(-1, 100, [0.0, 1e-8, 1.0 - 1e-9])
+    @example(0, 100, [0.0, 1e-8, 1.0 - 1e-9])
     def check(twice_min: int, n: int, ts: list[float]) -> None:
         n = min(n, (200 - twice_min) // 2)
         rows = jtilde_stack(twice_min, n, np.array(ts))
@@ -128,8 +132,12 @@ def test_one_call_mixes_every_region():
     rows = jtilde_stack(twice_min, n, t)
     for j in range(n + 1):
         twice = twice_min + 2 * j
+        # below t = 1 the two top rows are bessel_jtilde's power series and
+        # the others come from the downward recurrence
         want = bessel_jtilde(twice, t[:3])
-        assert np.array_equal(rows[j, :3], want)
+        assert np.all(np.abs(rows[j, :3] - want) <= 1e-14 * np.abs(want)), twice
+        if j >= n - 1:
+            assert np.array_equal(rows[j, :3], want)
         assert rows[j, 0] == pytest.approx(2.0 ** (-twice / 2) / sp.gamma(twice / 2 + 1), rel=1e-14)
     for j, want, scale in _scipy_rows(twice_min, n, t[3:]):
         assert np.all(np.abs(rows[j, 3:] - want) <= 1e-12 * scale)
@@ -154,13 +162,19 @@ def test_rejects_a_non_integer_twice_order():
 
 
 def test_memory_stays_within_three_outputs():
-    z = np.linspace(0.0, 30.0, 10**6)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        rows = jtilde_stack(2, 0, z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rows.nbytes == 8 * 10**6
-    assert peak < 3 * rows.nbytes, peak
+    cases = [
+        (0, np.linspace(0.0, 30.0, 10**6)),
+        (40, np.linspace(0.0, 30.0, 10**5)),
+        (40, np.linspace(0.0, 0.999, 10**5)),  # every row below t = 1
+    ]
+    for n, z in cases:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            rows = jtilde_stack(2, n, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.nbytes == 8 * (n + 1) * z.size
+        print(f"n = {n}, t <= {z[-1]}: peak {peak / rows.nbytes:.2f} outputs")
+        assert peak < 3 * rows.nbytes, (n, peak)
