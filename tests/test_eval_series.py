@@ -93,6 +93,23 @@ def test_eval_series_equals_the_complex_sums_bit_for_bit():
     assert imaginary > 0
 
 
+def test_small_z_next_to_a_large_z():
+    # z = 110 takes about 175 terms, so the stack of z = 0.5 reaches
+    # orders whose jtilde_nu(0.5) is subnormal or 0.0.  At z = 110 itself
+    # z^k overflows and the sums are NaN; only z = 0.5 is checked.
+    for kid in (KernelId(2, 0), KernelId(4, 1), KernelId(3, 1, "minus")):
+        coeffs = series_coefficients(kid)
+        n = truncation_bound(coeffs, 110.0, 1e-12)
+        assert n > 160
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = eval_series(coeffs, np.array([0.5, 110.0]), np.array([0.3, -0.6]), n)
+        for value, terms in zip(got, _oracle_terms(coeffs, n, 0.5, 0.3)):
+            with mpmath.workdps(60):
+                scale = mpmath.fsum(abs(x) for x in terms)
+                error = abs(mpmath.mpc(value[0]) - mpmath.fsum(terms))
+            assert error <= ORACLE_BOUND * scale, (kid, n, float(error / scale))
+
+
 def test_gegenbauer_rows_equal_the_array_expressions_bit_for_bit():
     # the in-place recurrences against the expression per row they replaced
     w = np.concatenate([np.linspace(-1.0, 1.0, 9), [0.3]])

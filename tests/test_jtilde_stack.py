@@ -143,6 +143,23 @@ def test_one_call_mixes_every_region():
         assert np.all(np.abs(rows[j, 3:] - want) <= 1e-12 * scale)
 
 
+@pytest.mark.parametrize("twice_min", [-1, 0, 1, 150, 278, 279, 280, 281, 400])
+def test_deep_stacks_below_one_follow_bessel_jtilde(twice_min):
+    # jtilde_nu(0) = 1/(2^nu nu!) is subnormal from about order 150 on and
+    # 0.0 from 157: the recurrence starts no higher than order 140, and
+    # the rows above it are bessel_jtilde's own
+    t = np.array([0.0, 1e-8, 0.5, 0.999])
+    rows = jtilde_stack(twice_min, 200, t)
+    for j in range(201):
+        twice = twice_min + 2 * j
+        want = bessel_jtilde(twice, t)
+        if twice > 280:
+            assert np.array_equal(rows[j], want), twice
+        else:
+            assert np.all(want > 1e-300), twice
+            assert np.all(np.abs(rows[j] - want) <= 1e-14 * want), twice
+
+
 @pytest.mark.parametrize(
     "args",
     [(-2, 3, [1.0]), (-3, 0, [1.0]), (0, -1, [1.0]), (2, 3, [0.5, -1e-12])],
