@@ -19,16 +19,16 @@ simply the case lambda = 0 of one builder: there alpha_k (k >= 1)
 diverges and C_k^lambda / lambda = (2/k) T_k.
 
 All the orders k + lambda, k = 0..N, of one evaluation come from one
-:func:`jtilde_stack`: below t = 1 the two top orders at or below 140
-(and every order above it) from the power series of ``bessel_jtilde``
-and the others by the downward recurrence
-jtilde_(nu-1) = 2 nu jtilde_nu - t^2 jtilde_(nu+1), and above it plain
-J_nu started from J_0, J_1 (or the two half-integer trigonometric forms)
-and carried by the three-term recurrence, upward where t is at least the
-top order and by Miller's backward recurrence elsewhere.  The
-closed-form route (``kernels.eval_terms``) keeps its own per-order
-``bessel_jtilde``, so below t = 1 the two routes share only the rows
-that do not come from the recurrence.
+:func:`jtilde_stack`, which runs one three-term relation,
+jtilde_(nu-1) = 2 nu jtilde_nu - t^2 jtilde_(nu+1), from two
+``bessel_jtilde`` base rows of order -1/2 and 1/2 or 0 and 1: upward
+where t is at least the top order, and by Miller's backward recurrence
+everywhere else, t = 0 included.  The closed-form route
+(``kernels.eval_terms``) keeps its own per-order ``bessel_jtilde``.  At
+one m the closed form reads orders of the parity of m - 1 and the series
+those of the parity of m - 2, so at t >= 1 the two sides of a comparison
+never run the same branch of ``bessel_jtilde``; below t = 1 both read
+its power series, which has its own 60-digit oracle test.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from math import factorial
 from typing import Callable
 
 import numpy as np
-from scipy.special import j0 as _j0
-from scipy.special import j1 as _j1
 
 from .checks import Check, worst
 from .exact import Exact, ONE
@@ -438,45 +436,49 @@ def _gegenbauer_over_lambda(n: int, lam: float, w) -> np.ndarray:
 _STACK_BLOCK = 16384
 
 
-def _bessel_upward(beta: float, i0: int, n: int, t: np.ndarray, j_lo, j_hi) -> np.ndarray:
-    """Rows J_(beta+i0+j)(t), j = 0..n, by the upward recurrence
-    J_(nu+1) = (2 nu/t) J_nu - J_(nu-1) from J_beta = j_lo and
-    J_(beta+1) = j_hi; stable where t is at least the top order.  The
-    one row i0 = 1, n = 0 reads only j_hi, and j_lo may then be None."""
+def _jtilde_upward(beta: float, i0: int, n: int, t: np.ndarray, f_lo, f_hi) -> np.ndarray:
+    """Rows jtilde_(beta+i0+j)(t), j = 0..n, by the upward recurrence
+    jtilde_(nu+1) = (2 nu jtilde_nu - jtilde_(nu-1)) / t^2 from
+    f_lo = jtilde_beta and f_hi = jtilde_(beta+1); stable where t is at
+    least the top order."""
     rows = np.empty((n + 1, t.size))
-    two_over_t = 2.0 / t
-    prev, cur = j_lo, j_hi
+    t2 = t * t
+    prev, cur = f_lo, f_hi
     if i0 == 0:
         rows[0] = prev
     if i0 <= 1 <= i0 + n:
         rows[1 - i0] = cur
     for i in range(1, i0 + n):
-        nxt = two_over_t * cur
-        nxt *= beta + i
+        nxt = cur * (2.0 * (beta + i))
         nxt -= prev
+        nxt /= t2
         prev, cur = cur, nxt
         if i + 1 >= i0:
             rows[i + 1 - i0] = cur
     return rows
 
 
-def _bessel_miller(beta: float, i0: int, n: int, t: np.ndarray, j_lo, j_hi) -> np.ndarray:
-    """The rows of :func:`_bessel_upward` by Miller's backward recurrence
-    (Abramowitz & Stegun 9.12), started sqrt(40 itop) + 12 orders above
-    the top index itop, rescaled past 1e200 and normalised per point
-    against the larger of J_beta and J_(beta+1)."""
+def _jtilde_miller(beta: float, i0: int, n: int, t: np.ndarray, f_lo, f_hi) -> np.ndarray:
+    """The rows of :func:`_jtilde_upward` by Miller's backward recurrence
+    (Abramowitz & Stegun 9.12) jtilde_(nu-1) = 2 nu jtilde_nu -
+    t^2 jtilde_(nu+1), started sqrt(40 itop) + 12 orders above the top
+    index itop, rescaled past 1e200 and normalised per point against the
+    larger of |jtilde_beta| and t |jtilde_(beta+1)|, that is of |J_beta|
+    and |J_(beta+1)|.  At t = 0 it reads jtilde_(nu-1)(0) = 2 nu jtilde_nu(0)."""
     itop = i0 + n
     start = itop + int(math.sqrt(40 * itop)) + 12
     rows = np.empty((n + 1, t.size))
-    two_over_t = 2.0 / t
+    neg_t2 = -(t * t)
+    scaled = np.empty_like(t)
     nxt, cur = np.zeros_like(t), np.ones_like(t)  # f_(start+1), f_start
     for i in range(start, 0, -1):
         if i0 <= i <= itop:
             rows[i - i0] = cur
-        prev = two_over_t * cur
-        prev *= beta + i
-        prev -= nxt
-        nxt, cur = cur, prev
+        # f_(i-1) = 2 (beta + i) f_i - t^2 f_(i+1), written over f_(i+1)
+        np.multiply(cur, 2.0 * (beta + i), out=scaled)
+        nxt *= neg_t2
+        nxt += scaled
+        nxt, cur = cur, nxt
         if cur.max() > 1e200 or cur.min() < -1e200:
             huge = np.abs(cur) > 1e200
             cur[huge] *= 1e-200
@@ -484,96 +486,43 @@ def _bessel_miller(beta: float, i0: int, n: int, t: np.ndarray, j_lo, j_hi) -> n
             rows[max(i - i0, 0):, huge] *= 1e-200
     if i0 == 0:
         rows[0] = cur
-    # cur = f_0 and nxt = f_1 are proportional to J_beta and J_(beta+1)
-    rows *= np.where(np.abs(j_lo) >= np.abs(j_hi), j_lo / cur, j_hi / nxt)
-    return rows
-
-
-# The highest twice order the downward recurrence starts from.
-# jtilde_140(0) = 1/(2^140 140!) = 5.3e-284 is a normal float; from about
-# order 150 on jtilde_nu(0) is subnormal and from order 157 on it is 0.0,
-# and every row below a start that has lost its bits would lose them too.
-_DOWNWARD_TOP = 280
-
-
-def _jtilde_downward(twice_order_min: int, n: int, t: np.ndarray) -> np.ndarray:
-    """Rows jtilde_(nu0+j)(t), j = 0..n, on t < 1.  Rows of twice order
-    above _DOWNWARD_TOP and the two top rows at or below it come from
-    ``bessel_jtilde``'s power series, the others from the downward
-    recurrence jtilde_(nu-1) = 2 nu jtilde_nu - t^2 jtilde_(nu+1)
-    (Abramowitz & Stegun 9.1.27), which is stable downward and at t = 0
-    reads jtilde_(nu-1)(0) = 2 nu jtilde_nu(0)."""
-    rows = np.empty((n + 1, t.size))
-    top = min(n, max((_DOWNWARD_TOP - twice_order_min) // 2, 0))
-    for j in range(top, n + 1):
-        rows[j] = bessel_jtilde(twice_order_min + 2 * j, t)
-    if top == 0:
-        return rows
-    rows[top - 1] = bessel_jtilde(twice_order_min + 2 * top - 2, t)
-    t2 = t * t
-    scaled = np.empty_like(t)
-    for j in range(top - 1, 0, -1):
-        # rows[j - 1] = 2 nu rows[j] - t^2 rows[j + 1], nu = nu0 + j
-        np.multiply(rows[j], twice_order_min + 2 * j, out=scaled)
-        below = np.multiply(t2, rows[j + 1], out=rows[j - 1])
-        np.subtract(scaled, below, out=below)
+    # cur = f_0 and nxt = f_1 are proportional to jtilde_beta and jtilde_(beta+1)
+    rows *= np.where(np.abs(f_lo) >= t * np.abs(f_hi), f_lo / cur, f_hi / nxt)
     return rows
 
 
 def _jtilde_block(twice_order_min: int, t: np.ndarray, out: np.ndarray) -> None:
     """One block of :func:`jtilde_stack`, written into out (rows x points)."""
     n = len(out) - 1
-    small = t < 1.0
-    if small.any():
-        out[:, small] = _jtilde_downward(twice_order_min, n, t[small])
-    big = ~small
-    tb = t[big]
-    if not tb.size:
-        return
-    # the stack starts i0 orders above the base order beta
-    i0 = (twice_order_min + 1) // 2
-    nu_min = twice_order_min / 2.0
-    up = tb >= nu_min + n
-    # J_beta is read by row 0, by the upward recurrence past order beta + 1
-    # and by Miller's normalisation; a one-row stack at order beta + 1 on
-    # upward points alone reads only J_(beta+1)
-    all_up = up.all()
-    need_lo = i0 == 0 or i0 + n > 1 or not all_up
-    if twice_order_min % 2:
-        beta = -0.5
-        amp = np.sqrt((2.0 / math.pi) / tb)
-        j_lo, j_hi = amp * np.cos(tb) if need_lo else None, amp * np.sin(tb)
-    else:
-        beta = 0.0
-        j_lo, j_hi = _j0(tb) if need_lo else None, _j1(tb)
-    if all_up:
-        rows = _bessel_upward(beta, i0, n, tb, j_lo, j_hi)
-    else:
-        rows = np.empty((n + 1, tb.size))
-        for mask, recurrence in ((up, _bessel_upward), (~up, _bessel_miller)):
-            if mask.any():
-                rows[:, mask] = recurrence(beta, i0, n, tb[mask], j_lo[mask], j_hi[mask])
-    for j in range(n + 1):
-        rows[j] *= tb ** -(nu_min + j)
-    out[:, big] = rows
+    # the base order beta is -1/2 or 0, and the stack starts i0 orders above it
+    twice_beta = -(twice_order_min % 2)
+    beta, i0 = twice_beta / 2.0, (twice_order_min - twice_beta) // 2
+    f_lo, f_hi = bessel_jtilde(twice_beta, t), bessel_jtilde(twice_beta + 2, t)
+    up = t >= twice_order_min / 2.0 + n
+    for mask, recurrence in ((up, _jtilde_upward), (~up, _jtilde_miller)):
+        if mask.all():
+            out[:] = recurrence(beta, i0, n, t, f_lo, f_hi)
+        elif mask.any():
+            out[:, mask] = recurrence(beta, i0, n, t[mask], f_lo[mask], f_hi[mask])
 
 
 def jtilde_stack(twice_order_min: int, n: int, t) -> np.ndarray:
     """Rows jtilde_(nu0+j)(t), j = 0..n, nu0 = twice_order_min/2 >= -1/2,
     shape (n + 1,) + shape(t), t >= 0.
 
-    Below t = 1 the rows of order above 140 and the two top rows at or
-    below it are ``bessel_jtilde``'s power series, and the others come
-    from the downward recurrence jtilde_(nu-1) = 2 nu jtilde_nu -
-    t^2 jtilde_(nu+1) (Abramowitz & Stegun 9.1.27), within 1e-14 relative
-    of the series (3.0e-15 at worst over starting orders -1/2 to 29.5,
-    each recurrence from order 140 down, on 2,004 points of [0, 1)).
-    Above it the rows are J_nu(t) t^(-nu), with J_nu started from scipy's j0/j1
-    (integer orders) or sqrt(2/(pi t)) cos/sin t (half-integer orders)
-    and carried by the three-term recurrence: upward where t is at least
-    the top order, Miller's backward recurrence elsewhere.  Points are
-    taken in blocks of a fixed size, so the memory beyond the result
-    stays bounded.
+    Every row comes from the three-term relation jtilde_(nu-1) =
+    2 nu jtilde_nu - t^2 jtilde_(nu+1) (Abramowitz & Stegun 9.1.27),
+    started from ``bessel_jtilde`` at the base orders beta and beta + 1,
+    beta = -1/2 for half-integer and 0 for integer orders.  Where t is at
+    least the top order it runs upward; everywhere else, t = 0 and t < 1
+    included, it runs as Miller's backward recurrence (A&S 9.12),
+    normalised per point by the base rows.  Against a 60-digit reference
+    the rows stay within 3e-15 (relative to |jtilde_nu(t)| for t < nu,
+    to (|J_nu| + |Y_nu|) t^(-nu) above it) over starting orders -1/2 to
+    58.5, up to 60 rows, t in [0, 45].  Rows whose value is below the
+    smallest normal float underflow to subnormals or 0.  Points are taken
+    in blocks of a fixed size, so the memory beyond the result stays
+    bounded.
     """
     twice_order_min, n = check_twice_order(twice_order_min), operator.index(n)
     if n < 0:

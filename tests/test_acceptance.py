@@ -4,7 +4,9 @@ and time caps are part of the criteria and are written here literally,
 never read from the code under test, and never loosened.  Criteria 01-08
 run the suites of ``clifft verify`` and re-gate their checks: a float check
 passes only when its tolerance is the criterion's literal and its value is
-below it, an exact check by its own verdict."""
+below it, an exact check by its own verdict.  Each suite runs once per
+session (``suite_run`` in conftest.py), shared with the golden outputs, and
+its criterion gates the time of that one run."""
 
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from clifft.basis import dirac as dirac_op
 from clifft.checks import Check, worst
 from clifft.engine import closed_form_eigenvalue, default_scheme, hankel_laguerre_residual
 from clifft.special import bessel_jtilde, gegenbauer_all
-from clifft.suites import run
 
 
 def _passes(check: Check, tol) -> bool:
@@ -28,15 +29,21 @@ def _passes(check: Check, tol) -> bool:
     return check.tolerance == literal and check.value < literal
 
 
-def _gate(num: int, name: str, compute, cap: float, tol=None):
-    """Run ``compute()`` for the checks, timed, and print the criterion's PASS/FAIL line with
-    its worst check (the first failed one, else the float check nearest its
-    tolerance); then assert that every check passed within the time cap.
-    ``tol`` is the criterion's literal tolerance, or a function of a
-    check's params to it; None admits no float check."""
+def _timed(compute) -> tuple[list[Check], float]:
+    """The checks of ``compute()`` and the seconds it took."""
     t0 = time.perf_counter()
     checks = compute()
-    elapsed = time.perf_counter() - t0
+    return checks, time.perf_counter() - t0
+
+
+def _gate(num: int, name: str, timed: tuple[list[Check], float], cap: float, tol=None):
+    """Print the criterion's PASS/FAIL line for ``timed``, its checks and the
+    seconds that computing them took, with its worst check (the first
+    failed one, else the float check nearest its tolerance); then assert
+    that every check passed within the time cap.  ``tol`` is the
+    criterion's literal tolerance, or a function of a check's params to
+    it; None admits no float check."""
+    checks, elapsed = timed
     failed = [c for c in checks if not _passes(c, tol)]
     floats = [c for c in checks if c.tolerance is not None]
     shown = failed or sorted(floats, key=lambda c: c.margin_digits)
@@ -57,34 +64,32 @@ def _gate(num: int, name: str, compute, cap: float, tol=None):
 def test_gate_refuses_a_check_passed_at_a_looser_tolerance(capsys):
     loose = Check("pde residual", {"m": 2, "i": 0}, 5e-6, 1e-5, True)
     with pytest.raises(AssertionError, match="criterion 04 failed"):
-        _gate(4, "pde system", lambda: [loose], 60.0, 1e-6)
+        _gate(4, "pde system", ([loose], 0.0), 60.0, 1e-6)
     assert "): FAIL (" in capsys.readouterr().out
 
 
-def test_criterion_01_recursion_exactness():
-    _gate(1, "recursion exactness", lambda: run("recursion", range(2, 10)), 1.0)
+def test_criterion_01_recursion_exactness(suite_run):
+    _gate(1, "recursion exactness", suite_run("recursion", range(2, 10)), 1.0)
 
 
-def test_criterion_02_structural_identities():
-    _gate(2, "structural identities", lambda: run("structural", (4, 6, 8)), 1.0)
+def test_criterion_02_structural_identities(suite_run):
+    _gate(2, "structural identities", suite_run("structural", (4, 6, 8)), 1.0)
 
 
-def test_criterion_03_series_agreement():
+def test_criterion_03_series_agreement(suite_run):
     # 500 sample pairs per kernel with |x|, |y| <= 3, i.e. z <= 9
-    _gate(3, "series agreement", lambda: run("series", range(2, 7)), 30.0, 1e-8)
+    _gate(3, "series agreement", suite_run("series", range(2, 7)), 30.0, 1e-8)
 
 
-def test_criterion_04_pde_system():
+def test_criterion_04_pde_system(suite_run):
     # 200 vector pairs per kernel, and the same system in profile form
-    _gate(4, "pde system", lambda: run("pde", range(2, 7)), 60.0, 1e-6)
+    _gate(4, "pde system", suite_run("pde", range(2, 7)), 60.0, 1e-6)
 
 
-def test_criterion_05_eigenvalues():
-    def checks():
-        # grid route at m <= 4, radial route above: the Rayleigh quotient,
-        # and the whole transform against lambda psi, blades psi lacks included
-        out = run("eigen", range(2, 10))
+def test_criterion_05_eigenvalues(suite_run):
+    def spots():
         # closed-form spot values, both radial parities p = 0, 1
+        out = []
         for p in (0, 1):
             sgn = (-1) ** p
             for m, k, want in ((4, 2, sgn * (1 / 3)), (2, 0, -sgn), (3, 0, sgn * 1j)):
@@ -92,24 +97,29 @@ def test_criterion_05_eigenvalues():
                 out.append(Check("closed-form spot", {"m": m, "k": k, "p": p}, got, None, got == want))
         return out
 
-    _gate(5, "eigenvalues", checks, 300.0, lambda params: 1e-6 if params["m"] <= 4 else 1e-8)
+    # grid route at m <= 4, radial route above: the Rayleigh quotient,
+    # and the whole transform against lambda psi, blades psi lacks included
+    eigen, eigen_s = suite_run("eigen", range(2, 10))
+    spot, spot_s = _timed(spots)
+    _gate(5, "eigenvalues", (eigen + spot, eigen_s + spot_s), 300.0,
+          lambda params: 1e-6 if params["m"] <= 4 else 1e-8)
 
 
-def test_criterion_06_inversion():
+def test_criterion_06_inversion(suite_run):
     # exact eigenvalue products, and the composition of the transforms
-    _gate(6, "inversion", lambda: run("inversion", (2, 4, 6, 8)), 120.0, 1e-5)
+    _gate(6, "inversion", suite_run("inversion", (2, 4, 6, 8)), 120.0, 1e-5)
 
 
-def test_criterion_07_l2_pattern():
+def test_criterion_07_l2_pattern(suite_run):
     # bounded is first_exceed_k is None, so the pattern check also catches
     # an unbounded kernel without a counterexample k
-    _gate(7, "boundedness pattern", lambda: run("l2", range(2, 10)), 1.0)
+    _gate(7, "boundedness pattern", suite_run("l2", range(2, 10)), 1.0)
 
 
-def test_criterion_08_constraint():
+def test_criterion_08_constraint(suite_run):
     # the minus streams, to which the plus streams convert exactly, k <= 50,
     # and the classical stream of odd m
-    _gate(8, "series constraint", lambda: run("constraint", range(2, 10)), 1.0, 1e-10)
+    _gate(8, "series constraint", suite_run("constraint", range(2, 10)), 1.0, 1e-10)
 
 
 def _special_function_checks() -> list[Check]:
@@ -149,7 +159,7 @@ def _special_function_checks() -> list[Check]:
 
 
 def test_criterion_09_special_function_suite():
-    _gate(9, "special function suite", _special_function_checks, 5.0, 1e-10)
+    _gate(9, "special function suite", _timed(_special_function_checks), 5.0, 1e-10)
 
 
 def _monogenic_basis_checks() -> list[Check]:
@@ -191,4 +201,4 @@ def _monogenic_basis_checks() -> list[Check]:
 
 
 def test_criterion_10_monogenic_basis():
-    _gate(10, "monogenic basis", _monogenic_basis_checks, 60.0, 1e-8)
+    _gate(10, "monogenic basis", _timed(_monogenic_basis_checks), 60.0, 1e-8)

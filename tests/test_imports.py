@@ -47,6 +47,29 @@ def test_module_imports_no_private_name_of_another_clifft_module(path):
     assert not private, f"{path.name} imports private clifft names: {private}"
 
 
+def _imports_scipy_special(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name == "scipy.special" or a.name.startswith("scipy.special.")
+                   for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            module = node.module or ""
+            if module == "scipy.special" or module.startswith("scipy.special."):
+                return True
+            if module == "scipy" and any(a.name == "special" for a in node.names):
+                return True
+    return False
+
+
+def test_only_special_imports_scipy_special():
+    # clifft.special holds the one table of Bessel branches; a module that
+    # imported scipy.special could evaluate a Bessel function past it
+    paths = sorted(Path(clifft.__file__).parent.glob("*.py"))
+    importing = [p.name for p in paths if _imports_scipy_special(ast.parse(p.read_text()))]
+    assert importing == ["special.py"], importing
+
+
 # Re-exports that no library code refers to, each kept for a stated reason.
 UNREFERENCED_EXPORTS = {
     # tracer pins: perfbench/tracer.py wraps them by name, and its install()

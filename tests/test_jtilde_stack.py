@@ -53,8 +53,8 @@ def test_jtilde_stack_against_mpmath_oracle():
     @example(5, 2, [1.0, 1.5, 2.0, 3.0, 3.999, 4.0])
     @example(40, 4, [0.0, 0.5, 1.0, 7.0, 21.5, 30.0])  # every region in one call
     @example(195, 2, [0.99, 1.0, 39.0, 40.0])
-    # below t = 1 all but the two top rows come from the downward
-    # recurrence; row 0 near t = 0 is its worst case
+    # below t = 1 every row comes from Miller's recurrence; row 0 near
+    # t = 0 is the far end of a deep stack
     @example(-1, 100, [0.0, 1e-8, 1.0 - 1e-9])
     @example(0, 100, [0.0, 1e-8, 1.0 - 1e-9])
     def check(twice_min: int, n: int, ts: list[float]) -> None:
@@ -120,7 +120,8 @@ def test_single_row():
     for twice in (-1, 2, 9, 30):
         row = jtilde_stack(twice, 0, t)
         assert row.shape == (1, 5)
-        assert np.array_equal(row[0, :2], bessel_jtilde(twice, t[:2]))
+        want = bessel_jtilde(twice, t[:2])
+        assert np.all(np.abs(row[0, :2] - want) <= 1e-14 * want), twice
         for _, want, scale in _scipy_rows(twice, 0, t[2:]):
             assert np.all(np.abs(row[0, 2:] - want) <= 1e-12 * scale)
 
@@ -132,12 +133,10 @@ def test_one_call_mixes_every_region():
     rows = jtilde_stack(twice_min, n, t)
     for j in range(n + 1):
         twice = twice_min + 2 * j
-        # below t = 1 the two top rows are bessel_jtilde's power series and
-        # the others come from the downward recurrence
+        # below t = 1 every row comes from Miller's recurrence, normalised
+        # by bessel_jtilde's power series at the base orders 0 and 1
         want = bessel_jtilde(twice, t[:3])
         assert np.all(np.abs(rows[j, :3] - want) <= 1e-14 * np.abs(want)), twice
-        if j >= n - 1:
-            assert np.array_equal(rows[j, :3], want)
         assert rows[j, 0] == pytest.approx(2.0 ** (-twice / 2) / sp.gamma(twice / 2 + 1), rel=1e-14)
     for j, want, scale in _scipy_rows(twice_min, n, t[3:]):
         assert np.all(np.abs(rows[j, 3:] - want) <= 1e-12 * scale)
@@ -146,18 +145,23 @@ def test_one_call_mixes_every_region():
 @pytest.mark.parametrize("twice_min", [-1, 0, 1, 150, 278, 279, 280, 281, 400])
 def test_deep_stacks_below_one_follow_bessel_jtilde(twice_min):
     # jtilde_nu(0) = 1/(2^nu nu!) is subnormal from about order 150 on and
-    # 0.0 from 157: the recurrence starts no higher than order 140, and
-    # the rows above it are bessel_jtilde's own
+    # 0.0 from 157: where bessel_jtilde's power series is a normal float
+    # the rows follow it to 1e-14 relative, and elsewhere they are at most
+    # 1e-307, below the smallest normal float's fivefold
     t = np.array([0.0, 1e-8, 0.5, 0.999])
     rows = jtilde_stack(twice_min, 200, t)
+    worst_rel, worst_abs = 0.0, 0.0
     for j in range(201):
         twice = twice_min + 2 * j
         want = bessel_jtilde(twice, t)
-        if twice > 280:
-            assert np.array_equal(rows[j], want), twice
-        else:
-            assert np.all(want > 1e-300), twice
-            assert np.all(np.abs(rows[j] - want) <= 1e-14 * want), twice
+        normal = want >= np.finfo(float).tiny
+        err = np.abs(rows[j] - want)
+        assert np.all(err[normal] <= 1e-14 * want[normal]), twice
+        assert np.all(np.abs(rows[j, ~normal]) <= 1e-307), twice
+        worst_rel = max(worst_rel, np.max(err[normal] / want[normal], initial=0.0))
+        worst_abs = max(worst_abs, np.max(np.abs(rows[j, ~normal]), initial=0.0))
+    print(f"twice_min {twice_min}: worst relative {worst_rel:.1e}, "
+          f"worst where subnormal or 0 {worst_abs:.1e}")
 
 
 @pytest.mark.parametrize(
