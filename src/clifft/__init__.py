@@ -36,10 +36,10 @@ from .basis import (
 )
 from .checks import Check, worst
 from .engine import (
+    CylindricalRule,
     EigenvalueRecord,
     InversionReport,
     L2ScanReport,
-    QuadratureScheme,
     RadialRule,
     apply_transform_batch,
     bochner_reduce,

@@ -158,22 +158,17 @@ def _columns(points: np.ndarray, m: int) -> np.ndarray:
 class PolynomialTable:
     """Several polynomials in m variables, evaluated together.
 
-    The table has one row per (polynomial, blade, parity of the monomial
-    degree) triple, with the (polynomial, blade) pair of each row listed
-    in ``rows``: the values at a batch of points are C @ M, with C the
-    float coefficients of the rows and M the monomials at the points.
-    The first ``n_even`` rows hold the monomials of even degree and the
-    rest those of odd degree, each part in order of first touch, so a row
-    is even or odd under x -> -x; a blade of a polynomial with terms of
-    both parities has one row of each, and :meth:`split` adds them.  C is
-    kept as each row's (monomial, coefficient) list in term order,
-    because a row uses few of the monomials.  Each monomial is a product
-    in axis order of powers x_j^e, made by repeated multiplication, and
-    monomials with a common leading part share it: x^(1,2,1) is the
-    monomial x^(1,2,0) times x_3.
+    The table has one row per (polynomial, blade) pair, listed in ``rows``
+    in order of first touch: the values at a batch of points are C @ M,
+    with C the float coefficients of the rows and M the monomials at the
+    points.  C is kept as each row's (monomial, coefficient) list in term
+    order, because a row uses few of the monomials.  Each monomial is a
+    product in axis order of powers x_j^e, made by repeated
+    multiplication, and monomials with a common leading part share it:
+    x^(1,2,1) is the monomial x^(1,2,0) times x_3.
     """
 
-    __slots__ = ("rows", "n_even", "_count", "_powers", "_monomials", "_terms")
+    __slots__ = ("rows", "_count", "_powers", "_monomials", "_terms")
 
     def __init__(self, m: int, polys: Sequence[CliffordPolynomial]):
         self._count = len(polys)
@@ -182,12 +177,11 @@ class PolynomialTable:
         # product
         index: dict[tuple[tuple[int, int], ...], int] = {(): 0}
         self._monomials: list[tuple[int, int, int]] = []  # (leading part, axis, exponent)
-        terms: list[list[tuple[int, float]]] = []  # per row: (monomial, coefficient)
-        rows: list[tuple[int, int]] = []
-        parities: list[int] = []
+        self._terms: list[list[tuple[int, float]]] = []  # per row: (monomial, coefficient)
+        self.rows: list[tuple[int, int]] = []
         top = [0] * m
         for pi, p in enumerate(polys):
-            row_of: dict[tuple[int, int], int] = {}
+            row_of: dict[int, int] = {}
             for expo, blades in p.terms.items():
                 key: tuple[tuple[int, int], ...] = ()
                 for j, e in enumerate(expo):
@@ -198,18 +192,12 @@ class PolynomialTable:
                     if key not in index:
                         index[key] = len(index)
                         self._monomials.append((index[lead], j, e))
-                parity = sum(expo) % 2
                 for blade, c in blades.items():
-                    if (blade, parity) not in row_of:
-                        row_of[blade, parity] = len(rows)
-                        rows.append((pi, blade))
-                        parities.append(parity)
-                        terms.append([])
-                    terms[row_of[blade, parity]].append((index[key], float(c)))
-        order = sorted(range(len(rows)), key=parities.__getitem__)
-        self.rows = [rows[r] for r in order]
-        self._terms = [terms[r] for r in order]
-        self.n_even = parities.count(0)
+                    if blade not in row_of:
+                        row_of[blade] = len(self.rows)
+                        self.rows.append((pi, blade))
+                        self._terms.append([])
+                    self._terms[row_of[blade]].append((index[key], float(c)))
         self._powers = [(j, e) for j, e_max in enumerate(top) for e in range(2, e_max + 1)]
 
     def evaluate(self, cols: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
@@ -233,11 +221,10 @@ class PolynomialTable:
         return out
 
     def split(self, values: np.ndarray) -> list[dict[int, np.ndarray]]:
-        """The rows of :meth:`evaluate` as one blade dict per polynomial,
-        the even and the odd row of a blade added."""
+        """The rows of :meth:`evaluate` as one blade dict per polynomial."""
         out: list[dict[int, np.ndarray]] = [{} for _ in range(self._count)]
         for (pi, blade), vals in zip(self.rows, values):
-            out[pi][blade] = out[pi][blade] + vals if blade in out[pi] else vals
+            out[pi][blade] = vals
         return out
 
 

@@ -2,16 +2,20 @@
 
 Two complementary quadrature routes are implemented:
 
-* a full tensor-product Gauss-Hermite grid (dimensions 2 to 4) that
-  applies a kernel to arbitrary Gaussian-decay functions with no
-  structural assumptions, and
+* a target-aligned cylindrical rule (dimensions 2 to 4) that applies a
+  kernel to arbitrary Gaussian polynomials: for each target y it integrates
+  along yhat by Gauss-Hermite, over r = |x_perp| by generalized
+  Gauss-Laguerre in r^2/2 and over the sphere of the complement of yhat by
+  a rule exact for the functions' degree, so the kernel's profiles are
+  evaluated once per (x_1, r) node, and
 * a radial reduction (any dimension >= 2) that converts the transform of
   f0(r) M_k(x) (or f0(r) x M_k(x)) into a one-dimensional Bessel
   integral weighted by the kernel's eigenvalue functionals.
 
 Everything downstream (eigenvalue certification, inversion by composed
 transforms, differential relations, boundedness scans) is built on these
-two routes plus the exact closed forms.
+two routes plus the exact closed forms.  The tensor-product Gauss-Hermite
+grid of :class:`QuadratureScheme` remains for plain integrals.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,7 +40,7 @@ from .basis import (
 )
 from .checks import worst
 from .exact import Exact
-from .kernels import KernelId, build_kernel, eval_terms, eval_terms_by_parity
+from .kernels import KernelId, build_kernel, eval_terms
 from .series import (
     SeriesCoefficients,
     eigenvalues_from_coefficients,
@@ -51,6 +55,7 @@ from .special import bessel_jtilde, double_factorial, laguerre
 
 __all__ = [
     "GRID_NODES",
+    "CylindricalRule",
     "QuadratureScheme",
     "RadialRule",
     "EigenvalueRecord",
@@ -73,15 +78,16 @@ __all__ = [
 
 GRID_NODES = {2: 64, 3: 48, 4: 36}
 
-# Quadrature points per chunk: keeps a chunk's function values and its
-# weighted matrix W (one row per function and blade) near cache size.  Also
-# the entries per strip of the radial route's nodes x targets Bessel table.
+# Quadrature points per chunk of the tensor grid's integrals.  Also the
+# entries per strip of the radial route's nodes x targets Bessel table.
 _CHUNK_ROWS = 16_384
-# Entries rows x targets x (1 + m) of a chunk's profile matrix: bounds it,
-# and the s, t and profile arrays it is built from, when targets are many
-# (40 MB of real entries; the m = 2 composition's 6,400 targets give
-# chunks of 260 points).
-_CHUNK_ENTRIES = 5_000_000
+# Generalized Gauss-Laguerre nodes in u = r^2/2 of the target-aligned rule
+# for a target of norm at most 3; see _radial_count for larger norms.
+_NODES = 24
+# Entries per chunk of targets of apply_transform_batch, counted as
+# targets x nodes x sphere points x (table rows + m + profile columns):
+# 32 MB of reals.
+_RULE_CHUNK_ENTRIES = 4_000_000
 
 
 class QuadratureScheme:
@@ -95,13 +101,10 @@ class QuadratureScheme:
     Only the axis rule is stored.  The points are numbered in C order of
     their axis indices (i_1, ..., i_m), and :meth:`chunks` builds each run
     of consecutive points from the axis rule, with the weight of a point
-    the product W_(i_1) W_(i_2) ... W_(i_m) taken left to right.
-
-    The axis rule is symmetric bit for bit (numpy symmetrizes it), so
-    point i of N is minus point N - 1 - i and has the same weight.  A sum
-    of W f over the grid is therefore 2 sum of W (f(x) + f(-x))/2 over
-    the first ceil(N/2) points, the last of them counted once when N is
-    odd, because it is the origin and its own mirror.
+    the product W_(i_1) W_(i_2) ... W_(i_m) taken left to right.  It is
+    the rule of :meth:`integrate` and of criterion 10's Gram matrix, and
+    the tests' second oracle of the transform; the transform itself runs
+    on :class:`CylindricalRule`.
     """
 
     def __init__(self, m: int, nodes_per_axis: int | None = None):
@@ -123,23 +126,19 @@ class QuadratureScheme:
     def __len__(self) -> int:
         return self.nodes_per_axis**self.m
 
-    def chunks(self, size: int = _CHUNK_ROWS, stop: int | None = None):
-        """(points, weights) of consecutive runs of at most size points,
-        over the points numbered below stop (all of them by default);
-        points is the (n, m) transpose of a contiguous (m, n) array."""
-        if size < 1:
-            raise ValueError(f"chunk size must be >= 1, got {size}")
-        total = len(self) if stop is None else stop
-        if not 0 <= total <= len(self):
-            raise ValueError(f"stop must lie in 0..{len(self)}, got {stop}")
+    def chunks(self):
+        """(points, weights) of consecutive runs of _CHUNK_ROWS points (the
+        last one shorter); points is the (n, m) transpose of a contiguous
+        (m, n) array."""
         # coordinates and axis weights of axes 2..m at the n^(m-1) points of
         # one value of the first axis, one row per axis
         n, rest = self.nodes_per_axis, self.m - 1
         idx = np.indices((n,) * rest).reshape(rest, n**rest)
         coords, axis_wts = self.axis_nodes[idx], self.axis_weights[idx]
         block = n**rest
-        for start in range(0, total, size):
-            stop = min(start + size, total)
+        total = len(self)
+        for start in range(0, total, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, total)
             cols = np.empty((self.m, stop - start))
             wts = np.empty(stop - start)
             pos = start
@@ -176,11 +175,92 @@ class QuadratureScheme:
         return err
 
 
+def _radial_count(rho: np.ndarray) -> np.ndarray:
+    """Radial nodes for targets of norm rho: 8 ceil((rho + 3)/2), at least
+    _NODES, so n nodes serve norms up to (n - 12)/4.  t = r rho makes the
+    radial integrand oscillate faster as rho grows.  Measured at m = 2, 3
+    and 4 against a 200-node rule, n nodes integrate r^(2p) jtilde(r rho),
+    p <= 3, to about 1e-14 of its scale for rho up to (n - 4)/4 and lose
+    digits quickly beyond; the two units of slack take the m = 2
+    composition, whose targets reach norm 11.3, from 4.5e-14 to 1.4e-14."""
+    return np.maximum(_NODES, 8 * np.ceil((rho + 3.0) / 2.0).astype(int))
+
+
 @lru_cache(maxsize=None)
-def default_scheme(m: int) -> QuadratureScheme:
-    scheme = QuadratureScheme(m)
-    scheme.self_test()
-    return scheme
+def _sphere_rule(m: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points (q, m - 1) and weights (q,) of a rule on the unit sphere
+    S^(m-2) of R^(m-1), exact for every polynomial of degree <= degree and
+    summing to the sphere's area: the two points +-1 (m = 2); degree + 1
+    equally spaced angles (m = 3); their product with the
+    ceil((degree + 1)/2)-point Gauss-Legendre rule in the polar cosine z
+    (m = 4), exact because a monomial's angular part integrates exactly
+    and leaves a polynomial in z of degree <= degree."""
+    if m == 2:
+        return np.array([[1.0], [-1.0]]), np.ones(2)
+    n_phi = degree + 1
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    circle = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    if m == 3:
+        return circle, np.full(n_phi, 2.0 * math.pi / n_phi)
+    z, wz = np.polynomial.legendre.leggauss((degree + 2) // 2)
+    ring = np.sqrt(1.0 - z * z)[:, None, None] * circle
+    pts = np.concatenate([np.repeat(z, n_phi)[:, None], ring.reshape(-1, 2)], axis=1)
+    return pts, np.repeat(wz * (2.0 * math.pi / n_phi), n_phi)
+
+
+class CylindricalRule:
+    """The quadrature of :func:`apply_transform_batch`, aligned with each
+    target (dimensions 2 to 4).
+
+    For a target y write x = x_1 yhat + r omega, with yhat = y/|y| and
+    omega on the unit sphere of the complement of yhat.  Then s = x_1 |y|
+    and t = r |y|, and an integral of g(x) exp(-|x|^2/2) over R^m is
+
+        integral dx_1 exp(-x_1^2/2) integral r^(m-2) exp(-r^2/2) dr
+            integral over the sphere of g(x_1 yhat + r omega) d omega.
+
+    Three rules make it a sum: Gauss-Hermite in x_1 (:func:`_axial_rule`),
+    generalized Gauss-Laguerre in u = r^2/2 with alpha = (m - 3)/2
+    (:func:`_radial_rule`), and a sphere rule (:func:`_sphere_rule`).  A
+    kernel profile is a polynomial in s times functions of t, so for a
+    polynomial g the x_1 and omega integrands are polynomials: their rules
+    are sized by the degree, and integrate exactly.  Only the radial rule
+    approximates, with _radial_count(|y|) nodes.
+    """
+
+    def __init__(self, m: int):
+        if not 2 <= m <= 4:
+            raise ValueError(f"the cylindrical rule serves dimensions 2 to 4, got {m}")
+        self.m = m
+
+
+@lru_cache(maxsize=None)
+def _axial_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for the weight exp(-x_1^2/2), exact for
+    polynomials of degree <= degree."""
+    u, w = np.polynomial.hermite.hermgauss(degree // 2 + 1)
+    return math.sqrt(2.0) * u, math.sqrt(2.0) * w
+
+
+@lru_cache(maxsize=None)
+def _radial_rule(m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count radii and weights for the weight r^(m-2) exp(-r^2/2) on
+    (0, inf): r = sqrt(2u) and 2^alpha w for the count-point generalized
+    Gauss-Laguerre rule (u, w) of the weight u^alpha e^(-u),
+    alpha = (m - 3)/2, by Golub-Welsch: u are the eigenvalues of the Jacobi
+    matrix of the Laguerre recurrence, w Gamma(alpha + 1) times the squared
+    first entries of its normalized eigenvectors."""
+    alpha = (m - 3) / 2.0
+    k = np.arange(1, count)
+    off = np.sqrt(k * (k + alpha))
+    jacobi = np.diag(2.0 * np.arange(count) + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    u, vecs = np.linalg.eigh(jacobi)
+    return np.sqrt(2.0 * u), 2.0**alpha * math.gamma(alpha + 1.0) * vecs[0] ** 2
+
+
+@lru_cache(maxsize=None)
+def default_scheme(m: int) -> CylindricalRule:
+    return CylindricalRule(m)
 
 
 # The radial route integrates over r in [0, _R_MAX]: every radial profile
@@ -284,155 +364,130 @@ def closed_form_eigenvalue(
 
 
 # ---------------------------------------------------------------------------
-# full-grid transform
+# the transform on the cylindrical rule
 
 
 BladeValues = dict[int, np.ndarray]  # array-valued multivector: blade mask -> values at points
 
 
-def _parity_parts(terms, s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The s-even and s-odd parts of a kernel profile at (s, t), None for a
-    part without terms: a profile whose powers of s share one parity is
-    its own even or odd part."""
-    parities = {term.s_power % 2 for term in terms}
-    if len(parities) == 2:
-        return eval_terms_by_parity(terms, s, t)
-    if not parities:
-        return None, None
-    part = eval_terms(terms, s, t)
-    return (None, part) if 1 in parities else (part, None)
+def _perp_frames(yhat: np.ndarray) -> np.ndarray:
+    """(T, m, m - 1) orthonormal bases of the complements of the unit
+    vectors yhat (T, m): the last m - 1 columns of the Householder
+    reflection I - 2 v v^T/|v|^2, v = yhat + sign(yhat_1) e_1, which maps
+    e_1 to -sign(yhat_1) yhat."""
+    v = yhat.copy()
+    v[:, 0] += np.where(yhat[:, 0] < 0.0, -1.0, 1.0)
+    scale = -2.0 / np.einsum("tj,tj->t", v, v)
+    frames = scale[:, None, None] * v[:, :, None] * v[:, None, 1:]
+    frames[:, 1:, :] += np.eye(yhat.shape[1] - 1)
+    return frames
+
+
+def _real_columns(z: np.ndarray) -> np.ndarray:
+    """z with a last axis of real columns: (real, imag) for complex z,
+    z itself for real z."""
+    return z.view(float).reshape(*z.shape, 2) if np.iscomplexobj(z) else z[..., None]
 
 
 def apply_transform_batch(
     kernel,
     fs: Sequence[BasisFunction | GaussianPolynomial],
     ys: np.ndarray,
-    scheme: QuadratureScheme | None = None,
+    scheme: CylindricalRule | None = None,
 ) -> list[BladeValues]:
     """Transforms of several Gaussian polynomials P(x) exp(-|x|^2/2) under
-    one kernel, at points ys.
+    one kernel, at points ys, on the target-aligned rule of
+    :class:`CylindricalRule` (``default_scheme(m)`` unless given).
 
-    F[f](y) = (2 pi)^(-m/2) integral of K(x, y) f(x); the kernel profile
-    evaluations are shared across all fs, and so is the evaluation of the
-    functions: one :class:`PolynomialTable` of their polynomials.
+    F[f](y) = (2 pi)^(-m/2) integral of K(x, y) f(x), with
+    K(x, y) = A(s, t) + B(s, t) (x wedge y).  At x = x_1 yhat + r omega
+    the profiles depend on the node (x_1, r) only: each is one eval_terms
+    call per chunk of targets, at targets x nodes values.  The axial and
+    sphere rules are exact for the degree of the integrand: the table's top
+    degree, plus the kernel's top power of s in x_1, plus one for the x_j
+    of the B part.  Targets are taken in groups of one radial node count.
 
-    The sum runs over the first ceil(N/2) points of the scheme only, each
-    standing for itself and its mirror -x (point N - 1 - i for point i):
-    its weight is doubled, except at the origin of an odd grid, its own
-    mirror.  Under x -> -x a table row is even or odd, s changes sign, t
-    stays, and x_j changes sign.  So an even row pairs with the s-even part
-    of the scalar profile A and the s-odd part of the bivector profile B
-    times x_j; an odd row with the s-odd part of A and the s-even part of
-    B times x_j.  Per chunk the work is one real matrix product W @ P per
-    row parity, on the even and the odd rows of the table's weighted
-    values W (the function values times the quadrature weight and the
-    Gaussian; the coefficients are rational, so W is real).  P has the
-    parts of A and of B x_j that the rows pair with side by side as real
-    columns, one per target each, and leaves out a part that has no
-    terms; a complex profile (odd m) gives a block of real-part columns
-    and a block of imaginary-part columns, a real one (even m) only the
-    first.
-
-    The rows of W @ P are summed over chunks and split into scalar and
-    bivector parts once, after the last chunk; the bivector step multiplies
-    f's blades by blade_product.  A chunk holds at most _CHUNK_ROWS / 2
-    quadrature points, and at most _CHUNK_ENTRIES entries of its two P
-    matrices, counted as 2 x rows x targets x (1 + m) (twice that many
-    when the profile is complex), so memory stays bounded however many
-    targets there are.
+    Per chunk of targets, one :class:`PolynomialTable` evaluation gives
+    every function's rows at every (target, node, sphere point), and one
+    product per target contracts them with the profile columns: the node
+    and sphere weights times A, and times B x_j for each j, split into real
+    and imaginary columns when the profiles are complex (odd m).  That
+    gives, per row and target, the scalar integral and the m coordinate
+    integrals of B x P; they are split into scalar and bivector parts
+    after the last chunk, the bivector step multiplying f's blades by
+    blade_product.  A chunk holds at most _RULE_CHUNK_ENTRIES entries,
+    counted as targets x nodes x sphere points x (rows + m + columns), so
+    memory stays bounded however many targets there are.
     """
     expr = build_kernel(kernel) if isinstance(kernel, KernelId) else kernel
     m = expr.m
-    scheme = scheme or default_scheme(m)
+    rule = scheme or default_scheme(m)
+    if not isinstance(rule, CylindricalRule) or rule.m != m:
+        raise ValueError(f"expected the cylindrical rule of dimension {m}, got {rule!r}")
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if ys.shape[1] != m:
         raise ValueError(f"expected points with {m} coordinates")
     for f in fs:
         if not isinstance(f, (BasisFunction, GaussianPolynomial)):
             raise TypeError(f"expected a BasisFunction or GaussianPolynomial, got {f!r}")
-    table = PolynomialTable(m, [f.poly for f in fs])
-    r = ys.shape[0]
-    ys_norm = np.linalg.norm(ys, axis=1)
-    n_blocks = 1 + m if expr.bivector_terms else 1
-    half = (len(scheme) + 1) // 2
-    size = min(_CHUNK_ROWS // 2, max(1, _CHUNK_ENTRIES // (2 * r * n_blocks)))
-    # per row parity: the blocks of P (0 for A, 1 + j for B x_j) and the
-    # rows of W @ P summed over chunks
-    blocks: list[list[int]] = [[], []]
-    sums: list[np.ndarray | None] = [None, None]
-    done = 0
+    polys = [f.poly for f in fs]
+    table = PolynomialTable(m, polys)
+    degree = max((p.degree() for p in polys), default=0) + 1
+    s_power = max((term.s_power for term in expr.scalar_terms + expr.bivector_terms), default=0)
+    x1, x1_w = _axial_rule(degree + s_power)
+    omega, omega_w = _sphere_rule(m, degree)
+    n_rows, r = len(table.rows), ys.shape[0]
+    rho = np.linalg.norm(ys, axis=1)
+    # a zero target sees s = t = 0 at every node, whatever its axis
+    yhat = np.where(rho[:, None] > 0.0, ys / np.where(rho > 0.0, rho, 1.0)[:, None], np.eye(m)[0])
+    # the sphere points as vectors of R^m, (targets, m, omega)
+    perp = _perp_frames(yhat) @ omega.T
+    biv = bool(expr.bivector_terms)
+    n_blocks = 1 + m if biv else 1  # A, B x_1, ..., B x_m
+    counts = _radial_count(rho)
+    sums = np.zeros((r, n_rows, n_blocks), dtype=complex)
 
-    for pts, wts in scheme.chunks(size, half):
-        # targets x points layout, so every array below is contiguous along
-        # the points that the product sums over
-        cols = np.ascontiguousarray(pts.T)
-        r2 = reduce(np.add, [x * x for x in cols])
-        s_mat = ys @ cols
-        t_mat = ys_norm[:, None] * np.sqrt(r2)
-        t_mat = np.sqrt(np.maximum(t_mat * t_mat - s_mat * s_mat, 0.0), out=t_mat)
-        a_even, a_odd = _parity_parts(expr.scalar_terms, s_mat, t_mat)
-        b_even, b_odd = _parity_parts(expr.bivector_terms, s_mat, t_mat)
-        del s_mat, t_mat
-        pairs = ((a_even, b_odd), (a_odd, b_even))
-        complex_parts = any(np.iscomplexobj(v) for pair in pairs for v in pair)
-        parts = (np.real, np.imag) if complex_parts else (np.real,)
-
-        weight = 2.0 * wts * np.exp(-0.5 * r2)
-        done += len(wts)
-        if done == half and len(scheme) % 2:
-            weight[-1] *= 0.5  # the origin, its own mirror
-        w_mat = table.evaluate(cols, weight)
-        for g, (a, b) in enumerate(pairs):
-            w_rows = w_mat[: table.n_even] if g == 0 else w_mat[table.n_even :]
-            # (block, profile part, coordinate it is multiplied by)
-            sources = ([(0, a, None)] if a is not None else []) + (
-                [(1 + j, b, cols[j]) for j in range(m)] if b is not None else []
-            )
-            blocks[g] = [q for q, _, _ in sources]
-            if not len(w_rows) or not sources:
-                continue
-            # profile[part, block] is targets x points
-            profile = np.empty((len(parts), len(sources), r, len(wts)))
-            for p, part in enumerate(parts):
-                for q, (_, prof, x) in enumerate(sources):
-                    if x is None:
-                        profile[p, q] = part(prof)
-                    else:
-                        np.multiply(part(prof), x, out=profile[p, q])
-            prod = w_rows @ profile.reshape(-1, len(wts)).T
-            del profile
-            if sums[g] is None:
-                sums[g] = prod
-            else:
-                sums[g] += prod
-        del a_even, a_odd, b_even, b_odd, pairs
+    for count in np.unique(counts):
+        radii, radii_w = _radial_rule(m, int(count))
+        # node and sphere weights, (x_1, r, omega)
+        weight = np.multiply.outer(np.outer(x1_w, radii_w), omega_w)
+        group = np.flatnonzero(counts == count)
+        size = max(1, _RULE_CHUNK_ENTRIES // (weight.size * (n_rows + m + 2 * n_blocks)))
+        for lo in range(0, len(group), size):
+            idx = group[lo : lo + size]
+            rr = rho[idx, None, None]
+            # coordinate j of the point at (target, x_1, r, omega) is
+            # x_1 yhat_j + r omega_j: (m, targets, x_1, r, omega)
+            cols = (yhat[idx].T[:, :, None, None, None] * x1[:, None, None]
+                    + perp[idx].transpose(1, 0, 2)[:, :, None, None, :] * radii[:, None])
+            vals = table.evaluate(cols.reshape(m, -1)).reshape(n_rows, len(idx), -1)
+            s, t = x1[:, None] * rr, radii * rr
+            a = eval_terms(expr.scalar_terms, s, t)
+            b = eval_terms(expr.bivector_terms, s, t) if biv else None
+            # one real column per block, or a real and an imaginary one when
+            # a profile is complex (odd m): then both are taken as complex
+            cplx = np.iscomplexobj(a) or np.iscomplexobj(b)
+            dtype = complex if cplx else float
+            columns = [_real_columns(a.astype(dtype)[..., None] * weight)]
+            if biv:
+                b = b.astype(dtype)[..., None] * weight
+                columns += [_real_columns(b * x) for x in cols]
+            prof = np.concatenate(columns, axis=-1).reshape(len(idx), vals.shape[2], -1)
+            del cols, columns
+            got = np.matmul(vals.transpose(1, 0, 2), prof)
+            sums[idx] = got[..., 0::2] + 1j * got[..., 1::2] if cplx else got
 
     norm = complex(transform_normalization(m))
+    blocks = norm * sums.transpose(1, 2, 0)  # rows x (A, B x_1, ..., B x_m) x targets
     biv_pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
     out: list[BladeValues] = [dict() for _ in fs]
-
-    def acc(fi: int, blade: int, delta: np.ndarray) -> None:
-        tgt = out[fi].setdefault(blade, np.zeros(r, dtype=complex))
-        tgt += delta
-
-    row_groups = (table.rows[: table.n_even], table.rows[table.n_even :])
-    for rows, row_sums, row_blocks in zip(row_groups, sums, blocks):
-        if row_sums is None:
-            continue  # no rows, or no profile part pairs with them
-        for (fi, blade), row in zip(rows, row_sums):
-            split = row.reshape(-1, len(row_blocks), r)
-            vals = norm * (split[0] + 1j * split[1] if len(split) == 2 else split[0])
-            by_block = dict(zip(row_blocks, vals))
-            if 0 in by_block:
-                acc(fi, blade, by_block[0])
-            if 1 not in by_block:
-                continue
-            biv = {
-                (1 << j) | (1 << k): ys[:, k] * by_block[1 + j] - ys[:, j] * by_block[1 + k]
-                for j, k in biv_pairs
-            }
-            for mask, delta in blade_product(biv, {blade: 1}).items():
-                acc(fi, mask, delta)
+    for (fi, blade), row in zip(table.rows, blocks):
+        out[fi][blade] = out[fi].get(blade, 0) + row[0]
+        if not biv:
+            continue
+        x_wedge_y = {(1 << j) | (1 << k): ys[:, k] * row[1 + j] - ys[:, j] * row[1 + k] for j, k in biv_pairs}
+        for mask, delta in blade_product(x_wedge_y, {blade: 1}).items():
+            out[fi][mask] = out[fi].get(mask, 0) + delta
     return out
 
 
@@ -610,9 +665,9 @@ def verify_eigen(
 ) -> list[EigenvalueRecord]:
     """Numeric eigenvalues on psi_{j,k,1} against the closed forms.
 
-    method "grid" (default for m <= 4) applies the kernel by full
-    quadrature and takes a Rayleigh quotient over sample points; method
-    "radial" (default above 4) uses the radial reduction.
+    method "grid" (default for m <= 4) applies the closed-form kernel by
+    apply_transform_batch and takes a Rayleigh quotient over sample
+    points; method "radial" (default above 4) uses the radial reduction.
     """
     method = method or ("grid" if m <= 4 else "radial")
     i_list = list(i_values) if i_values is not None else list(range(m - 1))

@@ -57,7 +57,6 @@ __all__ = [
     "verify_recursion",
     "verify_structural_identities",
     "eval_terms",
-    "eval_terms_by_parity",
     "eval_kernel",
     "pde_residual",
     "fg_system_residual",
@@ -438,8 +437,8 @@ def verify_structural_identities(m: int) -> list[Check]:
 class _Grouping:
     """The terms of one tuple grouped by Bessel order, in order of first
     appearance.  Per order: every (coefficient, power of s) pair in term
-    order, and the pairs of even and of odd power.  Coefficients are
-    floats when every one is real (every even m), complex otherwise."""
+    order.  Coefficients are floats when every one is real (every even m),
+    complex otherwise."""
 
     __slots__ = ("real", "orders")
 
@@ -449,15 +448,7 @@ class _Grouping:
         by_order: dict[int, list[tuple[float | complex, int]]] = {}
         for term, c in zip(terms, coeffs):
             by_order.setdefault(term.twice_order, []).append((c.real if self.real else c, term.s_power))
-        self.orders = [
-            (
-                two,
-                group,
-                [(c, a) for c, a in group if a % 2 == 0],
-                [(c, a) for c, a in group if a % 2],
-            )
-            for two, group in by_order.items()
-        ]
+        self.orders = list(by_order.items())
 
 
 # groupings of the term tuples evaluated so far, by identity: a kernel's
@@ -482,37 +473,23 @@ def _poly(group, s):
 
 def eval_terms(terms: Sequence[KernelTerm], s, t):
     """Evaluate sum of terms at s, t: two numbers (int or float, np.float64
-    included) give a Python float or complex; arrays (broadcast together)
-    give an array.
+    included) give a Python float or complex; arrays give an array of
+    their broadcast shape.
 
     The result is real when every coefficient is real (every even m) and
-    complex otherwise.  Either way each order is one bessel_jtilde call."""
+    complex otherwise.  Either way each order is one bessel_jtilde call,
+    at the points of t as given: a t that broadcasts against a larger s
+    (one row of radii for a column of s values) is evaluated once per
+    entry, not once per entry of the broadcast."""
     grouping = _grouping(terms)
     if isinstance(s, (int, float)) and isinstance(t, (int, float)):
         total = 0.0 if grouping.real else 0j
     else:
-        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-        total = np.zeros(s.shape, dtype=float if grouping.real else complex)
-    for two, group, _, _ in grouping.orders:
+        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        total = np.zeros(np.broadcast_shapes(s.shape, t.shape), dtype=float if grouping.real else complex)
+    for two, group in grouping.orders:
         total += _poly(group, s) * bessel_jtilde(two, t)
     return total
-
-
-def eval_terms_by_parity(terms: Sequence[KernelTerm], s, t) -> tuple[np.ndarray, np.ndarray]:
-    """The parts E and O of the sum of terms P with P(+-s, t) = E +- O, as
-    arrays over s and t broadcast together: E sums the terms of even
-    power of s, O those of odd power.  Each order is one bessel_jtilde
-    call, shared by both parts; real or complex as in eval_terms."""
-    grouping = _grouping(terms)
-    s_arr, t_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    dtype = float if grouping.real else complex
-    even, odd = np.zeros(s_arr.shape, dtype=dtype), np.zeros(s_arr.shape, dtype=dtype)
-    for two, _, even_group, odd_group in grouping.orders:
-        jt = bessel_jtilde(two, t_arr)
-        for part, group in ((even, even_group), (odd, odd_group)):
-            if group:
-                part += _poly(group, s_arr) * jt
-    return even, odd
 
 
 def eval_kernel(kernel, x, y) -> ParaBivector:

@@ -464,13 +464,19 @@ def _jtilde_miller(beta: float, i0: int, n: int, t: np.ndarray, f_lo, f_hi) -> n
     t^2 jtilde_(nu+1), started sqrt(40 itop) + 12 orders above the top
     index itop, rescaled past 1e200 and normalised per point against the
     larger of |jtilde_beta| and t |jtilde_(beta+1)|, that is of |J_beta|
-    and |J_(beta+1)|.  At t = 0 it reads jtilde_(nu-1)(0) = 2 nu jtilde_nu(0)."""
+    and |J_(beta+1)|.  At t = 0 it reads jtilde_(nu-1)(0) = 2 nu jtilde_nu(0).
+
+    The values are tested against 1e200 only when a bound on them can pass
+    it: |f_(i-1)| <= (2 (beta + i) + max t^2) max(|f_i|, |f_(i+1)|), kept
+    in a Python float and reset to the true maximum after each test, with
+    a decade of slack for rounding."""
     itop = i0 + n
     start = itop + int(math.sqrt(40 * itop)) + 12
     rows = np.empty((n + 1, t.size))
     neg_t2 = -(t * t)
     scaled = np.empty_like(t)
     nxt, cur = np.zeros_like(t), np.ones_like(t)  # f_(start+1), f_start
+    bound, t2_max = 1.0, float(-neg_t2.min()) if t.size else 0.0
     for i in range(start, 0, -1):
         if i0 <= i <= itop:
             rows[i - i0] = cur
@@ -479,11 +485,14 @@ def _jtilde_miller(beta: float, i0: int, n: int, t: np.ndarray, f_lo, f_hi) -> n
         nxt *= neg_t2
         nxt += scaled
         nxt, cur = cur, nxt
-        if cur.max() > 1e200 or cur.min() < -1e200:
-            huge = np.abs(cur) > 1e200
-            cur[huge] *= 1e-200
-            nxt[huge] *= 1e-200
-            rows[max(i - i0, 0):, huge] *= 1e-200
+        bound *= 2.0 * (beta + i) + t2_max
+        if bound > 1e199:
+            if cur.max() > 1e200 or cur.min() < -1e200:
+                huge = np.abs(cur) > 1e200
+                cur[huge] *= 1e-200
+                nxt[huge] *= 1e-200
+                rows[max(i - i0, 0):, huge] *= 1e-200
+            bound = max(float(np.abs(cur).max()), float(np.abs(nxt).max()))
     if i0 == 0:
         rows[0] = cur
     # cur = f_0 and nxt = f_1 are proportional to jtilde_beta and jtilde_(beta+1)

@@ -147,17 +147,18 @@ class Suite(NamedTuple):
 # kernel is the index m/2 - 1 kernel only in even dimension.  pde: m up to
 # MAX_DIMENSION, the largest Cl(0, m) that clifft.algebra multiplies in;
 # both residuals stay below 2e-7 up to it.  inversion: even m, where the
-# paper derives the inverse transform.  diff: m <= 3, for time only: the
-# tensor grid makes a unit about eight times as slow at m = 4 as at m = 3,
-# and has no default size beyond m = 4.
+# paper derives the inverse transform.  diff: m <= 4, because it applies
+# the kernels by apply_transform_batch, whose target-aligned rule serves
+# dimensions 2 to 4.  The defaults of eigen and diff include m = 4: on that
+# rule a unit at m = 4 takes about as long as one at m = 3.
 SUITES = {
     "recursion": Suite(recursion, (2, 3, 4, 5, 6, 7, 8, 9), 2, None, False),
     "structural": Suite(structural, (4, 6, 8), 4, None, True),
     "series": Suite(series, (2, 3, 4, 5), 2, None, False),
     "pde": Suite(pde, (2, 3, 4, 5, 6), 2, MAX_DIMENSION, False),
-    "eigen": Suite(eigen, (2, 3, 5, 6, 7), 2, None, False),
+    "eigen": Suite(eigen, (2, 3, 4, 5, 6, 7), 2, None, False),
     "inversion": Suite(inversion, (2, 4, 6, 8), 2, None, True),
-    "diff": Suite(diff, (2, 3), 2, 3, False),
+    "diff": Suite(diff, (2, 3, 4), 2, 4, False),
     "l2": Suite(l2, (2, 3, 4, 5, 6, 7, 8, 9), 2, None, False),
     "constraint": Suite(constraint, (2, 3, 4, 5, 6, 7, 8, 9), 2, None, False),
 }

@@ -18,7 +18,7 @@ import pytest
 from clifft.basis import PolynomialTable, harmonic_dimension, monogenic_basis, psi
 from clifft.basis import dirac as dirac_op
 from clifft.checks import Check, worst
-from clifft.engine import closed_form_eigenvalue, default_scheme, hankel_laguerre_residual
+from clifft.engine import QuadratureScheme, closed_form_eigenvalue, hankel_laguerre_residual
 from clifft.special import bessel_jtilde, gegenbauer_all
 
 
@@ -169,7 +169,7 @@ def _monogenic_basis_checks() -> list[Check]:
             nonzero = sum(not dirac_op(mono.poly).is_zero() for mono in monogenic_basis(m, k))
             checks.append(Check("dirac annihilates", {"m": m, "k": k}, nonzero, None, nonzero == 0))
     for m in (2, 3, 4):
-        scheme = default_scheme(m)
+        scheme = QuadratureScheme(m)
         fs = [
             psi(j, k, ell, m)
             for j in (0, 1, 2)

@@ -243,10 +243,8 @@ def test_evaluate_batch_matches_pointwise_evaluate():
         polys += [CliffordPolynomial.constant(m, Fraction(-7, 3)), CliffordPolynomial(m)]
         table = PolynomialTable(m, polys)
         together = table.split(table.evaluate(np.ascontiguousarray(pts.T)))
-        # rows of even degree come first; within a parity, polynomial order
-        assert [(pi, b) for pi, vals in enumerate(together) for b in vals] == sorted(
-            table.rows, key=lambda row: row[0]
-        )
+        # one row per (polynomial, blade), in polynomial order
+        assert [(pi, b) for pi, vals in enumerate(together) for b in vals] == table.rows
         for p, joint in zip(polys, together):
             scale = _majorant(p, pts)
             for batch in (p.evaluate_batch(pts), joint):
@@ -275,9 +273,9 @@ def test_polynomial_table_weight_multiplies_every_value():
     assert PolynomialTable(m, []).evaluate(cols).shape == (0, 40)
 
 
-def test_polynomial_table_puts_even_rows_first_and_adds_split_rows():
-    # 1 + x_1 + x_1 x_2^2 on the scalar blade has terms of both parities, so
-    # it takes one even and one odd row; x_2 e_1 is odd only
+def test_polynomial_table_has_one_row_per_blade():
+    # 1 + x_1 + x_1 x_2^2 on the scalar blade has terms of both parities,
+    # and takes one row all the same; x_2 e_1 is its second row
     m = 3
     mixed = CliffordPolynomial(m, {
         (0, 0, 0): {0: Fraction(1)},
@@ -287,16 +285,11 @@ def test_polynomial_table_puts_even_rows_first_and_adds_split_rows():
     })
     polys = [psi(1, 0, 1, m).poly, mixed, psi(0, 2, 1, m).poly]
     table = PolynomialTable(m, polys)
-    assert table.rows.count((1, 0)) == 2
+    assert [row for row in table.rows if row[0] == 1] == [(1, 0), (1, 1)]
+    assert len(set(table.rows)) == len(table.rows)
     cols = np.random.default_rng(9).uniform(-2.0, 2.0, size=(m, 30))
-    vals = table.evaluate(cols)
-    # x -> -x keeps the even rows and negates the odd ones
-    mirrored = table.evaluate(-cols)
-    assert np.array_equal(mirrored[: table.n_even], vals[: table.n_even])
-    assert np.array_equal(mirrored[table.n_even :], -vals[table.n_even :])
-    assert 0 < table.n_even < len(table.rows)
-    # the split rows of a blade add up to its value, against the pointwise route
-    for p, got in zip(polys, table.split(vals)):
+    # every row against the pointwise route
+    for p, got in zip(polys, table.split(table.evaluate(cols))):
         pointwise = [p.evaluate(pt).blades for pt in cols.T]
         assert set(got) == set().union(*pointwise)
         for blade, v in got.items():

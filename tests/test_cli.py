@@ -146,7 +146,7 @@ def test_output_file(tmp_path, capsys):
         ("pde", 1), ("pde", 13),
         ("eigen", 1),
         ("inversion", 0), ("inversion", 3),
-        ("diff", 1), ("diff", 4),
+        ("diff", 1), ("diff", 5),
         ("l2", 1),
         ("constraint", 1),
     ],

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 from fractions import Fraction
 from functools import reduce
 
@@ -12,6 +13,7 @@ from clifft import engine, series
 from clifft.algebra import blade_product
 from clifft.basis import CliffordPolynomial, GaussianPolynomial, PolynomialTable, monogenic_basis, psi
 from clifft.engine import (
+    CylindricalRule,
     QuadratureScheme,
     closed_form_eigenvalue,
     closed_form_eigenvalue_exact,
@@ -27,12 +29,14 @@ from clifft.engine import (
     verify_eigen,
     verify_inversion,
 )
-from clifft.kernels import KernelId, build_kernel, eval_terms, eval_terms_by_parity
+from clifft.kernels import KernelId, build_kernel, eval_terms
 from clifft.series import eigenvalues_from_coefficients, jtilde_stack, series_coefficients
+from clifft.special import double_factorial
+from clifft.suites import run
 
 
 def test_scheme_self_test_and_sizes():
-    s = default_scheme(2)
+    s = QuadratureScheme(2)
     assert len(s) == 64 * 64
     assert s.self_test() < 1e-12
     with pytest.raises(ValueError):
@@ -43,12 +47,10 @@ def test_scheme_rejects_a_node_count_below_one():
     for n in (0, -3):
         with pytest.raises(ValueError, match="nodes per axis"):
             QuadratureScheme(2, n)
-    with pytest.raises(ValueError, match="chunk size"):
-        next(QuadratureScheme(2, 4).chunks(0))
 
 
 @pytest.mark.parametrize("m, n", [(1, 9), (2, 9), (3, 7), (4, 6), (2, 64), (3, 48), (4, 36)])
-def test_chunks_equal_a_meshgrid_reference_bitwise(m, n):
+def test_chunks_equal_a_meshgrid_reference_bitwise(m, n, monkeypatch):
     scheme = QuadratureScheme(m, n)
     grids = np.meshgrid(*([scheme.axis_nodes] * m), indexing="ij")
     points = np.stack([g.reshape(-1) for g in grids], axis=1)
@@ -56,34 +58,15 @@ def test_chunks_equal_a_meshgrid_reference_bitwise(m, n):
     assert len(scheme) == len(points)
     # size 1 and 7 on the default grids would take too many chunks
     for size in (1, 7, 1000, 16_384) if len(points) < 20_000 else (1000, 16_384):
+        monkeypatch.setattr(engine, "_CHUNK_ROWS", size)
         start = 0
-        for pts, wts in scheme.chunks(size):
+        for pts, wts in scheme.chunks():
             stop = min(start + size, len(points))
             assert pts.shape == (stop - start, m) and wts.shape == (stop - start,)
             assert np.ascontiguousarray(pts).tobytes() == points[start:stop].tobytes()
             assert wts.tobytes() == weights[start:stop].tobytes()
             start = stop
         assert start == len(points)
-
-
-@pytest.mark.parametrize("m, n", [(2, 64), (3, 9), (4, 5)])
-def test_grid_mirrors_bitwise_and_stop_bounds_the_points(m, n):
-    # the half-grid fold rests on point i being minus point N - 1 - i with
-    # the same weight, bit for bit, and on chunks stopping at ceil(N/2)
-    scheme = QuadratureScheme(m, n)
-    pts = np.concatenate([p for p, _ in scheme.chunks()])
-    wts = np.concatenate([w for _, w in scheme.chunks()])
-    assert np.array_equal(pts, -pts[::-1]) and np.array_equal(wts, wts[::-1])
-    half = (len(scheme) + 1) // 2
-    head = list(scheme.chunks(50, half))
-    assert all(len(w) <= 50 for _, w in head)
-    assert np.array_equal(np.concatenate([p for p, _ in head]), pts[:half])
-    assert np.array_equal(np.concatenate([w for _, w in head]), wts[:half])
-    if len(scheme) % 2:
-        assert not np.any(pts[half - 1])  # the origin
-    for bad in (-1, len(scheme) + 1):
-        with pytest.raises(ValueError, match="stop"):
-            next(scheme.chunks(50, bad))
 
 
 def test_scheme_self_test_fails_on_a_nan_weight():
@@ -95,13 +78,58 @@ def test_scheme_self_test_fails_on_a_nan_weight():
 
 
 def test_scheme_integrates_polynomial_gaussian():
-    s = default_scheme(2)
+    s = QuadratureScheme(2)
 
     def f(pts: np.ndarray) -> np.ndarray:
         return pts[:, 0] ** 2 * np.exp(-0.5 * np.sum(pts**2, axis=1))
 
     # integral of x1^2 e^(-|x|^2/2) = (2 pi)^(m/2), summed chunk by chunk
     assert s.integrate(f).real == pytest.approx(2 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cylindrical_rule_parts(m):
+    from scipy.special import roots_genlaguerre
+
+    # Golub-Welsch against scipy's generalized Gauss-Laguerre rule
+    alpha = (m - 3) / 2.0
+    u, w = roots_genlaguerre(24, alpha)
+    radii, radii_w = engine._radial_rule(m, 24)
+    assert np.allclose(radii, np.sqrt(2.0 * u), rtol=1e-13, atol=0.0)
+    assert np.allclose(radii_w, 2.0**alpha * w, rtol=1e-12, atol=1e-300)
+    # the sphere rule integrates monomials exactly up to its degree: the
+    # mean of omega^e over S^(m-2) is prod (e_j - 1)!! / (d (d + 2) ...
+    # (d + |e| - 2)) for even e, d = m - 1, and 0 otherwise
+    d = m - 1
+    for degree in range(0, 7):
+        omega, omega_w = engine._sphere_rule(m, degree)
+        area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        assert np.allclose(np.sum(omega * omega, axis=1), 1.0)
+        assert np.sum(omega_w) == pytest.approx(area, rel=1e-14)
+        for expo in np.ndindex(*([degree + 1] * d)):
+            if sum(expo) > degree:
+                continue
+            got = np.sum(omega_w * np.prod(omega ** np.array(expo), axis=1)) / area
+            want = 0.0
+            if not any(e % 2 for e in expo):
+                want = math.prod(double_factorial(e - 1) for e in expo)
+                want /= math.prod(d + 2 * j for j in range(sum(expo) // 2))
+            assert got == pytest.approx(want, abs=1e-14), (degree, expo)
+    # the frames complete each unit vector to an orthonormal basis
+    yhat = sample_points(m, 50, 1.0, seed=2)
+    yhat = np.concatenate([yhat / np.linalg.norm(yhat, axis=1)[:, None], -np.eye(m), np.eye(m)])
+    frames = np.concatenate([yhat[:, :, None], engine._perp_frames(yhat)], axis=2)
+    assert np.allclose(np.einsum("tji,tjk->tik", frames, frames), np.eye(m), atol=1e-15)
+    with pytest.raises(ValueError, match="dimensions 2 to 4"):
+        CylindricalRule(5)
+    with pytest.raises(ValueError, match="cylindrical rule"):
+        apply_transform_batch(KernelId(m, 0), [psi(0, 0, 1, m)], np.ones((1, m)), QuadratureScheme(m, 4))
+
+
+def test_radial_count_grows_with_the_target_norm():
+    # n radial nodes serve targets of norm up to (n - 12)/4
+    rho = np.array([0.0, 2.2, 3.0, 3.01, 5.0, 7.0, 9.0, 11.0, 11.4])
+    assert engine._radial_count(rho).tolist() == [24, 24, 24, 32, 32, 40, 48, 56, 64]
 
 
 def test_radial_rule_covers_oscillation():
@@ -206,12 +234,7 @@ def test_transform_keeps_even_m_profiles_real(monkeypatch):
     def complex_terms(terms, s, t):
         return eval_terms(terms, s, t).astype(complex)
 
-    def complex_parts(terms, s, t):
-        return tuple(part.astype(complex) for part in eval_terms_by_parity(terms, s, t))
-
-    # the profile A of (4, 1) has powers of s of both parities, B one
     monkeypatch.setattr(engine, "eval_terms", complex_terms)
-    monkeypatch.setattr(engine, "eval_terms_by_parity", complex_parts)
     for one, two in zip(real, apply_transform_batch(kid, fs, ys)):
         assert set(one) == set(two)
         for blade in one:
@@ -219,38 +242,38 @@ def test_transform_keeps_even_m_profiles_real(monkeypatch):
 
 
 def test_transform_chunks_bound_point_pairs(monkeypatch):
-    # 4096 grid points against 2,000 targets: a single chunk would hold
-    # 8.2e6 (point, target) pairs; the transform reads the first half of
-    # the grid, each point standing for its mirror too
-    scheme = QuadratureScheme(2, 64)
-    rows = []
-    chunks = scheme.chunks
+    # 2,000 targets of norm <= 2 take 24 radial nodes each; psi_{0,0,1} has
+    # degree 0, so the rule has 1 axial node and 2 sphere points and the
+    # table 1 row: 48 points per target, each counted as 1 row + 2
+    # coordinates + 2 x 3 profile columns, 8.6e5 entries in one chunk.
+    # With the bound lowered to 100,000 entries a chunk holds 231 targets
+    calls = []
+    evaluate = PolynomialTable.evaluate
 
-    def recording_chunks(size, stop=None):
-        for pts, wts in chunks(size, stop):
-            rows.append(len(pts))
-            yield pts, wts
+    def recording(table, cols, weight=None):
+        calls.append((len(table.rows), cols.shape[1]))
+        return evaluate(table, cols, weight)
 
-    monkeypatch.setattr(scheme, "chunks", recording_chunks)
-    monkeypatch.setattr(engine, "eval_terms", lambda terms, s, t: np.zeros(s.shape))
-    monkeypatch.setattr(
-        engine, "eval_terms_by_parity", lambda terms, s, t: (np.zeros(s.shape), np.zeros(s.shape))
-    )
+    monkeypatch.setattr(PolynomialTable, "evaluate", recording)
+    monkeypatch.setattr(engine, "_RULE_CHUNK_ENTRIES", 100_000)
     ys = sample_points(2, 2000, 2.0, seed=3)
-    apply_transform_batch(KernelId(2, 0), [psi(0, 0, 1, 2)], ys, scheme)
-    assert len(rows) > 1 and sum(rows) == (len(scheme) + 1) // 2
-    assert all(n * len(ys) <= 5_000_000 for n in rows), rows
+    bf = psi(0, 0, 1, 2)
+    got = apply_transform_batch(KernelId(2, 0), [bf], ys)[0]
+    assert [n for _, n in calls] == [231 * 48] * 8 + [(2000 - 8 * 231) * 48]
+    assert all(n * (rows + 2 + 2 * 3) <= 100_000 for rows, n in calls), calls
+    # chunking changes nothing: eigenvalue -1
+    assert np.max(np.abs(got[0] + bf.values(ys)[0])) < 1e-13
 
 
 def _full_grid_reference(kid: KernelId, fs, ys: np.ndarray, scheme: QuadratureScheme) -> list:
     """The transform summed over every point of the grid: per chunk one
-    product W @ P, P holding A and B x_j at every point (the loop that the
-    half-grid fold replaced, kept here as its oracle)."""
+    product W @ P, P holding A and B x_j at every point: the tensor-grid
+    oracle of the target-aligned rule."""
     expr = build_kernel(kid)
     m, r = kid.m, len(ys)
     table = PolynomialTable(m, [f.poly for f in fs])
     sums = 0.0
-    for pts, wts in scheme.chunks(1000):
+    for pts, wts in scheme.chunks():
         cols = np.ascontiguousarray(pts.T)
         r2 = np.sum(cols * cols, axis=0)
         s = ys @ cols
@@ -288,24 +311,124 @@ def _mixed_parity_function(m: int) -> GaussianPolynomial:
     }))
 
 
-@pytest.mark.parametrize("m, n", [(2, 7), (3, 9), (2, 64), (4, 5)])
-def test_half_grid_fold_equals_the_full_grid(m, n):
-    # odd node counts put the origin on the grid, its own mirror; m = 3
-    # has complex profiles, also with e_i off the real axis
+@pytest.mark.parametrize("m, n", [(2, 64), (3, 48)])
+def test_cylindrical_rule_equals_the_full_grid(m, n):
+    # the tensor grid at its default size is the second oracle of the
+    # target-aligned rule; m = 3 has complex profiles, also with e_i off the
+    # real axis, and one target is the origin
     scheme = QuadratureScheme(m, n)
     fs = [psi(j, k, 1, m) for j in (0, 1, 2) for k in (0, 1, 2)] + [_mixed_parity_function(m)]
-    ys = sample_points(m, 4, 2.0, seed=8)
+    ys = np.concatenate([sample_points(m, 3, 2.0, seed=8), np.zeros((1, m))])
     kids = [KernelId(m, i, sign) for i in range(m - 1) for sign in ("plus", "minus")]
     if m % 2:
         kids.append(KernelId(m, 1, "plus", complex(math.cos(0.7), math.sin(0.7))))
     for kid in kids:
-        got = apply_transform_batch(kid, fs, ys, scheme)
+        got = apply_transform_batch(kid, fs, ys)
         want = _full_grid_reference(kid, fs, ys, scheme)
         for fi, (g, w) in enumerate(zip(got, want)):
             scale = max(float(np.max(np.abs(v))) for v in w.values())
             for blade in set(g) | set(w):
                 err = np.max(np.abs(g.get(blade, 0.0) - w.get(blade, 0.0)))
-                assert err <= 1e-14 * scale, (kid, fi, blade, err / scale)
+                assert err <= 1e-13 * scale, (kid, fi, blade, err / scale)
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _moment(p: dict) -> complex:
+    """(2 pi)^(-m/2) integral of p(x) exp(-|x|^2/2): each monomial gives
+    the product of (e_j - 1)!! over its exponents, 0 if one is odd."""
+    total = 0
+    for expo, c in p.items():
+        if not any(e % 2 for e in expo):
+            total += c * math.prod(double_factorial(e - 1) for e in expo)
+    return total
+
+
+def _stand_in_reference(m: int, profiles, fs, y: np.ndarray) -> list[dict]:
+    """The transforms at y of the functions fs under the kernel
+    A + B (x wedge y) with polynomial profiles c s^a t^(2b), (c, a, b) per
+    profile, by Gaussian moments alone: t^2 = |x|^2 |y|^2 - s^2 makes the
+    integrand a polynomial times the Gaussian."""
+    unit = [tuple(int(j == k) for j in range(m)) for k in range(m)]
+    one = {(0,) * m: 1.0}
+    s_poly = {unit[j]: float(y[j]) for j in range(m)}
+    t2 = {tuple(2 * e for e in unit[j]): float(y @ y) for j in range(m)}
+    for e, c in _poly_mul(s_poly, s_poly).items():
+        t2[e] = t2.get(e, 0) - c
+
+    def profile(c, a, b):
+        out = {(0,) * m: c}
+        for factor in [s_poly] * a + [t2] * b:
+            out = _poly_mul(out, factor)
+        return out
+
+    a_poly, b_poly = (profile(*p) for p in profiles)
+    # (blade of x wedge y, polynomial coefficient B (x_j y_k - x_k y_j))
+    wedge = [((1 << j) | (1 << k), _poly_mul(b_poly, {unit[j]: float(y[k]), unit[k]: -float(y[j])}))
+             for j in range(m) for k in range(j + 1, m)]
+    out = []
+    for f in fs:
+        got: dict = {}
+        blades = {blade for row in f.poly.terms.values() for blade in row}
+        for blade in blades:
+            p = {e: float(row[blade]) for e, row in f.poly.terms.items() if blade in row}
+            got[blade] = got.get(blade, 0) + _moment(_poly_mul(a_poly, p))
+            for mask, coeff in wedge:
+                value = _moment(_poly_mul(coeff, p))
+                for mask2, sign in blade_product({mask: 1}, {blade: 1}).items():
+                    got[mask2] = got.get(mask2, 0) + sign * value
+        out.append(got)
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cylindrical_rule_is_exact_on_polynomial_profiles(m, monkeypatch):
+    # stand-in profiles A = c s^a t^(2b) and B = c' s^a' t^(2b'), a <= 3,
+    # b <= 2, make the integrand a polynomial times the Gaussian: the axial
+    # and sphere rules integrate it exactly, and so does the radial rule,
+    # whose 24 nodes are exact up to degree 47 in u = r^2/2.  The reference
+    # takes no quadrature at all
+    def stand_in_terms(terms, s, t):
+        return sum(c * s**a * t ** (2 * b) for c, a, b in (term.abc for term in terms))
+
+    monkeypatch.setattr(engine, "eval_terms", stand_in_terms)
+    c = complex(0.6, 0.8) if m % 2 else 1.0
+    pairs = [((0, 0), (3, 2)), ((1, 1), (2, 1)), ((3, 2), (0, 0)), ((2, 0), (1, 2))]
+    fs = [psi(0, 1, 1, m), psi(1, 2, 1, m), _mixed_parity_function(m)]
+    ys = np.concatenate([sample_points(m, 2, 2.0, seed=40 + m), np.zeros((1, m))])
+    for (a, b), (a2, b2) in pairs:
+        profiles = ((c, a, b), (-0.7, a2, b2))
+        expr = SimpleNamespace(m=m, scalar_terms=(SimpleNamespace(abc=profiles[0], s_power=a),),
+                               bivector_terms=(SimpleNamespace(abc=profiles[1], s_power=a2),))
+        got = apply_transform_batch(expr, fs, ys)
+        wants = [_stand_in_reference(m, profiles, fs, y) for y in ys]
+        # relative to the largest value of the pair's transforms
+        scale = max(abs(v) for per_y in wants for want in per_y for v in want.values())
+        for n, per_y in enumerate(wants):
+            for fi, want in enumerate(per_y):
+                for blade in set(got[fi]) | set(want):
+                    err = abs(got[fi].get(blade, np.zeros(len(ys)))[n] - want.get(blade, 0))
+                    assert err <= 1e-13 * scale, (profiles, n, fi, blade, err / scale)
+
+
+def test_no_route_falls_back_to_the_tensor_grid(monkeypatch):
+    # the eigen and diff suites and the m = 2 composition transform on the
+    # target-aligned rule alone: with the tensor grid's chunks raising,
+    # every one of them still passes
+    def no_grid(scheme):
+        raise AssertionError("the tensor grid was used")
+
+    monkeypatch.setattr(QuadratureScheme, "chunks", no_grid)
+    assert max(r.residual for r in verify_eigen(3)) < 1e-12
+    assert all(c.passed for c in run("diff", [2]))
+    assert inversion_composition_residual(2, 0) < 1e-12
 
 
 def test_bochner_agrees_with_full_grid():

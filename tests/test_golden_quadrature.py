@@ -2,9 +2,10 @@
 
 Each golden file is the standard output of ``clifft verify --suite
 eigen|diff|series|pde|inversion`` at the default dimensions.  The eigen and
-diff suites integrate numerically on the Gauss-Hermite grid, the inversion
-suite on the radial rule, and the series and pde suites evaluate the
-closed forms in floating point.  A change that moves a digit regenerates
+diff suites and the inversion suite's m = 2 composition integrate
+numerically on the transform's target-aligned cylindrical rule, the rest
+of the inversion suite on the radial rule, and the series and pde suites
+evaluate the closed forms in floating point.  A change that moves a digit regenerates
 the files, and the diff of the committed files lists every digit that
 moved.
 
