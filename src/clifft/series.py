@@ -19,16 +19,20 @@ simply the case lambda = 0 of one builder: there alpha_k (k >= 1)
 diverges and C_k^lambda / lambda = (2/k) T_k.
 
 All the orders k + lambda, k = 0..N, of one evaluation come from one
-:func:`jtilde_stack`, which runs one three-term relation,
-jtilde_(nu-1) = 2 nu jtilde_nu - t^2 jtilde_(nu+1), from two
-``bessel_jtilde`` base rows of order -1/2 and 1/2 or 0 and 1: upward
-where t is at least the top order, and by Miller's backward recurrence
-everywhere else, t = 0 included.  The closed-form route
-(``kernels.eval_terms``) keeps its own per-order ``bessel_jtilde``.  At
-one m the closed form reads orders of the parity of m - 1 and the series
-those of the parity of m - 2, so at t >= 1 the two sides of a comparison
-never run the same branch of ``bessel_jtilde``; below t = 1 both read
-its power series, which has its own 60-digit oracle test.
+:func:`jtilde_stack`, which takes two ``bessel_jtilde`` base rows, of
+order -1/2 and 1/2 or 0 and 1, and runs the three-term relation
+jtilde_(nu-1) = 2 nu jtilde_nu - t^2 jtilde_(nu+1) on them with
+``special.jtilde_recurrence``: upward where t is at least the top order,
+and by Miller's backward recurrence everywhere else, t = 0 included.  The
+closed-form route (``kernels.eval_terms``) keeps its own per-order
+``bessel_jtilde``, whose orders without a branch of their own run the
+same relation from the base pair of their parity.  At one m the closed
+form reads orders of the parity of m - 1 and the series those of the
+parity of m - 2, so the two sides of a comparison start from different
+base pairs, and at t >= 1 never run the same base branch.  Below t = 1
+both read the power series; the relation serves the series at every t
+and the closed form's other orders at t >= 1.  Both have their own
+60-digit oracle tests.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .special import (
     check_twice_order,
     double_factorial,
     gegenbauer_all,
+    jtilde_recurrence,
     log_gamma,
 )
 
@@ -436,102 +441,23 @@ def _gegenbauer_over_lambda(n: int, lam: float, w) -> np.ndarray:
 _STACK_BLOCK = 16384
 
 
-def _jtilde_upward(beta: float, i0: int, n: int, t: np.ndarray, f_lo, f_hi) -> np.ndarray:
-    """Rows jtilde_(beta+i0+j)(t), j = 0..n, by the upward recurrence
-    jtilde_(nu+1) = (2 nu jtilde_nu - jtilde_(nu-1)) / t^2 from
-    f_lo = jtilde_beta and f_hi = jtilde_(beta+1); stable where t is at
-    least the top order."""
-    rows = np.empty((n + 1, t.size))
-    t2 = t * t
-    prev, cur = f_lo, f_hi
-    if i0 == 0:
-        rows[0] = prev
-    if i0 <= 1 <= i0 + n:
-        rows[1 - i0] = cur
-    for i in range(1, i0 + n):
-        nxt = cur * (2.0 * (beta + i))
-        nxt -= prev
-        nxt /= t2
-        prev, cur = cur, nxt
-        if i + 1 >= i0:
-            rows[i + 1 - i0] = cur
-    return rows
-
-
-def _jtilde_miller(beta: float, i0: int, n: int, t: np.ndarray, f_lo, f_hi) -> np.ndarray:
-    """The rows of :func:`_jtilde_upward` by Miller's backward recurrence
-    (Abramowitz & Stegun 9.12) jtilde_(nu-1) = 2 nu jtilde_nu -
-    t^2 jtilde_(nu+1), started sqrt(40 itop) + 12 orders above the top
-    index itop, rescaled past 1e200 and normalised per point against the
-    larger of |jtilde_beta| and t |jtilde_(beta+1)|, that is of |J_beta|
-    and |J_(beta+1)|.  At t = 0 it reads jtilde_(nu-1)(0) = 2 nu jtilde_nu(0).
-
-    The values are tested against 1e200 only when a bound on them can pass
-    it: |f_(i-1)| <= (2 (beta + i) + max t^2) max(|f_i|, |f_(i+1)|), kept
-    in a Python float and reset to the true maximum after each test, with
-    a decade of slack for rounding."""
-    itop = i0 + n
-    start = itop + int(math.sqrt(40 * itop)) + 12
-    rows = np.empty((n + 1, t.size))
-    neg_t2 = -(t * t)
-    scaled = np.empty_like(t)
-    nxt, cur = np.zeros_like(t), np.ones_like(t)  # f_(start+1), f_start
-    bound, t2_max = 1.0, float(-neg_t2.min()) if t.size else 0.0
-    for i in range(start, 0, -1):
-        if i0 <= i <= itop:
-            rows[i - i0] = cur
-        # f_(i-1) = 2 (beta + i) f_i - t^2 f_(i+1), written over f_(i+1)
-        np.multiply(cur, 2.0 * (beta + i), out=scaled)
-        nxt *= neg_t2
-        nxt += scaled
-        nxt, cur = cur, nxt
-        bound *= 2.0 * (beta + i) + t2_max
-        if bound > 1e199:
-            if cur.max() > 1e200 or cur.min() < -1e200:
-                huge = np.abs(cur) > 1e200
-                cur[huge] *= 1e-200
-                nxt[huge] *= 1e-200
-                rows[max(i - i0, 0):, huge] *= 1e-200
-            bound = max(float(np.abs(cur).max()), float(np.abs(nxt).max()))
-    if i0 == 0:
-        rows[0] = cur
-    # cur = f_0 and nxt = f_1 are proportional to jtilde_beta and jtilde_(beta+1)
-    rows *= np.where(np.abs(f_lo) >= t * np.abs(f_hi), f_lo / cur, f_hi / nxt)
-    return rows
-
-
-def _jtilde_block(twice_order_min: int, t: np.ndarray, out: np.ndarray) -> None:
-    """One block of :func:`jtilde_stack`, written into out (rows x points)."""
-    n = len(out) - 1
-    # the base order beta is -1/2 or 0, and the stack starts i0 orders above it
-    twice_beta = -(twice_order_min % 2)
-    beta, i0 = twice_beta / 2.0, (twice_order_min - twice_beta) // 2
-    f_lo, f_hi = bessel_jtilde(twice_beta, t), bessel_jtilde(twice_beta + 2, t)
-    up = t >= twice_order_min / 2.0 + n
-    for mask, recurrence in ((up, _jtilde_upward), (~up, _jtilde_miller)):
-        if mask.all():
-            out[:] = recurrence(beta, i0, n, t, f_lo, f_hi)
-        elif mask.any():
-            out[:, mask] = recurrence(beta, i0, n, t[mask], f_lo[mask], f_hi[mask])
-
-
 def jtilde_stack(twice_order_min: int, n: int, t) -> np.ndarray:
     """Rows jtilde_(nu0+j)(t), j = 0..n, nu0 = twice_order_min/2 >= -1/2,
     shape (n + 1,) + shape(t), t >= 0.
 
     Every row comes from the three-term relation jtilde_(nu-1) =
-    2 nu jtilde_nu - t^2 jtilde_(nu+1) (Abramowitz & Stegun 9.1.27),
-    started from ``bessel_jtilde`` at the base orders beta and beta + 1,
-    beta = -1/2 for half-integer and 0 for integer orders.  Where t is at
-    least the top order it runs upward; everywhere else, t = 0 and t < 1
-    included, it runs as Miller's backward recurrence (A&S 9.12),
-    normalised per point by the base rows.  Against a 60-digit reference
-    the rows stay within 3e-15 (relative to |jtilde_nu(t)| for t < nu,
-    to (|J_nu| + |Y_nu|) t^(-nu) above it) over starting orders -1/2 to
-    58.5, up to 60 rows, t in [0, 45].  Rows whose value is below the
-    smallest normal float underflow to subnormals or 0.  Points are taken
-    in blocks of a fixed size, so the memory beyond the result stays
-    bounded.
+    2 nu jtilde_nu - t^2 jtilde_(nu+1) (Abramowitz & Stegun 9.1.27), run
+    by ``special.jtilde_recurrence`` from ``bessel_jtilde`` at the base
+    orders beta and beta + 1, beta = -1/2 for half-integer and 0 for
+    integer orders.  Where t is at least the top order it runs upward;
+    everywhere else, t = 0 and t < 1 included, it runs as Miller's
+    backward recurrence (A&S 9.12), normalised per point by the base
+    rows.  Against a 60-digit reference the rows stay within 3e-15
+    (relative to |jtilde_nu(t)| for t < nu, to (|J_nu| + |Y_nu|) t^(-nu)
+    above it) over starting orders -1/2 to 58.5, up to 60 rows, t in
+    [0, 45].  Rows whose value is below the smallest normal float
+    underflow to subnormals or 0.  Points are taken in blocks of a fixed
+    size, so the memory beyond the result stays bounded.
     """
     twice_order_min, n = check_twice_order(twice_order_min), operator.index(n)
     if n < 0:
@@ -541,9 +467,12 @@ def jtilde_stack(twice_order_min: int, n: int, t) -> np.ndarray:
         raise ValueError("jtilde_stack requires t >= 0")
     flat = arr.reshape(-1)
     out = np.empty((n + 1, flat.size))
+    # the base order beta is -1/2 or 0
+    twice_beta = -(twice_order_min % 2)
     for start in range(0, flat.size, _STACK_BLOCK):
-        stop = start + _STACK_BLOCK
-        _jtilde_block(twice_order_min, flat[start:stop], out[:, start:stop])
+        block = flat[start : start + _STACK_BLOCK]
+        f_lo, f_hi = bessel_jtilde(twice_beta, block), bessel_jtilde(twice_beta + 2, block)
+        jtilde_recurrence(twice_order_min, block, f_lo, f_hi, out[:, start : start + _STACK_BLOCK])
     return out.reshape((n + 1,) + arr.shape)
 
 

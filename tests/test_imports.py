@@ -1,12 +1,16 @@
-"""Every name a clifft module imports is used in that module.
+"""Every name a clifft module imports is used in that module, and no
+clifft module imports scipy.
 
-The package ``__init__`` is left out: its imports are the public
-re-exports.
+The package ``__init__`` is left out of the first: its imports are the
+public re-exports.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,27 +51,32 @@ def test_module_imports_no_private_name_of_another_clifft_module(path):
     assert not private, f"{path.name} imports private clifft names: {private}"
 
 
-def _imports_scipy_special(tree: ast.Module) -> bool:
+def _scipy_imports(tree: ast.Module) -> list[str]:
+    """The modules of scipy that an import statement of the tree names."""
+    names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(a.name == "scipy.special" or a.name.startswith("scipy.special.")
-                   for a in node.names):
-                return True
+            names += [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            module = node.module or ""
-            if module == "scipy.special" or module.startswith("scipy.special."):
-                return True
-            if module == "scipy" and any(a.name == "special" for a in node.names):
-                return True
-    return False
+            names.append(node.module or "")
+    return [n for n in names if n == "scipy" or n.startswith("scipy.")]
 
 
-def test_only_special_imports_scipy_special():
-    # clifft.special holds the one table of Bessel branches; a module that
-    # imported scipy.special could evaluate a Bessel function past it
-    paths = sorted(Path(clifft.__file__).parent.glob("*.py"))
-    importing = [p.name for p in paths if _imports_scipy_special(ast.parse(p.read_text()))]
-    assert importing == ["special.py"], importing
+@pytest.mark.parametrize("path", MODULES + [Path(clifft.__file__)], ids=lambda p: p.stem)
+def test_module_imports_nothing_from_scipy(path):
+    # clifft computes every special function itself; scipy is a test oracle
+    found = _scipy_imports(ast.parse(path.read_text()))
+    assert not found, f"{path.name} imports {found}"
+
+
+def test_import_clifft_leaves_scipy_unloaded():
+    # no clifft module, and nothing clifft imports, loads scipy: a fresh
+    # process that imports the package has no scipy module
+    src = str(Path(clifft.__file__).parent.parent)
+    code = "import sys, clifft; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 # Re-exports that no library code refers to, each kept for a stated reason.

@@ -30,12 +30,15 @@ def both_paths(two: int, ts: np.ndarray) -> np.ndarray:
 
 
 def test_jtilde_point_path_equals_array_path_bit_for_bit():
-    # twice-orders -1..21 on [0, 60], with points on and next to every cutoff
-    # (t = 1, and t = 4 for the orders that keep the series that far): the
+    # twice-orders -1..21 on [0, 60], with points on and next to every
+    # switch: t = 1, t = 4 for the orders that keep the series that far,
+    # the Taylor centres' edges at the integers 2..24 and Hankel's
+    # expansion at t = 25 for J_0 and J_1, and t = order, where the
+    # three-term relation turns from Miller's recurrence to upward; the
     # 0-d path runs the array path's series and large-t functions
-    cuts = np.array([1.0, 4.0])
+    cuts = np.arange(1.0, 25.5, 0.5)
     ts = np.unique(np.concatenate([
-        np.linspace(0.0, 60.0, 3001), cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 9.0),
+        np.linspace(0.0, 60.0, 3001), cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, np.inf),
     ]))
     for two in range(-1, 22):
         array, point = both_paths(two, ts)
@@ -102,9 +105,20 @@ def test_jtilde_power_series_against_mpmath_below_one():
 
 
 def test_jtilde_integer_orders_zero_and_one_against_mpmath():
-    # orders 0 and 1 above t = 1 are J_0(t) and J_1(t)/t by scipy's j0 and
-    # j1; hold them to a 60-digit reference on [1, 60]
-    ts = np.concatenate([np.linspace(1.0, 60.0, 400), [1.0 + 1e-12, 2.404825557695773, 3.8317059702075125]])
+    # orders 0 and 1 above t = 1 are J_0(t) and J_1(t)/t by clifft's own J_0
+    # and J_1: Taylor expansions about the centres k + 1/2 below t = 25,
+    # Hankel's expansion above.  Hold them to a 60-digit reference on
+    # [1, 300], which the m = 4 composition reads up to t = 196, at the
+    # first 19 zeros of J_0 and of J_1 and next to every switch (the
+    # integers 2..25); the worst read is 7e-17, and scipy's own j0 is up to
+    # 1.3e-15 off on [40, 300], 2.6e-14 of the envelope sqrt(2/(pi t))
+    switches = np.arange(2.0, 26.0)
+    with mpmath.workdps(20):
+        zeros = [float(mpmath.besseljzero(nu, k)) for nu in (0, 1) for k in range(1, 20)]
+    ts = np.concatenate([
+        np.linspace(1.0, 300.0, 1200), [1.0 + 1e-12], zeros,
+        switches, np.nextafter(switches, 0.0), np.nextafter(switches, np.inf),
+    ])
     worst = {}
     with mpmath.workdps(60):
         for two in (0, 2):
@@ -117,6 +131,42 @@ def test_jtilde_integer_orders_zero_and_one_against_mpmath():
                     err = max(err, float(abs(value - ref) / max(1, abs(ref))))
             worst[two // 2] = err
     assert max(worst.values()) <= 1e-15, worst
+
+
+def test_taylor_centre_table_is_correctly_rounded():
+    # J_0 and J_1 below t = 25 expand about c = k + 1/2 from a table of
+    # J_0(c) and J_1(c); each entry is the nearest float to the true value
+    with mpmath.workdps(60):
+        want = [tuple(float(mpmath.besselj(nu, mpmath.mpf(2 * k + 1) / 2)) for nu in (0, 1)) for k in range(1, 25)]
+    assert list(special._CENTRE_VALUES) == want
+
+
+def test_jtilde_generic_orders_against_mpmath():
+    # every order other than -1/2..9/2, 0 and 1 runs the three-term relation
+    # from the base pair of its parity, upward where t is at least the order
+    # and by Miller's recurrence below it.  Twice-orders 4..40 and 11..41 on
+    # [1, 60], on and next to t = order, against a 60-digit reference at the
+    # scale of the stack's oracle: |jtilde_nu(t)| for t < nu, and
+    # (|J_nu| + |Y_nu|) t^(-nu) above, with scipy's yv in the scale, which
+    # needs no more than a digit.  The worst read is 1.4e-15; scipy's jv
+    # reads 2.6e-14 on the same points
+    orders = np.arange(2.0, 21.0, 0.5)
+    ts = np.unique(np.concatenate([
+        np.linspace(1.0, 60.0, 60), orders, np.nextafter(orders, 0.0), np.nextafter(orders, np.inf),
+    ]))
+    worst = {}
+    with mpmath.workdps(60):
+        for two in [*range(4, 41, 2), *range(11, 42, 2)]:
+            nu = mpmath.mpf(two) / 2
+            err = 0.0
+            for t, values in zip(ts, both_paths(two, ts).T):
+                tm = mpmath.mpf(t)
+                j = mpmath.besselj(nu, tm)
+                scale = abs(j) if t < nu else abs(j) + abs(sp.yv(two / 2, t))
+                for value in values:
+                    err = max(err, float(abs(value * tm**nu - j) / scale))
+            worst[two] = err
+    assert max(worst.values()) < 3e-15, worst
 
 
 def test_half_integer_closed_forms():
