@@ -12,24 +12,23 @@ sines and cosines.  :func:`bessel_jtilde` evaluates it with nothing but
 numpy and the standard library.  Each branch, with the bound its test
 holds it to against a 60-digit mpmath value:
 
-- below t = 1, and up to t = 4 for the orders 5/2 to 9/2, the power
-  series, each coefficient rounded once from an exact rational: 2e-15
-  relative, twice-orders -1..200;
-- above that, for the half-integer orders -1/2 to 9/2, the closed
-  trigonometric forms, whose sin t and cos t come from one tangent of t/2
+- below t = 1, the power series for every order, each coefficient rounded
+  once from an exact rational: 2e-15 relative, twice-orders -1..200;
+- above it, the base pair of each parity.  The closed forms of the
+  orders -1/2 and 1/2, whose sin t and cos t come from one tangent of t/2
   by the half-angle identities (numpy computes float64 tan in SIMD code,
   and sin and cos one point at a time): 1e-15 of the envelope
-  t^(-alpha-1/2);
-- for the orders 0 and 1, this module's own J_0 and J_1: Taylor
+  t^(-alpha-1/2) on [1, 1e6].  This module's own J_0 and J_1: Taylor
   expansions about the centres k + 1/2 below t = 25, whose coefficients
   follow from Bessel's equation, and Hankel's asymptotic expansion above:
   1e-15 absolute on [1, 300], worst read 7e-17;
 - for every other order, the three-term relation
   jtilde_(nu-1) = 2 nu jtilde_nu - t^2 jtilde_(nu+1)
-  (:func:`jtilde_recurrence`), started from the base pair of its parity,
-  the closed forms of orders -1/2 and 1/2 or J_0 and J_1/t: 3e-15 of
+  (:func:`jtilde_recurrence`) from the base pair of its parity: 3e-15 of
   |jtilde_nu| below t = nu and of (|J_nu| + |Y_nu|) t^(-nu) above, for
-  twice-orders 4..41 on [1, 60], worst read 1.4e-15.
+  twice-orders 3..41 on [1, 60], worst read 1.4e-15; for the orders 3/2
+  to 9/2, whose closed forms would cancel near t = 1, 1e-15 of the
+  envelope on [1, 1e6], worst read 3.8e-16.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ def check_twice_order(twice_order) -> int:
 @lru_cache(maxsize=None)
 def _jtilde_series_coeffs(twice_order: int) -> tuple[float, ...]:
     """Coefficients c_k of jtilde(t) = sum_k c_k t^(2k), highest k first
-    (Horner order), with 24 terms for the orders of _SERIES_UP_TO and 14
-    otherwise.  c_k = (-1)^k c_0 / prod_{j<=k} 4j(alpha+j), with
+    (Horner order), 14 terms, which reach below the last digit for t < 1
+    at every order.  c_k = (-1)^k c_0 / prod_{j<=k} 4j(alpha+j), with
     c_0 = 1/(2^alpha alpha!), or sqrt(2/pi)/(2 alpha)!! for half-integer
     alpha; the rational part of each is one correctly rounded quotient."""
     if twice_order % 2:
@@ -77,7 +76,7 @@ def _jtilde_series_coeffs(twice_order: int) -> tuple[float, ...]:
     else:
         scale, den = 1.0, 2 ** (twice_order // 2) * math.factorial(twice_order // 2)
     coeffs = []
-    for k in range(24 if twice_order in _SERIES_UP_TO else 14):
+    for k in range(14):
         coeffs.append(scale * ((-1) ** k / den))
         den *= 2 * (k + 1) * (twice_order + 2 * k + 2)  # 4j(alpha + j), j = k + 1
     return tuple(reversed(coeffs))
@@ -107,34 +106,12 @@ def _sin_cos(t):
 
 
 def _jtilde_trig(twice_order: int, t):
-    """Closed forms for half-integer orders -1/2 .. 9/2, valid for t >= 1,
-    on a float or an array; None for every other order.  Powers of t are
-    products, the same operations on both."""
-    if twice_order not in (-1, 1, 3, 5, 7, 9):
-        return None
+    """sqrt(2/pi) cos t and sqrt(2/pi) sin t / t, the orders -1/2 and 1/2
+    (twice-order -1 or 1), for t >= 1, on a float or an array."""
     st, ct = _sin_cos(t)
     if twice_order == -1:
         return _SQRT_2_OVER_PI * ct
-    if twice_order == 1:
-        return _SQRT_2_OVER_PI * (st / t)
-    t2 = t * t
-    t3 = t2 * t
-    if twice_order == 3:
-        val = (st - t * ct) / t3
-    elif twice_order == 5:
-        val = ((3.0 - t2) * st - 3.0 * t * ct) / (t3 * t2)
-    elif twice_order == 7:
-        val = ((15.0 - 6.0 * t2) * st - (15.0 * t - t3) * ct) / (t3 * t2 * t2)
-    else:
-        val = ((105.0 - 45.0 * t2 + t2 * t2) * st - (105.0 * t - 10.0 * t3) * ct) / (t3 * t3 * t3)
-    return _SQRT_2_OVER_PI * val
-
-
-# Half-integer orders (as twice the order) whose closed forms cancel near
-# t = 1, by up to 4.8e-12 relative at order 9/2.  They keep the power
-# series, with 24 terms, up to t = 4; it stays within 6.5e-16 relative of
-# a 40-digit mpmath reference on [1, 4).
-_SERIES_UP_TO = {5: 4.0, 7: 4.0, 9: 4.0}
+    return _SQRT_2_OVER_PI * (st / t)
 
 
 # Points per block of an array t.  A branch makes about ten temporaries;
@@ -446,7 +423,9 @@ def _jtilde_miller(beta: float, i0: int, t, f_lo, f_hi, rows) -> None:
         norm = f_lo / cur if abs(f_lo) >= t * abs(f_hi) else f_hi / nxt
         rows[:] = [row * norm for row in rows]
     else:
-        rows *= np.where(np.abs(f_lo) >= t * np.abs(f_hi), f_lo / cur, f_hi / nxt)
+        # select before dividing: the quotient not taken may divide by zero
+        lo = np.abs(f_lo) >= t * np.abs(f_hi)
+        rows *= np.where(lo, f_lo, f_hi) / np.where(lo, cur, nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +436,15 @@ def bessel_jtilde(twice_order: int, t):
     """jtilde_alpha(t) = t^(-alpha) J_alpha(t), alpha = twice_order/2 >= -1/2,
     t >= 0.
 
-    Power series below t = 1 (no cancellation), and up to t = 4 for the
-    orders 5/2, 7/2 and 9/2; closed trigonometric forms for half-integer
-    orders above that, whose sin t and cos t come from one tan(t/2) by the
-    half-angle identities (numpy's float64 tan is SIMD code, its sin and
-    cos are not; see _sin_cos); J_0(t) and J_1(t)/t by this module's _j0
-    and _j1 for the orders 0 and 1; the three-term relation from the base
-    pair of the order's parity (_jv) for every other order.  A 0-d t picks
-    its branch once and returns a float; an array t runs in blocks of
-    _BLOCK points, each split between those branches.  Both run the same
-    formulas.
+    The power series below t = 1 (no cancellation); above it the base
+    pair, the closed forms of the orders -1/2 and 1/2 (see _sin_cos) and
+    J_0(t) and J_1(t)/t by this module's _j0 and _j1, and for every other
+    order the three-term relation from the base pair of its parity (_jv).
+    The module docstring gives each branch's bound.  A 0-d t picks its
+    branch once and returns a float; an array t runs in blocks of _BLOCK
+    points, each split between those branches.  Both run the same formulas.
     """
     two = check_twice_order(twice_order)
-    cutoff = _SERIES_UP_TO.get(two, 1.0)
     if not isinstance(t, (int, float)):
         arr = np.asarray(t, dtype=float)
         if arr.ndim:
@@ -479,7 +454,7 @@ def bessel_jtilde(twice_order: int, t):
             out = np.empty_like(flat)
             for lo in range(0, flat.size, _BLOCK):
                 block, dest = flat[lo : lo + _BLOCK], out[lo : lo + _BLOCK]
-                small = block < cutoff
+                small = block < 1.0
                 n_small = np.count_nonzero(small)
                 if n_small in (0, block.size):
                     dest[:] = (_jtilde_series if n_small else _jtilde_large)(two, block)
@@ -491,7 +466,7 @@ def bessel_jtilde(twice_order: int, t):
     t = float(t)
     if t < 0:
         raise ValueError("bessel_jtilde requires t >= 0")
-    return _jtilde_series(two, t) if t < cutoff else float(_jtilde_large(two, t))
+    return _jtilde_series(two, t) if t < 1.0 else float(_jtilde_large(two, t))
 
 
 def _jtilde_series(two: int, t):
@@ -500,13 +475,14 @@ def _jtilde_series(two: int, t):
 
 
 def _jtilde_large(two: int, t):
-    """jtilde on t at or above the series cutoff, on a float or an array."""
+    """jtilde for t >= 1, on a float or an array."""
     if two == 0:
         return _j0(t)
     if two == 2:
         return _j1(t) / t
-    val = _jtilde_trig(two, t)
-    return _jv(two, t) if val is None else val
+    if two in (-1, 1):
+        return _jtilde_trig(two, t)
+    return _jv(two, t)
 
 
 def gegenbauer_all(n: int, lam: float, w):

@@ -48,8 +48,8 @@ def test_jtilde_stack_against_mpmath_oracle():
     @example(3, 3, [1.0 - 1e-9, 1.0, 1.0 + 1e-9])
     @example(20, 3, [10.0, 11.0, 12.0, 13.0])  # t = nu on every row
     @example(9, 2, [4.5, 5.5, 6.5])
-    # bessel_jtilde's closed forms for orders 5/2 to 9/2 cancel near t = 1
-    # (4.8e-12 at 9/2), so it keeps the power series there up to t = 4
+    # orders 5/2 to 9/2 on [1, 4], where their closed forms would cancel
+    # (4.8e-12 at 9/2); bessel_jtilde runs the three-term relation there too
     @example(5, 2, [1.0, 1.5, 2.0, 3.0, 3.999, 4.0])
     @example(40, 4, [0.0, 0.5, 1.0, 7.0, 21.5, 30.0])  # every region in one call
     @example(195, 2, [0.99, 1.0, 39.0, 40.0])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
 from clifft import special
+from clifft.series import jtilde_stack
 from clifft.special import (
     bessel_jtilde,
     chebyshev_t,
@@ -31,10 +33,9 @@ def both_paths(two: int, ts: np.ndarray) -> np.ndarray:
 
 def test_jtilde_point_path_equals_array_path_bit_for_bit():
     # twice-orders -1..21 on [0, 60], with points on and next to every
-    # switch: t = 1, t = 4 for the orders that keep the series that far,
-    # the Taylor centres' edges at the integers 2..24 and Hankel's
-    # expansion at t = 25 for J_0 and J_1, and t = order, where the
-    # three-term relation turns from Miller's recurrence to upward; the
+    # switch: t = 1, the Taylor centres' edges at the integers 2..24 and
+    # Hankel's expansion at t = 25 for J_0 and J_1, and t = order, where
+    # the three-term relation turns from Miller's recurrence to upward; the
     # 0-d path runs the array path's series and large-t functions
     cuts = np.arange(1.0, 25.5, 0.5)
     ts = np.unique(np.concatenate([
@@ -48,8 +49,8 @@ def test_jtilde_point_path_equals_array_path_bit_for_bit():
 
 
 def test_jtilde_blocks_of_a_large_array_equal_the_point_path():
-    # an array of several blocks, in two dimensions: one block below every
-    # cutoff, one above, one split by the cutoff and a short last one
+    # an array of several blocks, in two dimensions: one block below the
+    # series cutoff t = 1, one above, one split by it and a short last one
     rng = np.random.default_rng(7)
     n = special._BLOCK
     ts = np.concatenate([
@@ -70,8 +71,9 @@ def test_jtilde_matches_direct_quotient_above_one():
 
 
 def test_jtilde_series_continuous_across_switch():
-    # the power series (t < 1) and closed forms (t >= 1) must agree
-    # to near machine precision at the seam
+    # the power series (t < 1) and the branches above it, the closed forms
+    # of orders -1/2 and 1/2 and the three-term relation from them, must
+    # agree to near machine precision at the seam
     for two in (-1, 1, 3, 5, 7):
         below = bessel_jtilde(two, 1.0 - 1e-9)
         above = bessel_jtilde(two, 1.0 + 1e-9)
@@ -142,21 +144,21 @@ def test_taylor_centre_table_is_correctly_rounded():
 
 
 def test_jtilde_generic_orders_against_mpmath():
-    # every order other than -1/2..9/2, 0 and 1 runs the three-term relation
+    # every order other than -1/2, 1/2, 0 and 1 runs the three-term relation
     # from the base pair of its parity, upward where t is at least the order
-    # and by Miller's recurrence below it.  Twice-orders 4..40 and 11..41 on
-    # [1, 60], on and next to t = order, against a 60-digit reference at the
-    # scale of the stack's oracle: |jtilde_nu(t)| for t < nu, and
+    # and by Miller's recurrence below it.  Twice-orders 3..41 on [1, 60],
+    # on and next to t = order, against a 60-digit reference at the scale
+    # of the stack's oracle: |jtilde_nu(t)| for t < nu, and
     # (|J_nu| + |Y_nu|) t^(-nu) above, with scipy's yv in the scale, which
     # needs no more than a digit.  The worst read is 1.4e-15; scipy's jv
     # reads 2.6e-14 on the same points
-    orders = np.arange(2.0, 21.0, 0.5)
+    orders = np.arange(1.5, 21.0, 0.5)
     ts = np.unique(np.concatenate([
         np.linspace(1.0, 60.0, 60), orders, np.nextafter(orders, 0.0), np.nextafter(orders, np.inf),
     ]))
     worst = {}
     with mpmath.workdps(60):
-        for two in [*range(4, 41, 2), *range(11, 42, 2)]:
+        for two in [*range(4, 41, 2), *range(3, 42, 2)]:
             nu = mpmath.mpf(two) / 2
             err = 0.0
             for t, values in zip(ts, both_paths(two, ts).T):
@@ -167,6 +169,47 @@ def test_jtilde_generic_orders_against_mpmath():
                     err = max(err, float(abs(value * tm**nu - j) / scale))
             worst[two] = err
     assert max(worst.values()) < 3e-15, worst
+    # the orders 3/2 to 9/2 also at the points and bound of the closed
+    # forms' test below, from t = 1, where their own closed forms would
+    # cancel, by up to 4.8e-12 at order 9/2, and on a second grid from
+    # t = 4, off the first one's points.  The worst read is 3.8e-16, at
+    # twice-order 9
+    zeros = np.arange(1, 39) * (math.pi / 2)
+    grids = [np.linspace(1.0, 60.0, 241), np.linspace(4.0, 60.0, 241)]
+    ts = np.unique(np.concatenate([*grids, zeros, [1e3, 1e6]]))
+    worst = _envelope_errors((3, 5, 7, 9), ts)
+    assert max(worst.values()) < 1e-15, worst
+
+
+def _envelope_errors(twice_orders, ts: np.ndarray) -> dict[int, float]:
+    """Per twice-order, the largest |jtilde_alpha(t) - ref| t^(alpha + 1/2)
+    of both paths over ts, against a 60-digit reference."""
+    worst = {}
+    with mpmath.workdps(60):
+        for two in twice_orders:
+            nu = mpmath.mpf(two) / 2
+            err = 0.0
+            for t, values in zip(ts, both_paths(two, ts).T):
+                tm = mpmath.mpf(t)
+                ref = mpmath.besselj(nu, tm) * tm ** (-nu)
+                for value in values:
+                    err = max(err, float(abs(value - ref) * tm ** (nu + 0.5)))
+            worst[two] = err
+    return worst
+
+
+def test_miller_normalisation_never_divides_by_zero():
+    # Miller's values are normalised per point by one of the two base
+    # functions; at t = k pi/2 the other one's quotient may be 0/0 or x/0,
+    # and it must not be formed.  Twice-orders 3..41, on both paths of
+    # bessel_jtilde and as the rows of jtilde_stack
+    ts = np.arange(1, 39) * (math.pi / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for two in range(3, 42):
+            assert np.all(np.isfinite(both_paths(two, ts))), two
+        for twice_min in (-1, 0):
+            assert np.all(np.isfinite(jtilde_stack(twice_min, 21, ts)))
 
 
 def test_half_integer_closed_forms():
@@ -177,24 +220,12 @@ def test_half_integer_closed_forms():
 
 
 def test_half_integer_closed_forms_against_mpmath():
-    # twice-orders -1..9 from each order's cutoff to 60, at every zero of
-    # sin and cos up to 60 (where the half-angle cosine is weakest), and
-    # far out; each error is scaled by the envelope t^(-alpha - 1/2) of
-    # jtilde_alpha, against a 60-digit reference
+    # twice-orders -1 and 1 on [1, 60], at every zero of sin and cos up to
+    # 60 (where the half-angle cosine is weakest), and far out, scaled by
+    # the envelope as above
     zeros = np.arange(1, 39) * (math.pi / 2)
-    worst = {}
-    with mpmath.workdps(60):
-        for two in (-1, 1, 3, 5, 7, 9):
-            cut = 4.0 if two >= 5 else 1.0
-            ts = np.unique(np.concatenate([np.linspace(cut, 60.0, 241), zeros[zeros >= cut], [1e3, 1e6]]))
-            nu = mpmath.mpf(two) / 2
-            err = 0.0
-            for t, values in zip(ts, both_paths(two, ts).T):
-                tm = mpmath.mpf(t)
-                ref = mpmath.besselj(nu, tm) * tm ** (-nu)
-                for value in values:
-                    err = max(err, float(abs(value - ref) * tm ** (nu + 0.5)))
-            worst[two] = err
+    ts = np.unique(np.concatenate([np.linspace(1.0, 60.0, 241), zeros, [1e3, 1e6]]))
+    worst = _envelope_errors((-1, 1), ts)
     assert max(worst.values()) < 1e-15, worst
 
 
