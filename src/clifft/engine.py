@@ -15,7 +15,7 @@ Two complementary quadrature routes are implemented:
 Everything downstream (eigenvalue certification, inversion by composed
 transforms, differential relations, boundedness scans) is built on these
 two routes plus the exact closed forms.  The tensor-product Gauss-Hermite
-grid of :class:`QuadratureScheme` remains for plain integrals.
+grid of :class:`QuadratureScheme` is the m = 2 composition's middle rule.
 """
 
 from __future__ import annotations
@@ -84,6 +84,11 @@ _CHUNK_ROWS = 16_384
 # Generalized Gauss-Laguerre nodes in u = r^2/2 of the target-aligned rule
 # for a target of norm at most 3; see _radial_count for larger norms.
 _NODES = 24
+# Gauss-Hermite nodes per axis of the m = 2 composition's middle integral,
+# out to |x_i| = 7.6: with 16 to 24 nodes its residual reads 4.1e-11,
+# 2.5e-13, 1.4e-14, 1.7e-14, 2.0e-14, and from about 28 the transforms at
+# the far nodes add their absolute error (6.7e-14 at 30).
+_COMPOSITION_NODES = 20
 # Entries per chunk of targets of apply_transform_batch, counted as
 # targets x nodes x sphere points x (table rows + m + profile columns):
 # 32 MB of reals.
@@ -102,9 +107,9 @@ class QuadratureScheme:
     their axis indices (i_1, ..., i_m), and :meth:`chunks` builds each run
     of consecutive points from the axis rule, with the weight of a point
     the product W_(i_1) W_(i_2) ... W_(i_m) taken left to right.  It is
-    the rule of :meth:`integrate` and of criterion 10's Gram matrix, and
-    the tests' second oracle of the transform; the transform itself runs
-    on :class:`CylindricalRule`.
+    the middle rule of the m = 2 composition, the rule of criterion 10's
+    Gram matrix and the tests' second oracle of the transform, which
+    itself runs on :class:`CylindricalRule`.
     """
 
     def __init__(self, m: int, nodes_per_axis: int | None = None):
@@ -130,49 +135,10 @@ class QuadratureScheme:
         """(points, weights) of consecutive runs of _CHUNK_ROWS points (the
         last one shorter); points is the (n, m) transpose of a contiguous
         (m, n) array."""
-        # coordinates and axis weights of axes 2..m at the n^(m-1) points of
-        # one value of the first axis, one row per axis
-        n, rest = self.nodes_per_axis, self.m - 1
-        idx = np.indices((n,) * rest).reshape(rest, n**rest)
-        coords, axis_wts = self.axis_nodes[idx], self.axis_weights[idx]
-        block = n**rest
-        total = len(self)
+        shape, total = (self.nodes_per_axis,) * self.m, len(self)
         for start in range(0, total, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, total)
-            cols = np.empty((self.m, stop - start))
-            wts = np.empty(stop - start)
-            pos = start
-            # one segment per value of the first axis
-            while pos < stop:
-                first, lo = divmod(pos, block)
-                hi = min(block, lo + stop - pos)
-                seg = slice(pos - start, pos - start + hi - lo)
-                cols[0, seg] = self.axis_nodes[first]
-                cols[1:, seg] = coords[:, lo:hi]
-                wts[seg] = self.axis_weights[first]
-                for axis_w in axis_wts[:, lo:hi]:
-                    wts[seg] *= axis_w
-                pos += hi - lo
-            yield cols.T, wts
-
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
-        """sum W f(x) over the grid, with f evaluated on one chunk of (n, m)
-        points at a time."""
-        return complex(sum(np.sum(wts * f(pts)) for pts, wts in self.chunks()))
-
-    def self_test(self) -> float:
-        """Relative error integrating centered and shifted unit Gaussians
-        against the exact value (2 pi)^(m/2).  Raises unless below 1e-10."""
-        exact = (2.0 * math.pi) ** (self.m / 2.0)
-
-        def rel_error(offset):
-            value = self.integrate(lambda pts: np.exp(-0.5 * np.sum((pts - offset) ** 2, axis=1)))
-            return abs(value.real - exact) / exact
-
-        err = worst(rel_error(np.zeros(self.m)), rel_error(0.35 * np.arange(1, self.m + 1)))
-        if not err < 1e-10:
-            raise RuntimeError(f"quadrature self-test failed: rel error {err:.3e}")
-        return err
+            idx = np.stack(np.unravel_index(np.arange(start, min(start + _CHUNK_ROWS, total)), shape))
+            yield self.axis_nodes[idx].T, np.prod(self.axis_weights[idx], axis=0)
 
 
 def _radial_count(rho: np.ndarray) -> np.ndarray:
@@ -787,17 +753,11 @@ def _composition_radial(m: int, i: int) -> float:
 
 def _composition_grid_m2(i: int) -> float:
     """Residual of inverse(forward(psi)) - psi in dimension 2, with the
-    middle integral on a Gauss-Legendre grid and the inverse applied
+    middle integral on the tensor Gauss-Hermite grid and the inverse applied
     through its series kernel, {0: A, e12: B (x wedge y)} by blade_product."""
     m = 2
     kid = KernelId(m, i)
-    u, w = np.polynomial.legendre.leggauss(80)
-    half = 8.0
-    ax = half * u
-    aw = half * w
-    gy1, gy2 = np.meshgrid(ax, ax, indexing="ij")
-    mid = np.stack([gy1.reshape(-1), gy2.reshape(-1)], axis=1)
-    mid_w = np.multiply.outer(aw, aw).reshape(-1)
+    mid, mid_w = map(np.concatenate, zip(*QuadratureScheme(m, _COMPOSITION_NODES).chunks()))
 
     inv = inverse_coefficients(series_coefficients(kid))
     n_terms = truncation_bound(inv, float(np.max(np.linalg.norm(mid, axis=1))) * 2.6, 1e-11)

@@ -16,7 +16,9 @@ Each kernel stores two streams: beta_k, and a_k with a_0 = alpha_0 and
 a_k = lambda alpha_k for k >= 1 (``lambda_exact``), evaluated against
 C_k^lambda / lambda.  Both stay finite as lambda -> 0, so dimension two is
 simply the case lambda = 0 of one builder: there alpha_k (k >= 1)
-diverges and C_k^lambda / lambda = (2/k) T_k.
+diverges and C_k^lambda / lambda = (2/k) T_k.  Both Gegenbauer rows,
+C_k^lambda / lambda and C_k^(lambda+1), come from the one recurrence of
+``clifft.special`` (``gegenbauer_over_lambda_all`` and ``gegenbauer_all``).
 
 All the orders k + lambda, k = 0..N, of one evaluation come from one
 :func:`jtilde_stack`, which takes two ``bessel_jtilde`` base rows, of
@@ -55,6 +57,7 @@ from .special import (
     check_twice_order,
     double_factorial,
     gegenbauer_all,
+    gegenbauer_over_lambda_all,
     jtilde_recurrence,
     log_gamma,
 )
@@ -413,29 +416,6 @@ def classical_coefficients(m: int) -> SeriesCoefficients:
 # evaluation and truncation control
 
 
-def _gegenbauer_over_lambda(n: int, lam: float, w) -> np.ndarray:
-    """C_k^lam(w) / lam for k = 1..n by the Gegenbauer recurrence, started
-    from 2w and 2(1 + lam)w^2 - 1 so that lam = 0 gives (2/k) T_k(w).
-    Row 0 (1/lam) is not computed and holds NaN."""
-    arr = np.asarray(w, dtype=float)
-    vals = np.full((n + 1,) + arr.shape, np.nan)
-    rows = vals.reshape(n + 1, -1)
-    two_w = 2.0 * arr.reshape(-1)
-    if n >= 1:
-        rows[1] = two_w
-    prev2 = np.empty_like(two_w)
-    for j in range(2, n + 1):
-        if j == 2:
-            prev2.fill(2.0)
-        else:
-            np.multiply(rows[j - 2], j + 2.0 * lam - 2.0, out=prev2)
-        cur = np.multiply(two_w, j + lam - 1.0, out=rows[j])
-        cur *= rows[j - 1]
-        cur -= prev2
-        cur /= j
-    return vals
-
-
 # Points per block of jtilde_stack: bounds its temporaries to a few rows
 # of this many points, whatever the size of t.
 _STACK_BLOCK = 16384
@@ -498,7 +478,7 @@ def eval_series(
     shape = z_arr.shape
     z_flat, w_flat = z_arr.reshape(-1), w_arr.reshape(-1)
     lam = coeffs.lam
-    geg_a = _gegenbauer_over_lambda(n, lam, w_flat)
+    geg_a = gegenbauer_over_lambda_all(n, lam, w_flat)
     geg_b = gegenbauer_all(max(n - 1, 0), lam + 1.0, w_flat)
     jts = jtilde_stack(coeffs.m - 2, n, z_flat)
     # rows: Re A, Re B, Im A, Im B

@@ -46,6 +46,7 @@ __all__ = [
     "jtilde_recurrence",
     "gegenbauer",
     "gegenbauer_all",
+    "gegenbauer_over_lambda_all",
     "chebyshev_t",
     "chebyshev_t_all",
     "chebyshev_u_all",
@@ -71,10 +72,8 @@ def _jtilde_series_coeffs(twice_order: int) -> tuple[float, ...]:
     at every order.  c_k = (-1)^k c_0 / prod_{j<=k} 4j(alpha+j), with
     c_0 = 1/(2^alpha alpha!), or sqrt(2/pi)/(2 alpha)!! for half-integer
     alpha; the rational part of each is one correctly rounded quotient."""
-    if twice_order % 2:
-        scale, den = _SQRT_2_OVER_PI, math.prod(range(twice_order, 0, -2))
-    else:
-        scale, den = 1.0, 2 ** (twice_order // 2) * math.factorial(twice_order // 2)
+    scale = _SQRT_2_OVER_PI if twice_order % 2 else 1.0
+    den = double_factorial(twice_order)  # (2 alpha)!!, = 2^alpha alpha! for integer alpha
     coeffs = []
     for k in range(14):
         coeffs.append(scale * ((-1) ** k / den))
@@ -304,7 +303,9 @@ def _jv(two: int, t):
     from the base pair of its parity, the closed forms of orders -1/2 and
     1/2, or J_0 and J_1/t."""
     if two % 2:
-        f_lo, f_hi = _jtilde_trig(-1, t), _jtilde_trig(1, t)
+        # both closed forms from one tangent
+        st, ct = _sin_cos(t)
+        f_lo, f_hi = _SQRT_2_OVER_PI * ct, _SQRT_2_OVER_PI * (st / t)
     else:
         f_lo, f_hi = _j0(t), _j1(t) / t
     rows = [0.0] if isinstance(t, float) else np.empty((1, t.size))
@@ -485,10 +486,11 @@ def _jtilde_large(two: int, t):
     return _jv(two, t)
 
 
-def gegenbauer_all(n: int, lam: float, w):
-    """C_0^lam(w) .. C_n^lam(w) by the three-term recurrence, lam > 0."""
-    if lam <= 0:
-        raise ValueError(f"gegenbauer parameter must be positive, got {lam}")
+def _gegenbauer_rows(n: int, lam: float, c0: float, w) -> np.ndarray:
+    """(c0/lam) C_k^lam(w) for k = 0..n by the three-term recurrence
+    (Abramowitz & Stegun 22.7.3), c0 = lam or 1: row 1 is 2 c0 w and the
+    step to row 2 subtracts 2 c0, so c0 = 1 allows lam = 0.  Row 0 holds 1
+    and is the caller's to set."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     arr = np.asarray(w, dtype=float)
@@ -497,15 +499,30 @@ def gegenbauer_all(n: int, lam: float, w):
     rows = vals.reshape(n + 1, -1)
     rows[0] = 1.0
     if n >= 1:
-        rows[1] = 2.0 * lam * arr.reshape(-1)
+        rows[1] = 2.0 * c0 * arr.reshape(-1)
     two_w = 2.0 * arr.reshape(-1)
     prev2 = np.empty_like(two_w)
     for j in range(2, n + 1):
-        np.multiply(rows[j - 2], j + 2.0 * lam - 2.0, out=prev2)
+        np.multiply(rows[j - 2], j + 2.0 * (c0 if j == 2 else lam) - 2.0, out=prev2)
         cur = np.multiply(two_w, j + lam - 1.0, out=rows[j])
         cur *= rows[j - 1]
         cur -= prev2
         cur /= j
+    return vals
+
+
+def gegenbauer_all(n: int, lam: float, w):
+    """C_0^lam(w) .. C_n^lam(w) by the three-term recurrence, lam > 0."""
+    if lam <= 0:
+        raise ValueError(f"gegenbauer parameter must be positive, got {lam}")
+    return _gegenbauer_rows(n, lam, lam, w)
+
+
+def gegenbauer_over_lambda_all(n: int, lam: float, w):
+    """C_k^lam(w) / lam for k = 1..n, lam >= 0: lam = 0 gives the limit
+    (2/k) T_k(w).  Row 0 (1/lam) is not computed and holds NaN."""
+    vals = _gegenbauer_rows(n, lam, 1.0, w)
+    vals[0] = np.nan
     return vals
 
 
@@ -515,14 +532,10 @@ def gegenbauer(n: int, lam: float, w):
 
 
 def chebyshev_t_all(n: int, w):
-    """T_0(w) .. T_n(w), first kind."""
-    arr = np.asarray(w, dtype=float)
-    vals = np.empty((n + 1,) + arr.shape)
+    """T_0(w) .. T_n(w), first kind: T_k = (k/2) C_k^0/0 for k >= 1."""
+    vals = gegenbauer_over_lambda_all(n, 0.0, w)
+    vals *= (0.5 * np.arange(n + 1)).reshape((n + 1,) + (1,) * np.ndim(w))
     vals[0] = 1.0
-    if n >= 1:
-        vals[1] = arr
-    for j in range(2, n + 1):
-        vals[j] = 2.0 * arr * vals[j - 1] - vals[j - 2]
     return vals
 
 
@@ -533,14 +546,7 @@ def chebyshev_t(n: int, w):
 
 def chebyshev_u_all(n: int, w):
     """U_0(w) .. U_n(w), second kind (= C_n^1)."""
-    arr = np.asarray(w, dtype=float)
-    vals = np.empty((n + 1,) + arr.shape)
-    vals[0] = 1.0
-    if n >= 1:
-        vals[1] = 2.0 * arr
-    for j in range(2, n + 1):
-        vals[j] = 2.0 * arr * vals[j - 1] - vals[j - 2]
-    return vals
+    return gegenbauer_all(n, 1.0, w)
 
 
 def laguerre(j: int, alpha, x):

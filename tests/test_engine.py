@@ -36,9 +36,7 @@ from clifft.suites import run
 
 
 def test_scheme_self_test_and_sizes():
-    s = QuadratureScheme(2)
-    assert len(s) == 64 * 64
-    assert s.self_test() < 1e-12
+    assert len(QuadratureScheme(2)) == 64 * 64
     with pytest.raises(ValueError):
         QuadratureScheme(7)  # no default grid that large
 
@@ -69,22 +67,13 @@ def test_chunks_equal_a_meshgrid_reference_bitwise(m, n, monkeypatch):
         assert start == len(points)
 
 
-def test_scheme_self_test_fails_on_a_nan_weight():
-    scheme = QuadratureScheme(2, 16)
-    assert scheme.self_test() < 1e-10
-    scheme.axis_weights[5] = np.nan
-    with pytest.raises(RuntimeError, match="self-test failed"):
-        scheme.self_test()
-
-
 def test_scheme_integrates_polynomial_gaussian():
-    s = QuadratureScheme(2)
-
     def f(pts: np.ndarray) -> np.ndarray:
         return pts[:, 0] ** 2 * np.exp(-0.5 * np.sum(pts**2, axis=1))
 
     # integral of x1^2 e^(-|x|^2/2) = (2 pi)^(m/2), summed chunk by chunk
-    assert s.integrate(f).real == pytest.approx(2 * math.pi, rel=1e-12)
+    total = sum(np.sum(wts * f(pts)) for pts, wts in QuadratureScheme(2).chunks())
+    assert total == pytest.approx(2 * math.pi, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -419,16 +408,15 @@ def test_cylindrical_rule_is_exact_on_polynomial_profiles(m, monkeypatch):
 
 
 def test_no_route_falls_back_to_the_tensor_grid(monkeypatch):
-    # the eigen and diff suites and the m = 2 composition transform on the
-    # target-aligned rule alone: with the tensor grid's chunks raising,
-    # every one of them still passes
+    # the eigen and diff suites transform on the target-aligned rule alone:
+    # with the tensor grid's chunks raising, both still pass.  (The m = 2
+    # composition's middle integral is the grid itself.)
     def no_grid(scheme):
         raise AssertionError("the tensor grid was used")
 
     monkeypatch.setattr(QuadratureScheme, "chunks", no_grid)
     assert max(r.residual for r in verify_eigen(3)) < 1e-12
     assert all(c.passed for c in run("diff", [2]))
-    assert inversion_composition_residual(2, 0) < 1e-12
 
 
 def test_bochner_agrees_with_full_grid():

@@ -14,13 +14,12 @@ from clifft.exact import Exact
 from clifft.kernels import KernelId
 from clifft.series import (
     SeriesCoefficients,
-    _gegenbauer_over_lambda,
     eval_series,
     jtilde_stack,
     series_coefficients,
     truncation_bound,
 )
-from clifft.special import gegenbauer_all
+from clifft.special import gegenbauer_all, gegenbauer_over_lambda_all
 
 # The largest error of eval_series relative to sum_k |term_k| that passes.
 # The worst measured is 1.3e-14, at z near 30 and w = -(1 - 2^-53): there
@@ -37,7 +36,7 @@ def _eval_series_complex(coeffs: SeriesCoefficients, z, w, n: int):
     z_arr, w_arr = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(w, dtype=float))
     a_total = np.zeros(z_arr.shape, dtype=complex)
     b_total = np.zeros(z_arr.shape, dtype=complex)
-    geg_a = _gegenbauer_over_lambda(n, coeffs.lam, w_arr)
+    geg_a = gegenbauer_over_lambda_all(n, coeffs.lam, w_arr)
     geg_b = gegenbauer_all(max(n - 1, 0), coeffs.lam + 1.0, w_arr)
     jts = jtilde_stack(coeffs.m - 2, n, z_arr)
     zpow = np.ones_like(z_arr)
@@ -120,7 +119,7 @@ def test_gegenbauer_rows_equal_the_array_expressions_bit_for_bit():
             for j in range(2, 31):
                 prev2 = 2.0 if j == 2 else (j + 2.0 * lam - 2.0) * want[j - 2]
                 want[j] = (2.0 * arr * (j + lam - 1.0) * want[j - 1] - prev2) / j
-            assert _same_bits(_gegenbauer_over_lambda(30, lam, arr), want)
+            assert _same_bits(gegenbauer_over_lambda_all(30, lam, arr), want)
             mu = lam + 1.0
             want = np.empty((31,) + np.shape(arr))
             want[0] = 1.0

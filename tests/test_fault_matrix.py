@@ -13,13 +13,21 @@ other than -1/2, 0, 1/2 and 1, serves only the closed form, and only where
 a kernel reads such an order: of m = 2..7, from m = 4 (twice-order 3) on.
 At m = 2 and 3 the kernels read the base orders only.  It also runs from
 the base pair, so a fault in J_0 or in the form of order -1/2 reaches it
-too.
+too.  The form of order -1/2 is faulted at its cos t, the one value that
+a direct call of that order and ``_jv``'s base pair both read.
 
 The quadrature fault scales the first weight of the transform's radial
 rule by 1 + 1e-5, and the eigen suite must report it at every m of the
 grid route.  Its eigen rows read about 1.0, 0.76 and 1.5 times the scale
 minus one at m = 2, 3 and 4, so 1 + 2e-6 is the smallest scale of the
 form 1 + k 10^-n that all three report against the 1e-6 bound.
+
+The tensor-grid fault scales every weight of ``QuadratureScheme.chunks``,
+the middle rule of the inversion suite's m = 2 composition, by 1 + 2e-5.
+The composition residual reads about 0.59 times the scale minus one, so
+1 + 2e-5 (1.2e-5) is the smallest scale of that form the 1e-5 bound
+reports; 1 + 1e-5 reads 5.9e-6 and passes.  The other dimensions compose
+on the radial rule and must pass.
 """
 
 from __future__ import annotations
@@ -33,14 +41,16 @@ FAULT = 1.0 + 1e-6
 
 
 def _trig_order_minus_half(monkeypatch) -> None:
-    """The closed form of order -1/2, sqrt(2/pi) cos t, for t >= 1."""
-    trig = special._jtilde_trig
+    """The closed form of order -1/2, sqrt(2/pi) cos t, for t >= 1, at
+    the cos t of ``_sin_cos``.  Hankel's J_0 and J_1 read that cos t too,
+    but only from t = 25, beyond the series suite's z <= 9."""
+    sin_cos = special._sin_cos
 
-    def faulty(twice_order, t):
-        val = trig(twice_order, t)
-        return val * FAULT if twice_order == -1 else val
+    def faulty(t):
+        st, ct = sin_cos(t)
+        return st, ct * FAULT
 
-    monkeypatch.setattr(special, "_jtilde_trig", faulty)
+    monkeypatch.setattr(special, "_sin_cos", faulty)
 
 
 def _j0(monkeypatch) -> None:
@@ -109,3 +119,21 @@ def test_eigen_suite_reports_a_quadrature_weight_fault(m, monkeypatch):
     _radial_weight(monkeypatch)
     failed = [c for c in run("eigen", [m]) if not c.passed]
     assert failed, f"the radial weight fault passes the eigen suite at m = {m}"
+
+
+def _grid_weight(monkeypatch) -> None:
+    """Every weight of the tensor Gauss-Hermite grid."""
+    chunks = engine.QuadratureScheme.chunks
+
+    def faulty(scheme):
+        for pts, wts in chunks(scheme):
+            yield pts, wts * (1.0 + 2e-5)
+
+    monkeypatch.setattr(engine.QuadratureScheme, "chunks", faulty)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_inversion_suite_reports_a_tensor_grid_weight_fault_at_m_2(m, monkeypatch):
+    _grid_weight(monkeypatch)
+    failed = [c for c in run("inversion", [m]) if not c.passed]
+    assert bool(failed) == (m == 2), f"m = {m}: {len(failed)} failed checks"

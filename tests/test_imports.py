@@ -129,8 +129,6 @@ def test_every_reexported_name_has_a_library_caller():
 UNSET_DEFAULTS = {
     # the paper's free unit parameter of the odd-dimension kernels
     ("KernelId", "e_i"),
-    # the tests' small oracle grids
-    ("QuadratureScheme", "nodes_per_axis"),
     # the series tests
     ("check_cf_constraint", "k_max"),
     # tests pick kernels and basis functions with them

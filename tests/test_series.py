@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from clifft.algebra import ParaBivector, invariants_of
 from clifft.exact import Exact, I_UNIT, ONE, U
 from clifft.kernels import KernelId, build_kernel, eval_kernel
 from clifft.series import (
     SeriesCoefficients,
-    _gegenbauer_over_lambda,
     bridge_prefactor,
     check_cf_constraint,
     classical_coefficients,
@@ -26,7 +26,7 @@ from clifft.series import (
     transform_normalization,
     truncation_bound,
 )
-from clifft.special import chebyshev_t_all, gegenbauer_all
+from clifft.special import gegenbauer_over_lambda_all
 
 
 def test_gamma2pow_even_and_odd():
@@ -163,16 +163,18 @@ def test_constraint_detects_perturbed_stream():
 
 
 def test_gegenbauer_over_lambda_against_references():
+    # gegenbauer_all and chebyshev_t_all share this recurrence, so the
+    # references are scipy's C_k^lam and cos(k arccos w)
     w = np.linspace(-1.0, 1.0, 41)
-    for lam in (0.5, 1.5, 3.0):
-        got = _gegenbauer_over_lambda(12, lam, w)
-        want = gegenbauer_all(12, lam, w) / lam
-        assert np.all(np.isnan(got[0]))
-        assert np.allclose(got[1:], want[1:], rtol=1e-13, atol=1e-13)
-    got = _gegenbauer_over_lambda(12, 0.0, w)
     k = np.arange(1, 13)[:, None]
-    assert np.allclose(got[1:], (2.0 / k) * chebyshev_t_all(12, w)[1:], rtol=1e-13, atol=1e-14)
-    assert _gegenbauer_over_lambda(0, 0.0, w).shape == (1, 41)
+    for lam in (0.5, 1.5, 3.0):
+        got = gegenbauer_over_lambda_all(12, lam, w)
+        want = sp.eval_gegenbauer(k, lam, w) / lam
+        assert np.all(np.isnan(got[0]))
+        assert np.allclose(got[1:], want, rtol=1e-13, atol=1e-13)
+    got = gegenbauer_over_lambda_all(12, 0.0, w)
+    assert np.allclose(got[1:], (2.0 / k) * np.cos(k * np.arccos(w)), rtol=1e-13, atol=1e-14)
+    assert gegenbauer_over_lambda_all(0, 0.0, w).shape == (1, 41)
 
 
 def test_series_matches_kernel_profiles():

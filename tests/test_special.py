@@ -272,6 +272,16 @@ def test_chebyshev_values():
     assert chebyshev_t(3, 0.4) == pytest.approx(math.cos(3 * math.acos(0.4)))
 
 
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize("table", [
+    chebyshev_t_all, chebyshev_u_all, chebyshev_t,
+    lambda n, w: gegenbauer_all(n, 1.5, w), lambda n, w: laguerre(n, 0.5, w),
+])
+def test_polynomial_tables_reject_a_negative_degree(table, n):
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        table(n, np.array([0.3, -0.2]))
+
+
 def _explicit_sums(n: int, lam, w, x, alpha):
     """C_k^lam(w), T_k(w), U_k(w) for k <= n and L_n^alpha(x), each with the
     scale its error is held to, from the explicit sums (Abramowitz &
