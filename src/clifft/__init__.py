@@ -40,7 +40,6 @@ from .engine import (
     EigenvalueRecord,
     InversionReport,
     L2ScanReport,
-    RadialRule,
     apply_transform_batch,
     bochner_reduce,
     closed_form_eigenvalue,

@@ -9,8 +9,10 @@ Two complementary quadrature routes are implemented:
   a rule exact for the functions' degree, so the kernel's profiles are
   evaluated once per (x_1, r) node, and
 * a radial reduction (any dimension >= 2) that converts the transform of
-  f0(r) M_k(x) (or f0(r) x M_k(x)) into a one-dimensional Bessel
-  integral weighted by the kernel's eigenvalue functionals.
+  f0(r) M_k(x) (or f0(r) x M_k(x)) into the kernel's eigenvalue times one
+  Hankel integral of a single Bessel order on a :func:`radial_rule`.  The
+  eigen route, the Hankel-Laguerre check and both stages of the m >= 3
+  composition all take it from ``_radial_bessel_integral``.
 
 Everything downstream (eigenvalue certification, inversion by composed
 transforms, differential relations, boundedness scans) is built on these
@@ -46,7 +48,6 @@ from .series import (
     eigenvalues_from_coefficients,
     eval_series,
     inverse_coefficients,
-    jtilde_stack,
     series_coefficients,
     transform_normalization,
     truncation_bound,
@@ -57,7 +58,6 @@ __all__ = [
     "GRID_NODES",
     "CylindricalRule",
     "QuadratureScheme",
-    "RadialRule",
     "EigenvalueRecord",
     "L2ScanReport",
     "InversionReport",
@@ -234,33 +234,23 @@ def default_scheme(m: int) -> CylindricalRule:
 _R_MAX = 14.0
 
 
-@dataclass(frozen=True)
-class RadialRule:
-    """Composite Gauss-Legendre rule on [0, _R_MAX]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def radial_rule(panel_width: float) -> RadialRule:
-    """16 Gauss-Legendre points on each panel of the given width (the last
-    one cut at _R_MAX)."""
-    u, w = np.polynomial.legendre.leggauss(16)
-    edges = np.minimum(np.arange(0.0, _R_MAX + panel_width, panel_width), _R_MAX)
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        half = 0.5 * (b - a)
-        nodes.append(a + half * (u + 1.0))
-        weights.append(half * w)
-    return RadialRule(np.concatenate(nodes), np.concatenate(weights))
+@lru_cache(maxsize=None)
+def _legendre16() -> tuple[np.ndarray, np.ndarray]:
+    """The 16-point Gauss-Legendre rule on [-1, 1], built on first use:
+    loading numpy.polynomial at import would slow every ``import clifft``."""
+    return np.polynomial.legendre.leggauss(16)
 
 
-def _rule_for(ys_norms: np.ndarray) -> RadialRule:
-    width = min(1.0, math.pi / max(float(np.max(ys_norms)), 1.0))
-    return radial_rule(width)
+def radial_rule(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, _R_MAX] for targets of norms rho: 16
+    Gauss-Legendre points on each panel of width min(1, pi/max(rho, 1)),
+    so that a panel spans at most half a period of jtilde(r rho), the last
+    panel cut at _R_MAX."""
+    width = min(1.0, math.pi / max(float(np.max(rho)), 1.0))
+    u, w = _legendre16()
+    edges = np.unique(np.minimum(np.arange(0.0, _R_MAX + width, width), _R_MAX))
+    start, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return (start + half * (u + 1.0)).ravel(), (half * w).ravel()
 
 
 def sample_points(m: int, n: int, radius: float, seed: int = 0) -> np.ndarray:
@@ -299,8 +289,7 @@ def closed_form_eigenvalue_exact(
     """
     if parity not in _PARITIES:
         raise ValueError(f"parity must be one of {_PARITIES}, got {parity!r}")
-    if not 0 <= i <= m - 2:
-        raise ValueError(f"index i out of range 0..{m - 2}: {i}")
+    e = KernelId(m, i, e_i=e_i).e_i  # checks i and that a kernel has this e_i
     if k < 0 or p < 0:
         raise ValueError("k and p must be >= 0")
     odd_branch = parity == "2p+1"
@@ -309,7 +298,6 @@ def closed_form_eigenvalue_exact(
         sgn = -1 if (m // 2) % 2 else 1
         unit_sgn, unit_one = Exact(sgn), Exact(1)
     else:
-        e = complex(e_i)
         j_unit = Exact._coerce(1j * e.conjugate())
         if ((m + 1) // 2) % 2:
             j_unit = -j_unit
@@ -483,77 +471,55 @@ def _rayleigh(f_vals: BladeValues, g_vals: BladeValues) -> complex:
 # radial (Bochner-type) reduction
 
 
-def _coeffs_of(source) -> SeriesCoefficients:
-    if isinstance(source, SeriesCoefficients):
-        return source
-    if isinstance(source, KernelId):
-        return series_coefficients(source)
-    raise TypeError("expected a KernelId or SeriesCoefficients")
-
-
 def _radial_bessel_integral(
-    rule: RadialRule,
+    rule: tuple[np.ndarray, np.ndarray],
     f0_vals: np.ndarray,
     r_power: int,
     z_power: int,
     twice_order: int,
     rho: np.ndarray,
-    chains: int = 1,
 ) -> np.ndarray:
-    """integral over r of r^(r_power+c) f0(r) (r rho)^(z_power+c)
-    jtilde_(twice_order/2+c)(r rho), for each chain c < chains (the rows
-    of the result) and each target rho.
+    """integral over r of r^r_power f0(r) (r rho)^z_power
+    jtilde_(twice_order/2)(r rho) on the rule (nodes, weights), at each
+    target rho; f0_vals are f0's real values at the nodes.
 
     The nodes x targets table of Bessel factors is never stored: it is
     taken in strips of consecutive nodes, at most _CHUNK_ROWS entries
-    each, and every strip is summed into the result before the next one
-    is built; one jtilde_stack per strip gives every chain's order.  When
-    the targets are the rule's own nodes the table is symmetric, and only
-    its upper triangle is evaluated: a strip covers the columns from its
-    first node on, adds its weighted rows to those columns and, mirrored,
-    the columns right of its diagonal block to its own rows.
+    each, one bessel_jtilde call per strip, and every strip is summed into
+    the result before the next one is built.
     """
-    nodes = rule.nodes
-    symmetric = np.array_equal(rho, nodes)
-    wfs = [rule.weights * nodes ** (r_power + c) * f0_vals for c in range(chains)]
-    out = np.zeros((chains, len(rho)))
-    lo = 0
-    while lo < len(nodes):
-        first = lo if symmetric else 0
-        hi = min(len(nodes), lo + max(1, _CHUNK_ROWS // max(1, len(rho) - first)))
-        z = nodes[lo:hi, None] * rho[None, first:]
-        for c, (wf, vals) in enumerate(zip(wfs, jtilde_stack(twice_order, chains - 1, z))):
-            if z_power + c:
-                vals = vals * z ** (z_power + c)
-            out[c, first:] += wf[lo:hi] @ vals
-            if symmetric:
-                out[c, lo:hi] += vals[:, hi - lo:] @ wf[hi:]
-        lo = hi
+    nodes, weights = rule
+    wf = weights * nodes**r_power * f0_vals
+    out = np.zeros(len(rho))
+    step = max(1, _CHUNK_ROWS // max(1, len(rho)))
+    for lo in range(0, len(nodes), step):
+        z = nodes[lo : lo + step, None] * rho
+        vals = bessel_jtilde(twice_order, z)
+        if z_power:
+            vals = vals * z**z_power
+        out += wf[lo : lo + step] @ vals
     return out
 
 
 def bochner_reduce(
-    sources: Sequence,
+    coeffs: Sequence[SeriesCoefficients],
     monogenic: SphericalMonogenic,
     radial_profile: Callable[[np.ndarray], np.ndarray],
     parity: str,
     ys: np.ndarray,
-    rule: RadialRule | None = None,
 ) -> list[BladeValues]:
     """Transforms of f0(r) M_k(x) (parity "2p") or f0(r) x M_k(x)
-    (parity "2p+1") via the radial reduction, one per source (a
-    :class:`KernelId` or :class:`SeriesCoefficients`).
+    (parity "2p+1") via the radial reduction, one per kernel's streams.
 
-    The angular factor passes through and the radial factor becomes a
-    Bessel-weighted integral times the kernel's eigenvalue on degree k.
-    Only the eigenvalue depends on the source, so the integral and the
-    angular values are computed once for all of them.  radial_profile
-    must decay fast enough to be negligible beyond r = _R_MAX.  Valid in
-    every dimension >= 2.
+    The angular factor passes through and the radial factor becomes one
+    Hankel integral, on ``radial_rule`` of the targets' norms, times the
+    kernel's eigenvalue on degree k.  Only the eigenvalue depends on the
+    kernel, so the integral and the angular values are computed once for
+    all of them.  radial_profile must decay fast enough to be negligible
+    beyond r = _R_MAX.  Valid in every dimension >= 2.
     """
     if parity not in _PARITIES:
         raise ValueError(f"parity must be one of {_PARITIES}")
-    coeffs = [_coeffs_of(source) for source in sources]
     m, k = monogenic.m, monogenic.k
     if any(c.m != m for c in coeffs):
         raise ValueError("monogenic dimension mismatch")
@@ -561,14 +527,14 @@ def bochner_reduce(
     rho = np.linalg.norm(ys, axis=1)
     if np.any(rho <= 0):
         raise ValueError("the radial route needs nonzero sample points")
-    rule = rule or _rule_for(rho)
+    rule = radial_rule(rho)
     eta = ys / rho[:, None]
-    f0 = np.asarray(radial_profile(rule.nodes), dtype=float)
+    f0 = np.asarray(radial_profile(rule[0]), dtype=float)
     if parity == "2p":
-        integral = _radial_bessel_integral(rule, f0, m + k - 1, k, 2 * k + m - 2, rho)[0]
+        integral = _radial_bessel_integral(rule, f0, m + k - 1, k, 2 * k + m - 2, rho)
         angular = monogenic.poly.evaluate_batch(eta)
     else:
-        integral = _radial_bessel_integral(rule, f0, m + k, k + 1, 2 * k + m, rho)[0]
+        integral = _radial_bessel_integral(rule, f0, m + k, k + 1, 2 * k + m, rho)
         angular = x_times(monogenic.poly).evaluate_batch(eta)
     out = []
     for c in coeffs:
@@ -660,7 +626,6 @@ def verify_eigen(
         raise ValueError(f"unknown method {method!r}")
     kids = [KernelId(m, i, sign) for i in i_list]
     streams = [series_coefficients(kid) for kid in kids]
-    rule = _rule_for(np.linalg.norm(ys, axis=1))
     # records in (i, k, j) order; every (k, j) is one reduction for all i
     per_i: list[list[EigenvalueRecord]] = [[] for _ in kids]
     for k in k_list:
@@ -674,7 +639,7 @@ def verify_eigen(
 
             parity = _PARITIES[odd]
             ref_vals = psi(j, k, 1, m).values(ys)
-            got = bochner_reduce(streams, mono, f0, parity, ys, rule)
+            got = bochner_reduce(streams, mono, f0, parity, ys)
             for kid, coeffs, rows, vals in zip(kids, streams, per_i, got):
                 want = _reference_eigenvalue(coeffs, k, parity) * (-1) ** a
                 rows.append(_eigen_record(m, kid.i, k, parity, want, ref_vals, vals))
@@ -716,38 +681,32 @@ def verify_inversion(m: int, k_max: int = 100) -> InversionReport:
 
 
 def _composition_radial(m: int, i: int) -> float:
-    """Residual of inverse(forward(psi)) - psi along radial chains."""
+    """Residual of inverse(forward(psi)) - psi along radial chains: the
+    forward transform at the nodes of a middle rule, the inverse on that
+    rule at the samples xs, each stage one radial integral per chain."""
     kid = KernelId(m, i)
     coeffs = series_coefficients(kid)
     inv = inverse_coefficients(coeffs)
-    lam2 = m - 2
-    rule = radial_rule(min(1.0, math.pi / _R_MAX))
-    xs = np.linspace(0.35, 2.4, 9)
-    gaussian = np.exp(-0.5 * rule.nodes**2)
-    z = rule.nodes[:, None] * xs[None, :]
-
-    # forward integrals of both chains from one two-row Bessel stack:
-    # orders lam2/2 (even) and lam2/2 + 1 (odd)
-    int_even, int_odd = _radial_bessel_integral(rule, gaussian, m - 1, 0, lam2, rule.nodes, 2)
-
-    # even chain: psi_{0,0,1} -> G(y) = g(|y|) -> H(x), compare with psi
     ev = eigenvalues_from_coefficients(coeffs, 0)
     evi = eigenvalues_from_coefficients(inv, 0)
-    g_nodes = ev.even_branch * int_even
-    # einsum, not @: a BLAS product sums in an order that depends on its
-    # thread count, and this residual is golden-tested bit for bit
-    h_vals = evi.even_branch * np.einsum(
-        "i,ij->j", rule.weights * rule.nodes ** (m - 1) * g_nodes, bessel_jtilde(lam2, z)
-    )
+    lam2 = m - 2
+    xs = np.linspace(0.35, 2.4, 9)
+    mid_nodes, _ = mid = radial_rule(xs)
+    forward = radial_rule(mid_nodes)
+    gaussian = np.exp(-0.5 * forward[0] ** 2)
+
+    # even chain: psi_{0,0,1} -> G(y) = g(|y|) -> H(x), compare with psi;
+    # the integral sums into a real array, so the complex eigenvalues
+    # multiply only at the end
+    g = _radial_bessel_integral(forward, gaussian, m - 1, 0, lam2, mid_nodes)
+    h_vals = ev.even_branch * evi.even_branch * _radial_bessel_integral(mid, g, m - 1, 0, lam2, xs)
     even_err = np.abs(h_vals - np.exp(-0.5 * xs * xs))
 
     # odd chain: psi_{1,0,1} = x exp(-r^2/2) -> G(y) = y q(|y|), with
-    # q(rho) = E_1 Int(rho)/rho finite at the origin; compare radial
-    # profiles of H and psi along any ray.
-    q_nodes = ev.odd_branch * int_odd / rule.nodes
-    h_vals = evi.odd_branch * np.einsum(
-        "i,ij->j", rule.weights * rule.nodes**m * q_nodes, z * bessel_jtilde(lam2 + 2, z)
-    )
+    # q(rho) = Int(rho)/rho finite at the origin; compare radial profiles
+    # of H and psi along any ray.
+    q = _radial_bessel_integral(forward, gaussian, m, 1, lam2 + 2, mid_nodes) / mid_nodes
+    h_vals = ev.odd_branch * evi.odd_branch * _radial_bessel_integral(mid, q, m, 1, lam2 + 2, xs)
     return worst(even_err, np.abs(h_vals - xs * np.exp(-0.5 * xs * xs)))
 
 
@@ -879,10 +838,10 @@ def hankel_laguerre_residual(m: int, k: int, j: int, s_values: Sequence[float]) 
     s_arr = np.asarray(list(s_values), dtype=float)
     if np.any(s_arr <= 0):
         raise ValueError("s values must be positive")
-    rule = _rule_for(s_arr)
+    r, _ = rule = radial_rule(s_arr)
     lam = (m - 2) / 2.0
-    f0 = laguerre(j, k + lam, rule.nodes**2) * np.exp(-0.5 * rule.nodes**2)
-    lhs = _radial_bessel_integral(rule, f0, m + k - 1, k, 2 * k + m - 2, s_arr)[0]
+    f0 = laguerre(j, k + lam, r**2) * np.exp(-0.5 * r**2)
+    lhs = _radial_bessel_integral(rule, f0, m + k - 1, k, 2 * k + m - 2, s_arr)
     rhs = (-1.0) ** j * s_arr**k * laguerre(j, k + lam, s_arr**2) * np.exp(-0.5 * s_arr**2)
     scale = np.maximum(1.0, np.abs(rhs))
     return float(np.max(np.abs(lhs - rhs) / scale))

@@ -273,7 +273,7 @@ def _nan_odd_composition_chain(monkeypatch):
 
     def bessel_jtilde(order, z):
         out = real(order, z)
-        if order == 4:  # the odd chain at m = 4, after the even one
+        if order == 4:  # the odd chain at m = 4, both stages, after the even one
             out = out.copy()
             out.flat[1] = np.nan
         return out

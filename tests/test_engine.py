@@ -122,12 +122,13 @@ def test_radial_count_grows_with_the_target_norm():
 
 
 def test_radial_rule_covers_oscillation():
-    rule = radial_rule(0.5)
-    vals = rule.nodes**3 * np.exp(-0.5 * rule.nodes**2) * np.cos(5 * rule.nodes)
+    nodes, weights = radial_rule([2 * math.pi])  # panels of width 0.5
+    assert len(nodes) == 28 * 16
+    vals = nodes**3 * np.exp(-0.5 * nodes**2) * np.cos(5 * nodes)
     import scipy.integrate as si
 
     want, _ = si.quad(lambda r: r**3 * math.exp(-0.5 * r * r) * math.cos(5 * r), 0, 14, limit=400)
-    assert np.sum(rule.weights * vals) == pytest.approx(want, abs=1e-12)
+    assert np.sum(weights * vals) == pytest.approx(want, abs=1e-12)
 
 
 def test_closed_form_matches_series_functionals_exactly():
@@ -147,6 +148,12 @@ def test_closed_form_radial_alternation_and_guards():
         closed_form_eigenvalue(4, 0, 1, "3p")
     with pytest.raises(ValueError):
         closed_form_eigenvalue(4, 5, 1, "2p")
+    # an e_i that no kernel has: any e_i but 1 at even m, off the unit
+    # circle at odd m
+    with pytest.raises(ValueError):
+        closed_form_eigenvalue(4, 1, 1, "2p", e_i=2j)
+    with pytest.raises(ValueError):
+        closed_form_eigenvalue_exact(5, 1, 1, "2p", e_i=3.0)
 
 
 def test_closed_form_odd_dimension_phase():
@@ -432,7 +439,7 @@ def test_bochner_agrees_with_full_grid():
     def f0(rr: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * rr * rr)
 
-    (radial_vals,) = bochner_reduce([kid], mono, f0, "2p", ys)
+    (radial_vals,) = bochner_reduce([series_coefficients(kid)], mono, f0, "2p", ys)
     for blade in set(grid_vals) | set(radial_vals):
         a = grid_vals.get(blade, 0.0)
         b = radial_vals.get(blade, 0.0)
@@ -447,7 +454,7 @@ def test_bochner_batch_equals_single_sources(m, parity):
     k = 1
     mono = monogenic_basis(m, k)[0]
     ys = sample_points(m, 7, 2.2, seed=5)
-    sources = [KernelId(m, i) for i in range(m - 1)]
+    sources = [series_coefficients(KernelId(m, i)) for i in range(m - 1)]
     sources.append(series_coefficients(KernelId(m, 1, "minus")))
 
     def f0(rr: np.ndarray) -> np.ndarray:
@@ -460,47 +467,39 @@ def test_bochner_batch_equals_single_sources(m, parity):
         assert got.keys() == single.keys()
         assert all(np.array_equal(got[blade], single[blade]) for blade in got)
     with pytest.raises(ValueError):
-        bochner_reduce([KernelId(m + 1, 0)], mono, f0, parity, ys)
+        bochner_reduce([series_coefficients(KernelId(m + 1, 0))], mono, f0, parity, ys)
 
 
 @pytest.mark.parametrize("twice_order, z_power", [(2, 0), (1, 0), (4, 1), (3, 1)])
 @pytest.mark.parametrize(
     "rule",
     [
-        radial_rule(math.pi / 14.0),  # the composition's rule, 1,008 nodes
-        radial_rule(0.25),  # 896 nodes: strips of 18 rows and up, the last partial
+        radial_rule([14.0]),  # the composition's forward rule, 1,008 nodes
+        radial_rule([4 * math.pi]),  # 896 nodes: strips of 18 rows and up, the last partial
     ],
 )
 def test_radial_integral_triangle_matches_dense_table(rule, twice_order, z_power):
-    nodes = rule.nodes
+    nodes, weights = rule
     f0 = np.exp(-0.5 * nodes**2) * (1.0 + np.sin(3.0 * nodes))
     r_power = 3
-
-    def dense(rho, c):
-        z = nodes[:, None] * rho[None, :]
-        table = jtilde_stack(twice_order + 2 * c, 0, z)[0] * z ** (z_power + c)
-        return (rule.weights * nodes ** (r_power + c) * f0) @ table
-
-    # the rule's own nodes take the upper triangle; general targets take
-    # the same strips over all columns; chain c of a two-chain call adds
-    # c to both powers and to the order
+    # the rule's own nodes, and general targets; the reference table comes
+    # from the one-row stack, an independent route to the same orders
     for rho in (nodes, np.linspace(0.05, 3.0, 97)):
-        for chains in (1, 2):
-            got = engine._radial_bessel_integral(rule, f0, r_power, z_power, twice_order, rho, chains)
-            assert got.shape == (chains, len(rho))
-            for c in range(chains):
-                want = dense(rho, c)
-                assert np.max(np.abs(got[c] - want)) <= 1e-14 * np.max(np.abs(want))
+        z = nodes[:, None] * rho[None, :]
+        want = (weights * nodes**r_power * f0) @ (jtilde_stack(twice_order, 0, z)[0] * z**z_power)
+        got = engine._radial_bessel_integral(rule, f0, r_power, z_power, twice_order, rho)
+        assert got.shape == (len(rho),)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_radial_integral_never_stores_the_table():
-    rule = radial_rule(math.pi / 14.0)
-    f0 = np.exp(-0.5 * rule.nodes**2)
-    table_bytes = 8 * len(rule.nodes) ** 2
+    nodes, _ = rule = radial_rule([14.0])
+    f0 = np.exp(-0.5 * nodes**2)
+    table_bytes = 8 * len(nodes) ** 2
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        engine._radial_bessel_integral(rule, f0, 3, 1, 4, rule.nodes)
+        engine._radial_bessel_integral(rule, f0, 3, 1, 4, nodes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -523,7 +522,7 @@ def test_verify_eigen_grid_and_radial():
 def test_verify_inversion_exact_and_radial_composition():
     rep = verify_inversion(4, k_max=60)
     assert rep.exact_ok and rep.first_failure is None
-    for m, i in ((3, 0), (4, 1), (5, 0), (6, 0), (8, 0)):
+    for m, i in ((3, 0), (4, 1), (5, 0), (6, 0), (8, 0), (10, 0), (12, 0)):
         assert inversion_composition_residual(m, i) < 1e-12, (m, i)
 
 

@@ -9,18 +9,31 @@ dimensions, and a fault in one of them must show at every m: at one
 parity in the closed form, at the other in the series.
 
 The generic branch ``_jv``, the three-term relation for every order
-other than -1/2, 0, 1/2 and 1, serves only the closed form, and only where
-a kernel reads such an order: of m = 2..7, from m = 4 (twice-order 3) on.
-At m = 2 and 3 the kernels read the base orders only.  It also runs from
-the base pair, so a fault in J_0 or in the form of order -1/2 reaches it
-too.  The form of order -1/2 is faulted at its cos t, the one value that
-a direct call of that order and ``_jv``'s base pair both read.
+other than -1/2, 0, 1/2 and 1, serves the closed form where a kernel reads
+such an order: of m = 2..7, from m = 4 (twice-order 3) on.  At m = 2 and 3
+the kernels read the base orders only.  It also serves the radial route's
+Hankel integral, whose twice-orders 2k + m - 2 and 2k + m are at least 3
+from m = 5 on, so the eigen suite must report it at m = 5, 6 and 7 (its
+rows read 7.5e-6, 1.5e-5 and 5.3e-5 against 1e-8).  The inversion suite
+at m = 4 reads 1.2e-6 under it and passes its 1e-5 bound: a known gap.
+``_jv`` runs from the base pair, so a fault in J_0 or in the form of order
+-1/2 reaches it too.  The form of order -1/2 is faulted at its cos t, the
+one value that a direct call of that order and ``_jv``'s base pair both
+read.
 
 The quadrature fault scales the first weight of the transform's radial
 rule by 1 + 1e-5, and the eigen suite must report it at every m of the
 grid route.  Its eigen rows read about 1.0, 0.76 and 1.5 times the scale
 minus one at m = 2, 3 and 4, so 1 + 2e-6 is the smallest scale of the
 form 1 + k 10^-n that all three report against the 1e-6 bound.
+
+The radial-rule fault scales every weight of ``radial_rule``, the rule of
+the radial route's Hankel integrals, by 1 + 1e-5.  The eigen suite must
+report it at m = 5, 6 and 7, whose rows read 7.5e-5, 1.5e-4 and 5.3e-4
+against 1e-8, and the inversion suite at m = 4, 6 and 8, whose
+compositions integrate twice on it and read 1.88e-5 against 1e-5; at
+1 + 2e-6 they read 3.8e-6 and pass.  The m = 2 composition runs on the
+tensor grid and must pass.
 
 The tensor-grid fault scales every weight of ``QuadratureScheme.chunks``,
 the middle rule of the inversion suite's m = 2 composition, by 1 + 2e-5.
@@ -137,3 +150,32 @@ def test_inversion_suite_reports_a_tensor_grid_weight_fault_at_m_2(m, monkeypatc
     _grid_weight(monkeypatch)
     failed = [c for c in run("inversion", [m]) if not c.passed]
     assert bool(failed) == (m == 2), f"m = {m}: {len(failed)} failed checks"
+
+
+def _radial_rule_weights(monkeypatch) -> None:
+    """Every weight of the radial route's Hankel-integral rule."""
+    rule = engine.radial_rule
+
+    def faulty(rho):
+        nodes, weights = rule(rho)
+        return nodes, weights * (1.0 + 1e-5)
+
+    monkeypatch.setattr(engine, "radial_rule", faulty)
+
+
+RADIAL_FAULTS = {"generic order": _generic_order, "radial rule weights": _radial_rule_weights}
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+@pytest.mark.parametrize("fault", sorted(RADIAL_FAULTS))
+def test_eigen_suite_reports_a_fault_of_the_radial_route(fault, m, monkeypatch):
+    RADIAL_FAULTS[fault](monkeypatch)
+    failed = [c for c in run("eigen", [m]) if not c.passed]
+    assert failed, f"the {fault} fault passes the eigen suite at m = {m}"
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_inversion_suite_reports_a_radial_rule_weight_fault_from_m_4(m, monkeypatch):
+    _radial_rule_weights(monkeypatch)
+    failed = [c for c in run("inversion", [m]) if not c.passed]
+    assert bool(failed) == (m >= 4), f"m = {m}: {len(failed)} failed checks"

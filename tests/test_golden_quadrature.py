@@ -5,16 +5,17 @@ eigen|diff|series|pde|inversion`` at the default dimensions.  The eigen and
 diff suites integrate numerically on the transform's target-aligned
 cylindrical rule.  The inversion suite's m = 2 composition transforms on
 that rule at the nodes of the tensor Gauss-Hermite grid, which is its
-middle rule, and the rest of the inversion suite integrates on the radial
-rule.  The series and pde suites evaluate the closed forms in floating
+middle rule, and the rest of the inversion suite composes through the
+radial route's one Bessel integral: forward on a radial rule at the nodes
+of a middle radial rule, then inverse on that middle rule.  The series and pde suites evaluate the closed forms in floating
 point.  A change that moves a digit regenerates
 the files, and the diff of the committed files lists every digit that
 moved.
 
-Every suite reads the same with one, two and four BLAS threads, so every
-file is rendered in process with no thread pin.  (The inversion suite's
-radial composition sums its Bessel tables with einsum rather than a BLAS
-product, whose summation order follows the thread count.)
+Every suite reads the same with one, two and four BLAS threads (measured
+with ``OPENBLAS_NUM_THREADS``; the radial integral sums each strip of its
+Bessel table by a matrix-vector product), so every file is rendered in
+process with no thread pin.
 
 The files do follow numpy's SIMD dispatch of float64 ``tan`` and ``exp``:
 the Bessel closed forms take sin and cos from ``tan``, the quadrature

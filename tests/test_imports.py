@@ -127,8 +127,6 @@ def test_every_reexported_name_has_a_library_caller():
 # Parameters with a default that no library or benchmark call sets, each
 # kept for a stated reason, as (callable, parameter).
 UNSET_DEFAULTS = {
-    # the paper's free unit parameter of the odd-dimension kernels
-    ("KernelId", "e_i"),
     # the series tests
     ("check_cf_constraint", "k_max"),
     # tests pick kernels and basis functions with them
